@@ -8,8 +8,8 @@ the O(n^3) Gram SVD, and extends it to robust (Huber) and sparse
 from .baselines import EigPairs, h_from_pairs, kpca_dense_eig, rsvd, rsvd_adaptive
 from .data_io import (Dataset, contaminate, gen_controlled_spectrum_gram,
                       gen_synth_gaussian, load_csv, parse_libsvm, serialize_libsvm)
-from .dual_core import (DualVariable, SpectralDecomp, check_critical_point,
-                        dual_cost, dual_residual, grad_pi, optimal_dual_cost, pi,
+from .dual_core import (SpectralDecomp, check_critical_point, dual_cost,
+                        dual_residual, grad_pi, optimal_dual_cost, pi,
                         sym_eig_small)
 from .errors import (DataError, KpcaError, SingularMatrixError,
                      ToleranceUnreachableError, UnprojectableModelError)

@@ -33,6 +33,13 @@ def kpca_dense_eig(G, s: int):
     return pairs, h_from_pairs(pairs)
 
 
+def top_eigenvalues(G, s: int) -> np.ndarray:
+    """The s largest eigenvalues of symmetric G, decreasing, from a dense
+    ``eigvalsh`` (ties keep index order): the exact eta oracle."""
+    w = np.linalg.eigvalsh(_gram_entries(G))
+    return w[np.argsort(-w, kind="stable")[:s]]
+
+
 def rsvd(G, s: int, p: int = 10, q: int = 2, seed=0) -> EigPairs:
     """Randomized range finder for the top-s eigenpairs of symmetric G.
 
@@ -70,13 +77,12 @@ def rsvd_adaptive(G, s: int, delta: float, seed=0, top_eigs=None, q: int = 2,
     round-off and only a ``delta`` at or below it (e.g. 0) is unreachable.
 
     ``top_eigs`` are the exact top-s eigenvalues of G (the eta oracle),
-    computed once via dense eigendecomposition at benchmark scale.
+    computed once by ``top_eigenvalues`` when not given.
     """
     G = _gram_entries(G)
     n = G.shape[0]
     if top_eigs is None:
-        w = np.linalg.eigvalsh(G)
-        top_eigs = w[np.argsort(-w, kind="stable")[:s]]
+        top_eigs = top_eigenvalues(G, s)
     rng = np.random.default_rng(seed)
     cap = max(n - s, 0)
     p = min(p_start, cap)

@@ -122,8 +122,6 @@ def _cmd_solve(args):
         raise _Usage("--components must be >= 1")
     cfg = SolveConfig(tol=args.tol, seed=args.seed, max_iters=args.max_iters)
     if args.format == "gram":
-        if args.data is None:
-            raise _Usage("--format gram requires --data")
         gm = kernels.load_gram_csv(args.data)
         spec = kernels.KernelSpec("precomputed")
         fitted = model_mod.fit(None, spec, objective, args.components, cfg,
@@ -191,8 +189,7 @@ def _cmd_bench(args):
         eta = dual_residual(G, h_svd, top)
         results["eig"] = {"wall": eig_samples, "iters": None, "eta": eta, "H": h_svd}
     else:
-        w = np.linalg.eigvalsh(G)
-        top = w[np.argsort(-w, kind="stable")[:s]]
+        top = baselines.top_eigenvalues(G, s)
 
     if "rsvd" in solvers:
         def run_rsvd():
@@ -210,16 +207,16 @@ def _cmd_bench(args):
         results["rsvd"] = {"wall": samples, "iters": p_used, "eta": eta, "H": h_r}
     if "lbfgs" in solvers:
         cfg = SolveConfig(tol=args.delta, seed=args.seed, benchmark_eigs=top)
-        (dual, rep), samples = _bench_timed(lambda: lbfgs_solve(G, s, cfg),
-                                            args.repeats)
+        (H, rep), samples = _bench_timed(lambda: lbfgs_solve(G, s, cfg),
+                                         args.repeats)
         results["lbfgs"] = {"wall": samples, "iters": rep.iterations,
-                            "eta": rep.eta_trace[-1], "H": dual.H}
+                            "eta": rep.eta_trace[-1], "H": H}
     if "dca" in solvers:
         cfg = SolveConfig(tol=args.delta, seed=args.seed, benchmark_eigs=top)
-        (dual, rep), samples = _bench_timed(
+        (H, rep), samples = _bench_timed(
             lambda: dca_solve(G, s, ObjectiveSpec("square"), cfg), args.repeats)
         results["dca"] = {"wall": samples, "iters": rep.iterations,
-                          "eta": rep.eta_trace[-1], "H": dual.H}
+                          "eta": rep.eta_trace[-1], "H": H}
 
     means = {k: float(np.mean(v["wall"])) for k, v in results.items()}
     for name in solvers:
@@ -247,8 +244,7 @@ def _cmd_spectrum(args):
     for c in args.c_grid:
         gm = data_io.gen_controlled_spectrum_gram(args.n, c, args.seed)
         G = gm.entries
-        w = np.linalg.eigvalsh(G)
-        top = w[np.argsort(-w, kind="stable")[:args.components]]
+        top = baselines.top_eigenvalues(G, args.components)
         lbfgs_iters, lbfgs_status = None, "ok"
         try:
             cfg = SolveConfig(tol=args.delta, seed=args.seed, benchmark_eigs=top)
@@ -322,7 +318,7 @@ def _cmd_robust(args):
         fitted = model_mod.fit(noisy, spec, objective, args.components, cfg)
         err = model_mod.reconstruction_error(fitted, test)
         kappa = fitted.objective.kappa if fitted.objective.kind != "square" else None
-        return err, kappa
+        return err, kappa, fitted.report.iterations, fitted.report.termination
 
     cells = [(tau, obj) for tau in args.tau_grid for obj in objectives]
     if args.jobs > 1:
@@ -330,9 +326,10 @@ def _cmd_robust(args):
             outcomes = list(pool.map(lambda c: cell(*c), cells))
     else:
         outcomes = [cell(*c) for c in cells]
-    rows = [[tau, format_objective(obj), err, kappa]
-            for (tau, obj), (err, kappa) in zip(cells, outcomes)]
-    _write_csv(args.out, ["tau", "objective", "reconstruction_error", "kappa"], rows)
+    rows = [[tau, format_objective(obj), *outcome]
+            for (tau, obj), outcome in zip(cells, outcomes)]
+    _write_csv(args.out, ["tau", "objective", "reconstruction_error", "kappa",
+                          "iterations", "termination"], rows)
     return 0
 
 
@@ -350,28 +347,27 @@ def _cmd_sparse(args):
 
     def baseline(s):
         cfg = SolveConfig(seed=args.seed)
-        dual, _ = dca_solve(Gc, s, ObjectiveSpec("square"), cfg)
+        H, _ = dca_solve(Gc, s, ObjectiveSpec("square"), cfg)
         fitted = model_mod.assemble_model(Gc, spec, ObjectiveSpec("square"), s,
-                                          dual.H, dataset)
+                                          H, dataset)
         return model_mod.reconstruction_error(fitted, dataset)
 
     def cell(s, eps, base_err):
         objective = ObjectiveSpec(kind, eps=eps)
         cfg = SolveConfig(seed=args.seed)
         try:
-            dual, _ = dca_solve(Gc, s, objective, cfg)
+            H, rep = dca_solve(Gc, s, objective, cfg)
         except SingularMatrixError:
             # eps large enough to collapse the iterates entirely
-            return None, None, None
-        metrics = model_mod.sparsity_metrics(dual.H)
+            return None, None, None, None, None
+        metrics = model_mod.sparsity_metrics(H)
         try:
-            fitted = model_mod.assemble_model(Gc, spec, objective, s, dual.H,
-                                              dataset)
+            fitted = model_mod.assemble_model(Gc, spec, objective, s, H, dataset)
             err = model_mod.reconstruction_error(fitted, dataset)
             ratio = err / base_err if base_err > 0 else None
         except UnprojectableModelError:
             err, ratio = None, None
-        return metrics, err, ratio
+        return metrics, err, ratio, rep.iterations, rep.termination
 
     base_errs = {s: baseline(s) for s in args.components_grid}
     cells = [(s, eps) for s in args.components_grid for eps in args.eps_grid]
@@ -383,10 +379,11 @@ def _cmd_sparse(args):
         outcomes = [run(c) for c in cells]
     rows = [[eps, s,
              None if m is None else m["zero_rows_pct"],
-             None if m is None else m["zero_entries_pct"], err, ratio]
-            for (s, eps), (m, err, ratio) in zip(cells, outcomes)]
+             None if m is None else m["zero_entries_pct"], *rest]
+            for (s, eps), (m, *rest) in zip(cells, outcomes)]
     _write_csv(args.out, ["epsilon", "s", "zero_rows_pct", "zero_entries_pct",
-                          "reconstruction_error", "error_ratio"], rows)
+                          "reconstruction_error", "error_ratio", "iterations",
+                          "termination"], rows)
     return 0
 
 
@@ -487,20 +484,10 @@ def main(argv=None) -> int:
     except _Usage as exc:
         print(f"dckpca: error: {exc}", file=sys.stderr)
         return USAGE_EXIT
-    except DataError as exc:
+    except (DataError, FileNotFoundError) as exc:  # DataError before KpcaError
         print(f"dckpca: data error: {exc}", file=sys.stderr)
         return DATA_EXIT
-    except FileNotFoundError as exc:
-        print(f"dckpca: data error: {exc}", file=sys.stderr)
-        return DATA_EXIT
-    except (SingularMatrixError, ToleranceUnreachableError,
-            UnprojectableModelError) as exc:
-        print(f"dckpca: numeric failure: {exc}", file=sys.stderr)
-        return NUMERIC_EXIT
-    except KpcaError as exc:
-        print(f"dckpca: numeric failure: {exc}", file=sys.stderr)
-        return NUMERIC_EXIT
-    except np.linalg.LinAlgError as exc:
+    except (KpcaError, np.linalg.LinAlgError) as exc:
         print(f"dckpca: numeric failure: {exc}", file=sys.stderr)
         return NUMERIC_EXIT
 

@@ -6,33 +6,12 @@ n^2 s matrix product plus an s x s eigendecomposition replaces the O(n^3) SVD
 of the Gram matrix.
 """
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import KpcaError, SingularMatrixError
 from .objectives import ObjectiveSpec, psi_star_value
-
-
-@dataclass(frozen=True)
-class DualVariable:
-    """The n x s dual iterate H, the sole optimization variable."""
-
-    H: np.ndarray
-
-    def __post_init__(self):
-        if self.H.ndim != 2 or self.H.shape[1] < 1:
-            raise KpcaError("H must be an n x s matrix with s >= 1")
-        if not np.all(np.isfinite(self.H)):
-            raise KpcaError("H contains non-finite entries")
-        n, s = self.H.shape
-        if n < s:
-            warnings.warn(f"H has more components ({s}) than samples ({n})", stacklevel=2)
-
-    @property
-    def shape(self):
-        return self.H.shape
 
 
 @dataclass(frozen=True)
@@ -93,14 +72,15 @@ def pi(G, H, gh=None) -> float:
 SINGULARITY_FLOOR_SCALE = 1e-12
 
 
-def check_floor(dec: SpectralDecomp) -> None:
+def check_floor(dec: SpectralDecomp, singular_hint: str | None = None) -> None:
     """Raise SingularMatrixError unless every eigenvalue of H'GH sits above
     the floor 1e-12 * max(lam_max, 1).
 
     An eigenvalue below -floor is beyond round-off of a PSD product: H'GH is
     then indefinite, so G is not positive semidefinite on the span of H and
     Tr sqrt(H'GH) is outside the domain the dual is defined on. Otherwise
-    H'GH is near-singular.
+    H'GH is near-singular; ``singular_hint`` (a likely cause) is appended to
+    that message only.
     """
     floor = SINGULARITY_FLOOR_SCALE * max(float(dec.lam[0]), 1.0)
     lam_min = float(dec.lam[-1])
@@ -110,9 +90,9 @@ def check_floor(dec: SpectralDecomp) -> None:
             "G is not positive semidefinite on the span of H"
         )
     if lam_min <= floor:
+        message = f"H'GH is near-singular: eigenvalue {lam_min:.6e} <= floor {floor:.6e}"
         raise SingularMatrixError(
-            f"H'GH is near-singular: eigenvalue {lam_min:.6e} <= floor {floor:.6e}"
-        )
+            message if singular_hint is None else f"{message}; {singular_hint}")
 
 
 def grad_pi(G, H, gh=None):
@@ -137,11 +117,6 @@ def dual_cost(G, H, objective: ObjectiveSpec) -> float:
     """
     value = 0.5 * float(np.sum(H * H)) - pi(G, H)
     return value + psi_star_value(objective, H)
-
-
-def square_dual_cost_from_eig(lam: np.ndarray, h_sqnorm: float) -> float:
-    """Square-loss dual cost given the eigenvalues of H'GH (internal helper)."""
-    return 0.5 * h_sqnorm - float(np.sum(np.sqrt(np.maximum(lam, 0.0))))
 
 
 def optimal_dual_cost(top_eigs: np.ndarray) -> float:

@@ -110,12 +110,12 @@ def fit(dataset: Dataset | None, kernel_spec: kernels.KernelSpec,
     kappa_max_value = None
     if not objective.resolved:
         H_sq, _ = _dispatch("square", ObjectiveSpec("square"), Gc, s, cfg, solver)
-        kappa_max_value = kappa_max(objective.kind, H_sq.H)
+        kappa_max_value = kappa_max(objective.kind, H_sq)
         objective = objective.resolve(kappa_max_value)
 
     kind = "square" if objective.kind == "square" else "envelope"
-    dual, report = _dispatch(kind, objective, Gc, s, cfg, solver)
-    return assemble_model(Gc, spec, objective, s, dual.H, dataset,
+    H, report = _dispatch(kind, objective, Gc, s, cfg, solver)
+    return assemble_model(Gc, spec, objective, s, H, dataset,
                           fingerprint=fingerprint, report=report,
                           kappa_max_value=kappa_max_value)
 

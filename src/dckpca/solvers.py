@@ -5,6 +5,9 @@ The L-BFGS line search exploits the ray structure of the dual cost: with
 GH and GD precomputed, (H + a D)' G (H + a D) is a quadratic in ``a`` built
 from s x s blocks, so every Wolfe trial costs O(s^3) instead of O(n^2 s).
 One n^2 s product per accepted step (GD) dominates an iteration.
+
+Both solvers share one entry (``_solve``: checks, init, one reseed, report)
+and one stopping rule (``_stop``); they return ``(H, report)``.
 """
 
 import json
@@ -14,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dual_core import (DualVariable, _gram_entries, check_floor, grad_pi,
-                        optimal_dual_cost, sym_eig_small)
+from .dual_core import (_gram_entries, check_floor, grad_pi, optimal_dual_cost,
+                        sym_eig_small)
 from .errors import KpcaError, SingularMatrixError
 from .objectives import HUBER_KINDS, ObjectiveSpec, prox_psi_star, psi_star_value
 
@@ -23,34 +26,28 @@ LBFGS_DEFAULT_MAX_ITERS = 500
 DCA_DEFAULT_MAX_ITERS = 1000
 REPORT_VERSION = "dckpca/1"
 _GH_REFRESH_EVERY = 64
+# L-BFGS history length and strong-Wolfe line-search constants.
+_LBFGS_MEMORY = 10
+_C1, _C2 = 1e-4, 0.9
+_MAX_LINESEARCH_STEPS = 25
+_INITIAL_STEP = 1.0
 
 
 @dataclass
 class SolveConfig:
     """Shared solver knobs. ``benchmark_eigs`` (exact top-s eigenvalues of G)
     switches on residual-based stopping at eta < tol; production runs use the
-    gradient/stall criteria instead. ``max_iters`` of None picks the solver
-    default (500 for L-BFGS, 1000 for DCA)."""
+    gradient/stall criteria instead (see ``_stop``). ``max_iters`` of None
+    picks the solver default (500 for L-BFGS, 1000 for DCA)."""
 
     tol: float = 1e-6
     max_iters: int | None = None
-    lbfgs_memory: int = 10
-    c1: float = 1e-4
-    c2: float = 0.9
-    max_linesearch_steps: int = 25
-    initial_step: float = 1.0
     seed: int = 0
     benchmark_eigs: object = None
 
     def __post_init__(self):
-        if not 0 < self.c1 < self.c2 < 1:
-            raise KpcaError(f"need 0 < c1 < c2 < 1, got c1={self.c1}, c2={self.c2}")
-        if self.lbfgs_memory < 1:
-            raise KpcaError("lbfgs_memory must be >= 1")
         if not self.tol > 0:
             raise KpcaError("tol must be positive")
-        if not self.initial_step > 0:
-            raise KpcaError("initial_step must be positive")
 
 
 @dataclass
@@ -126,8 +123,9 @@ def _wolfe_scalar(phi, dphi, phi0, dphi0, c1, c2, alpha0, max_trials):
     return None
 
 
-def line_search_strong_wolfe(fg, x, direction, c1=1e-4, c2=0.9,
-                             max_steps=25, initial_step=1.0):
+def line_search_strong_wolfe(fg, x, direction, c1=_C1, c2=_C2,
+                             max_steps=_MAX_LINESEARCH_STEPS,
+                             initial_step=_INITIAL_STEP):
     """Step length along ``direction`` satisfying the strong Wolfe conditions.
 
     ``fg(x)`` returns (cost, gradient). Returns None when no conforming step
@@ -157,20 +155,101 @@ def _pi_from(dec):
     return float(np.sum(np.sqrt(np.maximum(dec.lam, 0.0))))
 
 
-def _retry_once(run, seed, h0):
-    """Reseed once when the random init fails the floor check.
+class _Trace:
+    """What ``_stop`` reads: the cost of every iterate (iterations =
+    len(costs) - 1), eta in benchmark mode, and the run's tol and cap."""
 
-    For positive semidefinite G a singular H'GH at a Gaussian init is a
-    measure-zero event, so one reseed suffices. For indefinite G, H'GH can be
-    indefinite on a set of positive measure; the reseed then fails too and
-    its error (which names the indefiniteness) propagates.
+    def __init__(self, tol, max_iters, d_opt):
+        self.tol = tol
+        self.max_iters = max_iters
+        self.d_opt = d_opt
+        self.costs = []
+        self.etas = None if d_opt is None else []
+
+    def record(self, cost, square_cost):
+        self.costs.append(cost)
+        if self.etas is not None:
+            self.etas.append(abs(square_cost - self.d_opt) / abs(self.d_opt))
+
+
+def _stop(trace, grad_rms=None, stalled=False):
+    """The one stopping rule of both solvers: the termination reason, or None.
+
+    "tolerance": eta < tol in benchmark mode; otherwise each of the last three
+    cost changes, all between finite costs, is <= tol * max(1, |cost|).
+    "gradient": gradient RMS <= tol (L-BFGS; in benchmark mode only a zero
+    gradient, from which no descent step exists). "stalled": the line search
+    found no strong-Wolfe step. "max_iters": the iteration cap.
     """
+    costs = trace.costs
+    bench = trace.etas is not None
+    if bench and trace.etas[-1] < trace.tol:
+        return "tolerance"
+    if grad_rms is not None and grad_rms <= (0.0 if bench else trace.tol):
+        return "gradient"
+    if not bench:
+        recent = costs[-4:]
+        if len(recent) == 4 and all(math.isfinite(c) for c in recent):
+            steps = [abs(b - a) for a, b in zip(recent, recent[1:])]
+            if max(steps) <= trace.tol * max(1.0, abs(recent[-1])):
+                return "tolerance"
+    if stalled:
+        return "stalled"
+    if len(costs) - 1 >= trace.max_iters:
+        return "max_iters"
+    return None
+
+
+def _solve(G, s, cfg, h0, default_max_iters, loop):
+    """Shared entry of both solvers: checks s, h0 and ``benchmark_eigs``,
+    runs ``loop(G, H0, trace) -> (H, termination)`` and returns (H, report).
+
+    H0 is ``h0`` when given (e.g. a warm start), else i.i.d. standard normal
+    entries drawn from the config seed. A random init that fails the floor
+    check is redrawn once from seed + 1: for positive semidefinite G a
+    singular H'GH at a Gaussian init is a measure-zero event. For indefinite
+    G, H'GH can be indefinite on a set of positive measure; the reseed then
+    fails too, and its error carries both inits' messages.
+    """
+    G = _gram_entries(G)
+    n = G.shape[0]
+    if s < 1:
+        raise KpcaError("s must be >= 1")
+    if h0 is not None:
+        h0 = np.array(h0, dtype=float)
+        if h0.shape != (n, s):
+            raise KpcaError(f"h0 must be an n x s = {n} x {s} matrix, got shape {h0.shape}")
+        if not np.all(np.isfinite(h0)):
+            raise KpcaError("h0 contains non-finite entries")
+    d_opt = None
+    if cfg.benchmark_eigs is not None:
+        eigs = np.asarray(cfg.benchmark_eigs, dtype=float)
+        if eigs.shape != (s,):
+            raise KpcaError(f"benchmark_eigs must hold exactly s={s} values")
+        d_opt = optimal_dual_cost(eigs)
+        if d_opt == 0.0:
+            raise KpcaError("degenerate Gram: optimal dual cost is zero")
+    max_iters = cfg.max_iters if cfg.max_iters is not None else default_max_iters
+
+    def attempt(H):
+        t0 = time.perf_counter()
+        trace = _Trace(cfg.tol, max_iters, d_opt)
+        H, termination = loop(G, H, trace)
+        return H, SolveReport(len(trace.costs) - 1, trace.costs, trace.etas,
+                              time.perf_counter() - t0, termination)
+
+    if h0 is not None:
+        return attempt(h0)
+    draw = lambda seed: np.random.default_rng(seed).standard_normal((n, s))
     try:
-        return run(seed)
-    except SingularMatrixError:
-        if h0 is not None:
-            raise
-        return run(seed + 1)
+        return attempt(draw(cfg.seed))
+    except SingularMatrixError as first:
+        try:
+            return attempt(draw(cfg.seed + 1))
+        except SingularMatrixError as second:
+            raise SingularMatrixError(
+                f"init from seed {cfg.seed}: {first}; "
+                f"reseed {cfg.seed + 1}: {second}") from first
 
 
 def lbfgs_solve(G, s: int, config: SolveConfig | None = None, h0=None):
@@ -178,70 +257,38 @@ def lbfgs_solve(G, s: int, config: SolveConfig | None = None, h0=None):
     L-BFGS directions and a strong Wolfe line search.
 
     H0 has i.i.d. standard normal entries drawn from the config seed (``h0``
-    overrides, e.g. for warm starts). Stops at eta < tol in benchmark mode,
-    otherwise on gradient RMS <= tol or relative cost stall over 3 iterations.
+    overrides, e.g. for warm starts). Stops by ``_stop``: at eta < tol in
+    benchmark mode, otherwise on gradient RMS <= tol or relative cost stall
+    over 3 iterations. Returns (H, report).
     """
-    cfg = config or SolveConfig()
-    G = _gram_entries(G)
-    if s < 1:
-        raise KpcaError("s must be >= 1")
-    return _retry_once(lambda seed: _lbfgs_once(G, s, cfg, seed, h0), cfg.seed, h0)
+    return _solve(G, s, config or SolveConfig(), h0, LBFGS_DEFAULT_MAX_ITERS,
+                  _lbfgs_loop)
 
 
-def _lbfgs_once(G, s, cfg, seed, h0):
-    n = G.shape[0]
-    t0 = time.perf_counter()
-    H = np.array(h0, dtype=float) if h0 is not None else \
-        np.random.default_rng(seed).standard_normal((n, s))
-    max_iters = cfg.max_iters if cfg.max_iters is not None else LBFGS_DEFAULT_MAX_ITERS
-    bench = cfg.benchmark_eigs is not None
-    if bench:
-        eigs = np.asarray(cfg.benchmark_eigs, dtype=float)
-        if eigs.shape != (s,):
-            raise KpcaError(f"benchmark_eigs must hold exactly s={s} values")
-        d_opt = optimal_dual_cost(eigs)
-        if d_opt == 0.0:
-            raise KpcaError("degenerate Gram: optimal dual cost is zero")
-
+def _lbfgs_loop(G, H, trace):
+    n, s = H.shape
     GH = G @ H
     gpi, dec = grad_pi(G, H, gh=GH)
     cost = 0.5 * float(np.vdot(H, H)) - _pi_from(dec)
     grad = H - gpi
-
-    costs = [cost]
-    etas = [abs(cost - d_opt) / abs(d_opt)] if bench else None
+    trace.record(cost, cost)
     memory = []
-    iterations = 0
-    termination = None
+    stalled = False
 
     while True:
-        if bench and etas[-1] < cfg.tol:
-            termination = "tolerance"
-            break
-        if not bench:
-            if float(np.linalg.norm(grad)) / np.sqrt(n * s) <= cfg.tol:
-                termination = "gradient"
-                break
-            if len(costs) >= 4:
-                recent = costs[-4:]
-                steps = [abs(recent[i + 1] - recent[i]) for i in range(3)]
-                if max(steps) <= cfg.tol * max(1.0, abs(recent[-1])):
-                    termination = "tolerance"
-                    break
-        if iterations >= max_iters:
-            termination = "max_iters"
-            break
+        termination = _stop(trace, float(np.linalg.norm(grad)) / np.sqrt(n * s),
+                             stalled)
+        if termination is not None:
+            return H, termination
 
         D = -_two_loop(grad, memory)
         dphi0 = float(np.vdot(grad, D))
         if dphi0 >= 0:
             # quasi-Newton model went bad; restart from steepest descent
+            # (grad is nonzero here, or _stop would have ended the solve)
             memory.clear()
             D = -grad
             dphi0 = -float(np.vdot(grad, grad))
-            if dphi0 >= 0:
-                termination = "gradient"
-                break
 
         # ray restriction: all Wolfe trials run on s x s blocks
         GD = G @ D
@@ -266,16 +313,15 @@ def _lbfgs_once(G, s, cfg, seed, h0):
             W = dec_a.apply(lambda lam: 1.0 / np.sqrt(lam))
             return (hd + a * dd) - float(np.sum((A2.T + a * A4) * W.T))
 
-        alpha = _wolfe_scalar(phi, dphi, cost, dphi0, cfg.c1, cfg.c2,
-                              cfg.initial_step, cfg.max_linesearch_steps)
+        alpha = _wolfe_scalar(phi, dphi, cost, dphi0, _C1, _C2, _INITIAL_STEP,
+                              _MAX_LINESEARCH_STEPS)
         if alpha is None:
-            termination = "stalled"
-            break
+            stalled = True
+            continue
 
         H_new = H + alpha * D
         GH_new = GH + alpha * GD
-        iterations += 1
-        if iterations % _GH_REFRESH_EVERY == 0:
+        if len(trace.costs) % _GH_REFRESH_EVERY == 0:
             GH_new = G @ H_new
         gpi, dec = grad_pi(G, H_new, gh=GH_new)
         cost_new = 0.5 * float(np.vdot(H_new, H_new)) - _pi_from(dec)
@@ -286,16 +332,11 @@ def _lbfgs_once(G, s, cfg, seed, h0):
         sy = float(np.vdot(s_vec, y_vec))
         if sy > 1e-10 * float(np.linalg.norm(s_vec)) * float(np.linalg.norm(y_vec)):
             memory.append((s_vec, y_vec, 1.0 / sy))
-            if len(memory) > cfg.lbfgs_memory:
+            if len(memory) > _LBFGS_MEMORY:
                 memory.pop(0)
 
         H, GH, cost, grad = H_new, GH_new, cost_new, grad_new
-        costs.append(cost)
-        if bench:
-            etas.append(abs(cost - d_opt) / abs(d_opt))
-
-    report = SolveReport(iterations, costs, etas, time.perf_counter() - t0, termination)
-    return DualVariable(H), report
+        trace.record(cost, cost)
 
 
 def _two_loop(grad, memory):
@@ -320,68 +361,27 @@ def dca_solve(G, s: int, objective: ObjectiveSpec, config: SolveConfig | None = 
     """Difference-of-convex iteration for Moreau-envelope objectives:
     Y = grad pi(H_t); H_{t+1} = prox_{Psi*}(Y).
 
-    Stops when the absolute cost variation drops below machine epsilon scaled
-    by max(1, |cost|), with at most 1000 iterations; benchmark mode switches
-    to eta < tol like the L-BFGS solver. The dual cost never increases.
+    Stops by ``_stop``, like the L-BFGS solver: on a relative cost stall
+    at tol over 3 iterations (at most 1000 by default), or at eta < tol in
+    benchmark mode. The dual cost never increases. Returns (H, report).
     """
-    cfg = config or SolveConfig()
-    G = _gram_entries(G)
-    if s < 1:
-        raise KpcaError("s must be >= 1")
     if not objective.resolved:
         raise KpcaError("resolve the kappa_max fraction before solving")
-    return _retry_once(lambda seed: _dca_once(G, s, objective, cfg, seed, h0),
-                       cfg.seed, h0)
+    hint = None
+    if objective.kind in HUBER_KINDS:
+        hint = (f"kappa={objective.kappa:g} is likely too small "
+                "(the prox collapses iterates toward rank deficiency)")
 
+    def loop(G, H, trace):
+        while True:
+            GH = G @ H
+            dec = sym_eig_small(_sym(H.T @ GH))
+            square_cost = 0.5 * float(np.vdot(H, H)) - _pi_from(dec)
+            trace.record(square_cost + psi_star_value(objective, H), square_cost)
+            termination = _stop(trace)
+            if termination is not None:
+                return H, termination
+            check_floor(dec, singular_hint=hint)
+            H = prox_psi_star(objective, GH @ dec.apply(lambda lam: 1.0 / np.sqrt(lam)))
 
-def _dca_once(G, s, objective, cfg, seed, h0):
-    n = G.shape[0]
-    t0 = time.perf_counter()
-    H = np.array(h0, dtype=float) if h0 is not None else \
-        np.random.default_rng(seed).standard_normal((n, s))
-    max_iters = cfg.max_iters if cfg.max_iters is not None else DCA_DEFAULT_MAX_ITERS
-    eps_mach = float(np.finfo(np.float64).eps)
-    bench = cfg.benchmark_eigs is not None
-    if bench:
-        eigs = np.asarray(cfg.benchmark_eigs, dtype=float)
-        if eigs.shape != (s,):
-            raise KpcaError(f"benchmark_eigs must hold exactly s={s} values")
-        d_opt = optimal_dual_cost(eigs)
-        if d_opt == 0.0:
-            raise KpcaError("degenerate Gram: optimal dual cost is zero")
-
-    costs = []
-    etas = [] if bench else None
-    termination = None
-    while True:
-        GH = G @ H
-        dec = sym_eig_small(_sym(H.T @ GH))
-        square_cost = 0.5 * float(np.vdot(H, H)) - _pi_from(dec)
-        costs.append(square_cost + psi_star_value(objective, H))
-        if bench:
-            etas.append(abs(square_cost - d_opt) / abs(d_opt))
-            if etas[-1] < cfg.tol:
-                termination = "tolerance"
-                break
-        elif len(costs) >= 2 and math.isfinite(costs[-1]) and math.isfinite(costs[-2]) \
-                and abs(costs[-1] - costs[-2]) < eps_mach * max(1.0, abs(costs[-1])):
-            termination = "tolerance"
-            break
-        if len(costs) - 1 >= max_iters:
-            termination = "max_iters"
-            break
-
-        try:
-            check_floor(dec)
-        except SingularMatrixError as exc:
-            if objective.kind in HUBER_KINDS:
-                raise SingularMatrixError(
-                    f"{exc}; kappa={objective.kappa:g} is likely too small "
-                    "(the prox collapses iterates toward rank deficiency)") from exc
-            raise
-        Y = GH @ dec.apply(lambda lam: 1.0 / np.sqrt(lam))
-        H = prox_psi_star(objective, Y)
-
-    report = SolveReport(len(costs) - 1, costs, etas, time.perf_counter() - t0,
-                         termination)
-    return DualVariable(H), report
+    return _solve(G, s, config or SolveConfig(), h0, DCA_DEFAULT_MAX_ITERS, loop)

@@ -170,10 +170,10 @@ def test_criterion_07_criticality_certificate():
         Gc = dk.center_gram(dk.gram(ds, KernelSpec("gaussian", 1.5)))
         s = 3
         top = dense_top_eigs(Gc.entries, s)
-        dual, rep = dk.lbfgs_solve(Gc, s, SolveConfig(tol=1e-9, seed=seed,
+        H, rep = dk.lbfgs_solve(Gc, s, SolveConfig(tol=1e-9, seed=seed,
                                                       benchmark_eigs=top))
         assert rep.termination == "tolerance"
-        worst = max(worst, dk.check_critical_point(Gc.entries, dual.H))
+        worst = max(worst, dk.check_critical_point(Gc.entries, H))
     ok = worst <= 1e-4
     assert report(7, ok, f"worst ||HH'H - GH||/||GH|| {worst:.2e} (<=1e-4) over 5 solves")
 
@@ -184,14 +184,14 @@ def test_criterion_08_reductions_to_square_loss():
     worst = 0.0
     for seed in (0, 1):
         cfg = SolveConfig(seed=seed)
-        sq_dual, sq_rep = dk.dca_solve(Gc, 3, ObjectiveSpec("square"), cfg)
+        sq_H, sq_rep = dk.dca_solve(Gc, 3, ObjectiveSpec("square"), cfg)
         ref = sq_rep.cost_trace[-1]
         for spec in (ObjectiveSpec("eps_linf", eps=0.0),
                      ObjectiveSpec("eps_row2", eps=0.0),
                      ObjectiveSpec("huber_l1",
-                                   kappa=1.5 * dk.kappa_max("huber_l1", sq_dual.H)),
+                                   kappa=1.5 * dk.kappa_max("huber_l1", sq_H)),
                      ObjectiveSpec("huber_row2",
-                                   kappa=1.5 * dk.kappa_max("huber_row2", sq_dual.H))):
+                                   kappa=1.5 * dk.kappa_max("huber_row2", sq_H))):
             _, rep = dk.dca_solve(Gc, 3, spec, cfg)
             worst = max(worst, abs(rep.cost_trace[-1] - ref) / abs(ref))
     ok = worst <= 1e-8
@@ -205,18 +205,18 @@ def test_criterion_09_sparsity_trend():
     Gc = dk.center_gram(dk.gram(ds, spec))
     s = 5
     cfg = SolveConfig(seed=0)
-    sq_dual, _ = dk.dca_solve(Gc, s, ObjectiveSpec("square"), cfg)
+    sq_H, _ = dk.dca_solve(Gc, s, ObjectiveSpec("square"), cfg)
     base_err = dk.reconstruction_error(
-        assemble_model(Gc, spec, ObjectiveSpec("square"), s, sq_dual.H, ds), ds)
+        assemble_model(Gc, spec, ObjectiveSpec("square"), s, sq_H, ds), ds)
 
     eps_grid = [0.0, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35]
     sparsity, ratios = [], []
     for eps in eps_grid:
-        dual, _ = dk.dca_solve(Gc, s, ObjectiveSpec("eps_row2", eps=eps), cfg)
-        sparsity.append(dk.sparsity_metrics(dual.H)["zero_rows_pct"])
+        H, _ = dk.dca_solve(Gc, s, ObjectiveSpec("eps_row2", eps=eps), cfg)
+        sparsity.append(dk.sparsity_metrics(H)["zero_rows_pct"])
         err = dk.reconstruction_error(
             assemble_model(Gc, spec, ObjectiveSpec("eps_row2", eps=eps), s,
-                           dual.H, ds), ds)
+                           H, ds), ds)
         ratios.append(err / base_err)
     rho = float(spearmanr(eps_grid, sparsity).statistic)
     zero_ok = abs(ratios[0] - 1.0) <= 1e-6
@@ -271,7 +271,7 @@ def test_criterion_11_speed_direction():
     top = pairs.values
 
     t_lb0 = time.perf_counter()
-    dual, rep = dk.lbfgs_solve(G, s, SolveConfig(tol=delta, seed=0,
+    H, rep = dk.lbfgs_solve(G, s, SolveConfig(tol=delta, seed=0,
                                                  benchmark_eigs=top))
     t_lbfgs = time.perf_counter() - t_lb0
     assert rep.eta_trace[-1] < delta

@@ -215,6 +215,26 @@ def test_sparse_and_robust_csvs_reproducible(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_sparse_and_robust_csvs_report_iterations_and_termination(tmp_path, capsys):
+    sparse_out, robust_out = tmp_path / "sparse.csv", tmp_path / "robust.csv"
+    assert main(["sparse", "--synth-n", "60", "--synth-d", "4",
+                 "--kernel", "gaussian", "--sigma", "2.0", "--objective", "eps2",
+                 "--eps-grid", "0,5", "--components-grid", "2", "--seed", "1",
+                 "--out", str(sparse_out)]) == 0
+    assert main(["robust", "--synth-n", "50", "--synth-d", "3",
+                 "--kernel", "gaussian", "--sigma", "2.0", "--components", "2",
+                 "--tau-grid", "10", "--seed", "4", "--out", str(robust_out)]) == 0
+    capsys.readouterr()
+    solved, collapsed = read_rows(sparse_out)
+    assert int(solved["iterations"]) > 0 and solved["termination"] == "tolerance"
+    # eps=5 collapses the iterates: no solve to report
+    assert collapsed["zero_rows_pct"] == collapsed["iterations"] == ""
+    assert collapsed["termination"] == ""
+    for row in read_rows(robust_out):
+        assert int(row["iterations"]) > 0
+        assert row["termination"] in ("gradient", "tolerance")
+
+
 def test_sparse_jobs_concurrent_matches_serial(tmp_path, capsys):
     base = ["sparse", "--synth-n", "60", "--synth-d", "4",
             "--kernel", "gaussian", "--sigma", "2.0", "--objective", "epsinf",

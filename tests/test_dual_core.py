@@ -5,7 +5,6 @@ from dckpca import (KpcaError, ObjectiveSpec, SingularMatrixError,
                     check_critical_point, dual_cost, dual_residual, grad_pi,
                     optimal_dual_cost, pi, sym_eig_small)
 from dckpca.baselines import kpca_dense_eig
-from dckpca.dual_core import DualVariable
 
 from oracles import dense_top_eigs, fd_grad, nuclear_norm, psd_sqrt
 
@@ -189,10 +188,3 @@ def test_check_critical_point_hsvd_and_scaling():
 def test_check_critical_point_zero_gh():
     with pytest.raises(KpcaError, match="GH"):
         check_critical_point(np.zeros((2, 2)), np.ones((2, 1)))
-
-
-def test_dual_variable_warns_when_overcomplete():
-    with pytest.warns(UserWarning):
-        DualVariable(np.ones((2, 3)))
-    with pytest.raises(KpcaError):
-        DualVariable(np.array([[np.nan]]))

@@ -4,7 +4,7 @@ import pytest
 from dckpca import (KernelSpec, ObjectiveSpec, SingularMatrixError,
                     center_gram, check_critical_point, dca_solve, dual_cost,
                     gen_synth_gaussian, gram, kappa_max, lbfgs_solve,
-                    line_search_strong_wolfe)
+                    line_search_strong_wolfe, parse_objective)
 from dckpca.solvers import SolveConfig
 
 from oracles import dense_top_eigs
@@ -53,9 +53,9 @@ def test_line_search_rejects_ascent():
 
 def test_lbfgs_rank_one_toy():
     G = np.diag([4.0, 1.0])
-    dual, rep = lbfgs_solve(G, 1, SolveConfig(tol=1e-10, seed=3))
+    H, rep = lbfgs_solve(G, 1, SolveConfig(tol=1e-10, seed=3))
     assert rep.cost_trace[-1] == pytest.approx(-2.0, abs=1e-8)
-    assert np.allclose(np.abs(dual.H), [[2.0], [0.0]], atol=1e-5)
+    assert np.allclose(np.abs(H), [[2.0], [0.0]], atol=1e-5)
 
 
 def test_lbfgs_matches_dense_eig_cost():
@@ -63,7 +63,7 @@ def test_lbfgs_matches_dense_eig_cost():
     s = 5
     top = dense_top_eigs(Gc.entries, s)
     cfg = SolveConfig(tol=1e-9, seed=7, benchmark_eigs=top)
-    dual, rep = lbfgs_solve(Gc, s, cfg)
+    H, rep = lbfgs_solve(Gc, s, cfg)
     d_opt = -0.5 * top.sum()
     assert abs(rep.cost_trace[-1] - d_opt) / abs(d_opt) <= 1e-6
     assert rep.termination == "tolerance"
@@ -73,29 +73,29 @@ def test_lbfgs_converged_solution_is_critical():
     Gc = centered_gram(n=150, d=6, seed=5)
     s = 4
     top = dense_top_eigs(Gc.entries, s)
-    dual, _ = lbfgs_solve(Gc, s, SolveConfig(tol=1e-9, seed=1, benchmark_eigs=top))
-    assert check_critical_point(Gc.entries, dual.H) <= 1e-4
+    H, _ = lbfgs_solve(Gc, s, SolveConfig(tol=1e-9, seed=1, benchmark_eigs=top))
+    assert check_critical_point(Gc.entries, H) <= 1e-4
 
 
 def test_lbfgs_deterministic_bitwise():
     Gc = centered_gram(n=80, d=4, seed=2)
-    a_dual, a_rep = lbfgs_solve(Gc, 3, SolveConfig(seed=11))
-    b_dual, b_rep = lbfgs_solve(Gc, 3, SolveConfig(seed=11))
-    assert np.array_equal(a_dual.H, b_dual.H)
+    a_H, a_rep = lbfgs_solve(Gc, 3, SolveConfig(seed=11))
+    b_H, b_rep = lbfgs_solve(Gc, 3, SolveConfig(seed=11))
+    assert np.array_equal(a_H, b_H)
     assert a_rep.cost_trace == b_rep.cost_trace
     assert a_rep.iterations == b_rep.iterations
 
 
 def test_lbfgs_production_stopping_and_report_shape():
     Gc = centered_gram(n=60, d=4, seed=3)
-    dual, rep = lbfgs_solve(Gc, 2, SolveConfig(tol=1e-8, seed=4))
+    H, rep = lbfgs_solve(Gc, 2, SolveConfig(tol=1e-8, seed=4))
     assert rep.termination in ("gradient", "tolerance")
     assert len(rep.cost_trace) == rep.iterations + 1
     assert rep.eta_trace is None
     assert rep.wall_seconds > 0
     diffs = np.diff(rep.cost_trace)
     assert np.all(diffs <= 1e-10)  # strong Wolfe guarantees descent
-    assert check_critical_point(Gc.entries, dual.H) <= 1e-4
+    assert check_critical_point(Gc.entries, H) <= 1e-4
 
 
 def test_lbfgs_max_iters_termination():
@@ -130,7 +130,7 @@ def test_lbfgs_indefinite_gram_named():
 def test_lbfgs_warm_start():
     G = np.diag([4.0, 1.0])
     h0 = np.array([[1.9], [0.1]])
-    dual, rep = lbfgs_solve(G, 1, SolveConfig(tol=1e-12, seed=0), h0=h0)
+    H, rep = lbfgs_solve(G, 1, SolveConfig(tol=1e-12, seed=0), h0=h0)
     assert rep.cost_trace[0] == pytest.approx(dual_cost(G, h0, ObjectiveSpec("square")))
     assert rep.cost_trace[-1] == pytest.approx(-2.0, abs=1e-9)
 
@@ -138,11 +138,33 @@ def test_lbfgs_warm_start():
 def test_solve_config_validation():
     from dckpca import KpcaError
     with pytest.raises(KpcaError):
-        SolveConfig(c1=0.5, c2=0.1)
-    with pytest.raises(KpcaError):
         SolveConfig(tol=0.0)
-    with pytest.raises(KpcaError):
-        SolveConfig(lbfgs_memory=0)
+
+
+def test_lbfgs_reseed_error_names_both_inits():
+    # G = -I makes H'GH negative at every init, so the reseed fails as well
+    with pytest.raises(SingularMatrixError) as info:
+        lbfgs_solve(-np.eye(3), 1)
+    message = str(info.value)
+    assert "seed 0" in message and "reseed 1" in message
+    assert message.count("indefinite") == 2
+    assert isinstance(info.value.__cause__, SingularMatrixError)
+
+
+def test_h0_checked_at_shared_entry():
+    from dckpca import KpcaError
+    G = np.diag([4.0, 1.0])
+    solves = (lambda h0: lbfgs_solve(G, 1, h0=h0),
+              lambda h0: dca_solve(G, 1, ObjectiveSpec("square"), h0=h0))
+    for solve in solves:
+        with pytest.raises(KpcaError, match="n x s"):
+            solve(np.ones((2, 2)))
+        with pytest.raises(KpcaError, match="n x s"):
+            solve(np.ones(2))
+        with pytest.raises(KpcaError, match="non-finite"):
+            solve([[np.nan], [1.0]])
+        H, _ = solve([[1.0], [0.5]])
+        assert H.shape == (2, 1)
 
 
 # -------------------------------------------------------------------- dca
@@ -150,8 +172,8 @@ def test_solve_config_validation():
 def test_dca_square_hand_iteration():
     G = np.diag([4.0, 1.0])
     h0 = np.array([[1.0], [0.0]])
-    dual, rep = dca_solve(G, 1, ObjectiveSpec("square"), SolveConfig(seed=0), h0=h0)
-    assert np.allclose(dual.H, [[2.0], [0.0]], atol=1e-12)
+    H, rep = dca_solve(G, 1, ObjectiveSpec("square"), SolveConfig(seed=0), h0=h0)
+    assert np.allclose(H, [[2.0], [0.0]], atol=1e-12)
     # costs: -1.5 at the init, -2 from the first update onward
     assert rep.cost_trace[0] == pytest.approx(-1.5)
     assert rep.cost_trace[1] == pytest.approx(-2.0)
@@ -162,24 +184,24 @@ def test_dca_square_hand_iteration():
 def test_dca_eps_zero_trace_identical_to_square():
     Gc = centered_gram(n=70, d=4, seed=8)
     cfg = SolveConfig(seed=21)
-    sq_dual, sq_rep = dca_solve(Gc, 3, ObjectiveSpec("square"), cfg)
+    sq_H, sq_rep = dca_solve(Gc, 3, ObjectiveSpec("square"), cfg)
     for kind in ("eps_linf", "eps_row2"):
-        e_dual, e_rep = dca_solve(Gc, 3, ObjectiveSpec(kind, eps=0.0), cfg)
-        assert np.max(np.abs(e_dual.H - sq_dual.H)) <= 1e-12
+        e_H, e_rep = dca_solve(Gc, 3, ObjectiveSpec(kind, eps=0.0), cfg)
+        assert np.max(np.abs(e_H - sq_H)) <= 1e-12
         assert np.allclose(e_rep.cost_trace, sq_rep.cost_trace, atol=1e-12)
 
 
 def test_dca_huber_above_kappa_max_reproduces_square():
     Gc = centered_gram(n=70, d=4, seed=9)
     cfg = SolveConfig(seed=22)
-    sq_dual, sq_rep = dca_solve(Gc, 3, ObjectiveSpec("square"), cfg)
+    sq_H, sq_rep = dca_solve(Gc, 3, ObjectiveSpec("square"), cfg)
     for kind in ("huber_l1", "huber_row2"):
-        km = kappa_max(kind, sq_dual.H)
-        h_dual, h_rep = dca_solve(Gc, 3, ObjectiveSpec(kind, kappa=1.5 * km), cfg)
+        km = kappa_max(kind, sq_H)
+        h_H, h_rep = dca_solve(Gc, 3, ObjectiveSpec(kind, kappa=1.5 * km), cfg)
         rel = abs(h_rep.cost_trace[-1] - sq_rep.cost_trace[-1]) / abs(sq_rep.cost_trace[-1])
         assert rel <= 1e-8
         # with the constraint void the iterates coincide entirely
-        assert np.max(np.abs(h_dual.H - sq_dual.H)) <= 1e-12
+        assert np.max(np.abs(h_H - sq_H)) <= 1e-12
 
 
 def test_dca_descent_all_kinds():
@@ -200,11 +222,11 @@ def test_dca_huber_iterates_feasible_after_first_step():
     Gc = centered_gram(n=50, d=4, seed=11)
     cfg = SolveConfig(seed=3, max_iters=5)
     kappa = 0.4
-    dual, rep = dca_solve(Gc, 2, ObjectiveSpec("huber_l1", kappa=kappa), cfg)
-    assert np.max(np.abs(dual.H)) <= kappa + 1e-15
+    H, rep = dca_solve(Gc, 2, ObjectiveSpec("huber_l1", kappa=kappa), cfg)
+    assert np.max(np.abs(H)) <= kappa + 1e-15
     kappa = 3.0
-    dual, rep = dca_solve(Gc, 2, ObjectiveSpec("huber_row2", kappa=kappa), cfg)
-    assert np.linalg.norm(dual.H, axis=1).sum() <= kappa + 1e-12
+    H, rep = dca_solve(Gc, 2, ObjectiveSpec("huber_row2", kappa=kappa), cfg)
+    assert np.linalg.norm(H, axis=1).sum() <= kappa + 1e-12
 
 
 def test_dca_stops_at_1000_iterations_by_default():
@@ -221,6 +243,21 @@ def test_dca_benchmark_mode_eta_stop():
     _, rep = dca_solve(Gc, 3, ObjectiveSpec("square"), cfg)
     assert rep.termination == "tolerance"
     assert rep.eta_trace[-1] < 1e-6
+
+
+def test_dca_honours_tol():
+    Gc = centered_gram(n=60, d=4, seed=16)
+    _, loose = dca_solve(Gc, 2, ObjectiveSpec("square"), SolveConfig(tol=1e-4, seed=0))
+    _, tight = dca_solve(Gc, 2, ObjectiveSpec("square"), SolveConfig(tol=1e-10, seed=0))
+    assert loose.termination == tight.termination == "tolerance"
+    assert loose.iterations < tight.iterations
+
+
+def test_dca_indefinite_huber_does_not_blame_kappa():
+    with pytest.raises(SingularMatrixError, match="indefinite") as info:
+        dca_solve(np.diag([1.0, -1.0]), 1, parse_objective("huber2:0.5"),
+                  h0=[[0.0], [1.0]])
+    assert "kappa" not in str(info.value)
 
 
 def test_dca_huber_singularity_names_kappa():
