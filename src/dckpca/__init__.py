@@ -22,7 +22,6 @@ from .model import (KpcaModel, attach_training_data, dataset_fingerprint, fit,
 from .objectives import (ObjectiveSpec, format_objective, kappa_max,
                          parse_objective, project_l1_ball, prox_psi_star,
                          psi_star_value)
-from .solvers import (SolveConfig, SolveReport, dca_solve, lbfgs_solve,
-                      line_search_strong_wolfe)
+from .solvers import SolveConfig, SolveReport, dca_solve, lbfgs_solve
 
 __version__ = "0.1.0"

@@ -57,6 +57,13 @@ def rsvd(G, s: int, p: int = 10, q: int = 2, seed=0) -> EigPairs:
     Q, _ = np.linalg.qr(G @ Omega)
     for _ in range(q):
         Q, _ = np.linalg.qr(G @ Q)
+    return rayleigh_ritz(G, Q, s)
+
+
+def rayleigh_ritz(G, Q, s: int) -> EigPairs:
+    """Top-s Ritz pairs of symmetric G on the span of Q (orthonormal columns):
+    the eigenpairs of Q'GQ, values decreasing, vectors lifted back by Q.
+    Costs one product of G with Q."""
     B = Q.T @ (G @ Q)
     w, W = np.linalg.eigh(0.5 * (B + B.T))
     order = np.argsort(-w, kind="stable")[:s]

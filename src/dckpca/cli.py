@@ -412,10 +412,14 @@ def build_parser() -> _Parser:
     _add_kernel_flags(ps)
     ps.add_argument("--components", type=int, required=True)
     ps.add_argument("--objective", default="square")
-    ps.add_argument("--tol", type=float, default=1e-6)
+    ps.add_argument("--tol", type=float, default=1e-6,
+                    help="stop once the relative fixed-point residual r = "
+                         "||H - prox(grad pi(H))|| / ||H|| has r^2 <= TOL")
     ps.add_argument("--max-iters", type=int, default=None)
     ps.add_argument("--seed", type=int, default=0)
-    ps.add_argument("--solver", choices=("auto", "lbfgs", "dca"), default="auto")
+    ps.add_argument("--solver", choices=("auto", "dca"), default="auto",
+                    help="auto: L-BFGS for the square loss, DCA otherwise; "
+                         "dca: DCA for every objective")
     ps.add_argument("--jitter", action="store_true",
                     help="add 1e-10*mean(diag)*I to the centered Gram")
     ps.add_argument("--out", required=True, help="model file path")
@@ -457,7 +461,8 @@ def build_parser() -> _Parser:
     pr.add_argument("--omega", type=float, default=0.08)
     pr.add_argument("--tau-grid", type=_float_list, default=[10, 25, 50, 75, 100])
     pr.add_argument("--test-split", type=float, default=0.2)
-    pr.add_argument("--tol", type=float, default=1e-6)
+    pr.add_argument("--tol", type=float, default=1e-6,
+                    help="solver tolerance, as for solve")
     pr.add_argument("--seed", type=int, default=0)
     pr.add_argument("--jobs", type=int, default=1)
     pr.add_argument("--out", help="CSV path (default stdout)")

@@ -6,6 +6,7 @@ every generator is a pure function of its sizes and a 64-bit seed.
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,7 +17,8 @@ from .errors import DataError
 
 @dataclass(frozen=True)
 class Dataset:
-    """n x d sample matrix, dense ndarray or CSR, with optional per-row labels."""
+    """n x d sample matrix, dense float64 ndarray or CSR (other inputs are
+    converted), with optional per-row labels."""
 
     values: object
     labels: np.ndarray | None = None
@@ -29,8 +31,16 @@ class Dataset:
             raise DataError(f"dataset must have n >= 1 and d >= 1, got {n} x {d}")
         if self.labels is not None and len(self.labels) != n:
             raise DataError("label count does not match row count")
-        if isinstance(self.values, np.ndarray):
-            self.values.setflags(write=False)
+        # one CSR matrix, or one float64 buffer in C or F order: X X' (the
+        # Gram) is then computed as a symmetric product, exactly symmetric
+        if sparse.issparse(self.values):
+            object.__setattr__(self, "values", self.values.tocsr())
+        else:
+            values = np.asarray(self.values, dtype=float)
+            if not (values.flags.c_contiguous or values.flags.f_contiguous):
+                values = np.ascontiguousarray(values)
+            values.setflags(write=False)
+            object.__setattr__(self, "values", values)
 
     @property
     def n(self) -> int:
@@ -62,7 +72,8 @@ def parse_libsvm(source, d: int | None = None) -> Dataset:
     """Parse LIBSVM text (``<label> <idx>:<val> ...``, 1-based ascending indices).
 
     ``source`` is a string or a text stream. ``d`` overrides the inferred
-    dimension (max index seen); the format itself does not carry d.
+    dimension (max index seen); the format itself does not carry d. Labels
+    and values must be finite.
     """
     if isinstance(source, str):
         source = io.StringIO(source)
@@ -80,6 +91,8 @@ def parse_libsvm(source, d: int | None = None) -> Dataset:
             labels.append(float(tokens[0]))
         except ValueError:
             raise DataError(f"line {lineno}: non-numeric label {tokens[0]!r}") from None
+        if not math.isfinite(labels[-1]):
+            raise DataError(f"line {lineno}: non-finite label {tokens[0]!r}")
         prev = 0
         for tok in tokens[1:]:
             idx_s, _, val_s = tok.partition(":")
@@ -88,6 +101,8 @@ def parse_libsvm(source, d: int | None = None) -> Dataset:
                 val = float(val_s)
             except ValueError:
                 raise DataError(f"line {lineno}: malformed token {tok!r}") from None
+            if not math.isfinite(val):
+                raise DataError(f"line {lineno}: non-finite value {tok!r}")
             if idx <= prev:
                 raise DataError(f"line {lineno}: non-ascending index at {tok!r}")
             prev = idx
@@ -130,8 +145,9 @@ def serialize_libsvm(dataset: Dataset) -> str:
 
 
 def load_csv(path, label_col: int | None = None) -> Dataset:
-    """Load a rectangular numeric CSV ('.' decimal, ',' separator) as a dense
-    Dataset. ``label_col`` flags one column as the per-row label."""
+    """Load a rectangular numeric CSV ('.' decimal, ',' separator) of finite
+    values as a dense Dataset. ``label_col`` flags one column as the per-row
+    label."""
     rows = []
     labels = []
     width = None
@@ -147,6 +163,8 @@ def load_csv(path, label_col: int | None = None) -> Dataset:
                 vals = [float(c) for c in rec]
             except ValueError:
                 raise DataError(f"line {lineno}: non-numeric cell") from None
+            if not all(map(math.isfinite, vals)):
+                raise DataError(f"line {lineno}: non-finite cell")
             if label_col is not None:
                 labels.append(vals.pop(label_col))
             rows.append(vals)

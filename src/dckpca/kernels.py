@@ -1,7 +1,7 @@
 """Kernel evaluation, Gram assembly, double centering, and out-of-sample rows.
 
-Gram matrices are assembled from the upper triangle and mirrored, so
-``entries == entries.T`` holds exactly. Centering stats (column means of the
+Gram matrices are symmetric by construction, so ``entries == entries.T``
+holds exactly (``GramMatrix`` checks it). Centering stats (column means of the
 uncentered matrix plus its grand mean) are stored for out-of-sample use.
 """
 
@@ -161,7 +161,9 @@ def _as_query_matrix(train: Dataset, X):
 
 
 def gram(dataset: Dataset, spec: KernelSpec) -> GramMatrix:
-    """Assemble the uncentered Gram matrix for a resolved kernel spec."""
+    """Assemble the uncentered Gram matrix for a resolved kernel spec. On a
+    Dataset's values (one CSR matrix or float64 buffer) the cross kernel of X
+    with itself is exactly symmetric as computed, so no mirroring is needed."""
     if spec.family == "precomputed":
         raise KpcaError("use load_gram_csv for precomputed Gram matrices")
     if not spec.resolved:
@@ -169,18 +171,19 @@ def gram(dataset: Dataset, spec: KernelSpec) -> GramMatrix:
     G = kernel_cross(spec, dataset, dataset.values)
     if spec.family in ("gaussian", "laplace"):
         np.fill_diagonal(G, 1.0)
-    G = np.triu(G) + np.triu(G, 1).T
     return GramMatrix(G, centered=False)
 
 
 def center_gram(gm: GramMatrix) -> GramMatrix:
     """Double centering G_c = J G J with J = I - 11'/n; records the stats of
-    its input so new points can be centered consistently."""
+    its input so new points can be centered consistently. Entry (i, j) is
+    G_ij - (mu_i + mu_j) + grand, symmetric in i and j term by term."""
     G = gm.entries
     mu = G.mean(axis=0)
     grand = float(mu.mean())
-    Gc = G - mu[None, :] - mu[:, None] + grand
-    Gc = np.triu(Gc) + np.triu(Gc, 1).T
+    Gc = np.add.outer(mu, mu)
+    np.subtract(G, Gc, out=Gc)
+    Gc += grand
     return GramMatrix(Gc, centered=True, stats=CenteringStats(mu.copy(), grand))
 
 
@@ -226,11 +229,16 @@ def centered_self_kernel(spec: KernelSpec, train: Dataset, stats: CenteringStats
 
 
 def load_gram_csv(path) -> GramMatrix:
-    """Load a dense precomputed n x n Gram from CSV. Asymmetry beyond
-    1e-8 * max|entry| is rejected; within tolerance the matrix is symmetrized."""
+    """Load a dense precomputed n x n Gram from CSV. Non-finite entries and
+    asymmetry beyond 1e-8 * max|entry| are rejected; within tolerance the
+    matrix is symmetrized."""
     G = np.loadtxt(path, delimiter=",", ndmin=2, dtype=float)
     if G.shape[0] != G.shape[1]:
         raise DataError(f"precomputed Gram must be square, got {G.shape}")
+    bad = np.argwhere(~np.isfinite(G))
+    if bad.size:
+        i, j = bad[0]
+        raise DataError(f"precomputed Gram row {i + 1}, column {j + 1}: non-finite entry")
     scale = np.max(np.abs(G)) if G.size else 0.0
     asym = np.max(np.abs(G - G.T))
     if asym > 1e-8 * max(scale, 1e-300):

@@ -85,11 +85,12 @@ def fit(dataset: Dataset | None, kernel_spec: kernels.KernelSpec,
 
     The square objective goes to L-BFGS (or DCA when ``solver='dca'``), every
     Moreau-envelope objective to DCA. An unresolved ``xmax`` radius triggers a
-    square-loss pre-solve to measure kappa_max. ``gram_matrix`` short-circuits
-    kernel assembly for precomputed Grams (``dataset`` may then be None).
+    square-loss pre-solve to measure kappa_max; its report nests in the
+    model's report as ``presolve``. ``gram_matrix`` short-circuits kernel
+    assembly for precomputed Grams (``dataset`` may then be None).
     """
     cfg = config or SolveConfig()
-    if solver not in ("auto", "lbfgs", "dca"):
+    if solver not in ("auto", "dca"):
         raise KpcaError(f"unknown solver {solver!r}")
     if gram_matrix is not None:
         if dataset is not None and gram_matrix.n != dataset.n:
@@ -107,14 +108,16 @@ def fit(dataset: Dataset | None, kernel_spec: kernels.KernelSpec,
     if jitter:
         Gc = kernels.add_jitter(Gc)
 
-    kappa_max_value = None
+    kappa_max_value = presolve = None
     if not objective.resolved:
-        H_sq, _ = _dispatch("square", ObjectiveSpec("square"), Gc, s, cfg, solver)
+        H_sq, presolve = _dispatch("square", ObjectiveSpec("square"), Gc, s, cfg,
+                                   solver)
         kappa_max_value = kappa_max(objective.kind, H_sq)
         objective = objective.resolve(kappa_max_value)
 
     kind = "square" if objective.kind == "square" else "envelope"
     H, report = _dispatch(kind, objective, Gc, s, cfg, solver)
+    report = replace(report, presolve=presolve)
     return assemble_model(Gc, spec, objective, s, H, dataset,
                           fingerprint=fingerprint, report=report,
                           kappa_max_value=kappa_max_value)
@@ -158,6 +161,9 @@ def project(model: KpcaModel, X) -> np.ndarray:
     if model.kernel_spec.family == "precomputed":
         raise KpcaError("precomputed-kernel models cannot project new points")
     single = not sparse.issparse(X) and np.asarray(X).ndim == 1
+    values = X.data if sparse.issparse(X) else np.asarray(X, dtype=float)
+    if not np.isfinite(values).all():
+        raise DataError("query rows contain a non-finite value")
     rows = kernels.kernel_rows(model.kernel_spec, model.train_data, model.stats, X)
     P = rows @ recover_primal_coefficients(model)
     return P[0] if single else P
@@ -211,22 +217,38 @@ def save_model(model: KpcaModel, path) -> None:
 
 def load_model(path) -> KpcaModel:
     """Inverse of save_model. The returned model has no training data attached;
-    use attach_training_data before projecting."""
+    use attach_training_data before projecting. Every array must have its
+    header-given shape and finite entries."""
     with open(path) as fh:
         header = json.loads(fh.readline())
         if header.get("format") != MODEL_FORMAT:
             raise DataError(f"unrecognized model format {header.get('format')!r}")
         H = np.loadtxt(fh, delimiter=",", ndmin=2, dtype=float)
-    s = int(header["s"])
-    if H.shape != (int(header["n"]), s):
+    missing = sorted({"kernel", "objective", "s", "n", "fingerprint", "lam", "U",
+                      "col_means", "grand_mean"} - header.keys())
+    if missing:
+        raise DataError(f"model header lacks field(s) {', '.join(missing)}")
+    n, s = int(header["n"]), int(header["s"])
+    if H.shape != (n, s):
         raise DataError("model payload shape does not match header")
+    bad = np.flatnonzero(~np.isfinite(H).all(axis=1))
+    if bad.size:
+        raise DataError(f"model payload line {bad[0] + 2}: non-finite entry in H")
+    fields = {}
+    for name, shape in (("U", (s * s,)), ("lam", (s,)), ("col_means", (n,)),
+                        ("grand_mean", ())):
+        value = np.asarray(header[name], dtype=float)
+        if value.shape != shape:
+            raise DataError(f"model header field {name!r} has shape {value.shape}, "
+                            f"expected {shape}")
+        if not np.all(np.isfinite(value)):
+            raise DataError(f"model header field {name!r} is not finite")
+        fields[name] = value
     fam = header["kernel"]["family"]
     sigma = header["kernel"]["sigma"]
     spec = kernels.KernelSpec(fam, sigma if fam in ("gaussian", "laplace") else None)
-    dec = SpectralDecomp(np.asarray(header["U"], dtype=float).reshape(s, s),
-                         np.asarray(header["lam"], dtype=float))
-    stats = kernels.CenteringStats(np.asarray(header["col_means"], dtype=float),
-                                   float(header["grand_mean"]))
+    dec = SpectralDecomp(fields["U"].reshape(s, s), fields["lam"])
+    stats = kernels.CenteringStats(fields["col_means"], float(fields["grand_mean"]))
     return KpcaModel(
         kernel_spec=spec, objective=parse_objective(header["objective"]),
         s=s, H=H, decomp=dec, stats=stats, fingerprint=header["fingerprint"])

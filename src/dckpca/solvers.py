@@ -7,7 +7,8 @@ from s x s blocks, so every Wolfe trial costs O(s^3) instead of O(n^2 s).
 One n^2 s product per accepted step (GD) dominates an iteration.
 
 Both solvers share one entry (``_solve``: checks, init, one reseed, report)
-and one stopping rule (``_stop``); they return ``(H, report)``.
+and one stopping rule (``_stop``, on the fixed-point residual of
+T(H) = prox_{Psi*}(grad pi(H))); they return ``(H, report)``.
 """
 
 import json
@@ -17,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .baselines import h_from_pairs, rayleigh_ritz
 from .dual_core import (_gram_entries, check_floor, grad_pi, optimal_dual_cost,
                         sym_eig_small)
 from .errors import KpcaError, SingularMatrixError
@@ -35,10 +37,10 @@ _INITIAL_STEP = 1.0
 
 @dataclass
 class SolveConfig:
-    """Shared solver knobs. ``benchmark_eigs`` (exact top-s eigenvalues of G)
-    switches on residual-based stopping at eta < tol; production runs use the
-    gradient/stall criteria instead (see ``_stop``). ``max_iters`` of None
-    picks the solver default (500 for L-BFGS, 1000 for DCA)."""
+    """Shared solver knobs. A solve stops at fixed-point residual r**2 <= tol,
+    or at eta < tol given ``benchmark_eigs`` (exact top-s eigenvalues of G);
+    see ``_stop``. ``max_iters`` of None picks the solver default (500 for
+    L-BFGS, 1000 for DCA)."""
 
     tol: float = 1e-6
     max_iters: int | None = None
@@ -57,10 +59,12 @@ class SolveReport:
     eta_trace: list | None
     wall_seconds: float
     termination: str
+    presolve: "SolveReport | None" = None
 
     def to_dict(self) -> dict:
+        """JSON-ready fields; an ``xmax`` pre-solve's report nests as "presolve"."""
         clean = lambda xs: [x if math.isfinite(x) else None for x in xs]
-        return {
+        out = {
             "spec_version": REPORT_VERSION,
             "iterations": self.iterations,
             "cost_trace": clean(self.cost_trace),
@@ -68,6 +72,9 @@ class SolveReport:
             "wall_seconds": self.wall_seconds,
             "termination": self.termination,
         }
+        if self.presolve is not None:
+            out["presolve"] = self.presolve.to_dict()
+        return out
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict())
@@ -123,30 +130,6 @@ def _wolfe_scalar(phi, dphi, phi0, dphi0, c1, c2, alpha0, max_trials):
     return None
 
 
-def line_search_strong_wolfe(fg, x, direction, c1=_C1, c2=_C2,
-                             max_steps=_MAX_LINESEARCH_STEPS,
-                             initial_step=_INITIAL_STEP):
-    """Step length along ``direction`` satisfying the strong Wolfe conditions.
-
-    ``fg(x)`` returns (cost, gradient). Returns None when no conforming step
-    exists within the trial budget (a stalled signal); raises ValueError for
-    non-descent directions.
-    """
-    x = np.asarray(x, dtype=float)
-    direction = np.asarray(direction, dtype=float)
-    cache = {}
-
-    def at(a):
-        if a not in cache:
-            f, g = fg(x + a * direction)
-            cache[a] = (float(f), float(np.vdot(g, direction)))
-        return cache[a]
-
-    f0, d0 = at(0.0)
-    return _wolfe_scalar(lambda a: at(a)[0], lambda a: at(a)[1], f0, d0,
-                         c1, c2, initial_step, max_steps)
-
-
 def _sym(M):
     return 0.5 * (M + M.T)
 
@@ -171,31 +154,34 @@ class _Trace:
         if self.etas is not None:
             self.etas.append(abs(square_cost - self.d_opt) / abs(self.d_opt))
 
+    def amend(self, cost):
+        """Overwrite the last (square-loss) cost: no iteration is counted."""
+        self.costs.pop()
+        if self.etas is not None:
+            self.etas.pop()
+        self.record(cost, cost)
 
-def _stop(trace, grad_rms=None, stalled=False):
+
+def _stop(trace, residual=None, stalled=False):
     """The one stopping rule of both solvers: the termination reason, or None.
 
-    "tolerance": eta < tol in benchmark mode; otherwise each of the last three
-    cost changes, all between finite costs, is <= tol * max(1, |cost|).
-    "gradient": gradient RMS <= tol (L-BFGS; in benchmark mode only a zero
-    gradient, from which no descent step exists). "stalled": the line search
-    found no strong-Wolfe step. "max_iters": the iteration cap.
+    "tolerance": r**2 <= tol for the residual r = ||H - T(H)|| / ||H|| (None
+    while unknown); squared, since a DCA step lowers the cost by at least
+    0.5 ||H - T(H)||^2, so tol stays a relative cost change. In benchmark mode
+    eta < tol instead, and a zero residual (no descent step) is "gradient".
+    "stalled": the line search found no strong-Wolfe step. "max_iters": the
+    iteration cap.
     """
-    costs = trace.costs
-    bench = trace.etas is not None
-    if bench and trace.etas[-1] < trace.tol:
+    if trace.etas is None:
+        if residual is not None and residual ** 2 <= trace.tol:
+            return "tolerance"
+    elif trace.etas[-1] < trace.tol:
         return "tolerance"
-    if grad_rms is not None and grad_rms <= (0.0 if bench else trace.tol):
+    elif residual == 0.0:
         return "gradient"
-    if not bench:
-        recent = costs[-4:]
-        if len(recent) == 4 and all(math.isfinite(c) for c in recent):
-            steps = [abs(b - a) for a, b in zip(recent, recent[1:])]
-            if max(steps) <= trace.tol * max(1.0, abs(recent[-1])):
-                return "tolerance"
     if stalled:
         return "stalled"
-    if len(costs) - 1 >= trace.max_iters:
+    if len(trace.costs) - 1 >= trace.max_iters:
         return "max_iters"
     return None
 
@@ -257,16 +243,15 @@ def lbfgs_solve(G, s: int, config: SolveConfig | None = None, h0=None):
     L-BFGS directions and a strong Wolfe line search.
 
     H0 has i.i.d. standard normal entries drawn from the config seed (``h0``
-    overrides, e.g. for warm starts). Stops by ``_stop``: at eta < tol in
-    benchmark mode, otherwise on gradient RMS <= tol or relative cost stall
-    over 3 iterations. Returns (H, report).
+    overrides, e.g. for warm starts). Stops by ``_stop`` on the residual
+    ||grad|| / ||H|| (grad = H - T(H)), then returns the Rayleigh-Ritz
+    solution on span[H, GH] (``_ritz_finish``). Returns (H, report).
     """
     return _solve(G, s, config or SolveConfig(), h0, LBFGS_DEFAULT_MAX_ITERS,
                   _lbfgs_loop)
 
 
 def _lbfgs_loop(G, H, trace):
-    n, s = H.shape
     GH = G @ H
     gpi, dec = grad_pi(G, H, gh=GH)
     cost = 0.5 * float(np.vdot(H, H)) - _pi_from(dec)
@@ -276,10 +261,10 @@ def _lbfgs_loop(G, H, trace):
     stalled = False
 
     while True:
-        termination = _stop(trace, float(np.linalg.norm(grad)) / np.sqrt(n * s),
+        termination = _stop(trace, float(np.linalg.norm(grad) / np.linalg.norm(H)),
                              stalled)
         if termination is not None:
-            return H, termination
+            return _ritz_finish(G, H, GH, trace), termination
 
         D = -_two_loop(grad, memory)
         dphi0 = float(np.vdot(grad, D))
@@ -339,6 +324,15 @@ def _lbfgs_loop(G, H, trace):
         trace.record(cost, cost)
 
 
+def _ritz_finish(G, H, GH, trace):
+    """H = V diag(theta)^(1/2) from the top-s Ritz pairs (theta, V) of G on
+    span[H, GH] (one n x 2s product); its cost -0.5 sum(theta) ends the trace."""
+    Q, _ = np.linalg.qr(np.hstack([H, GH]))
+    pairs = rayleigh_ritz(G, Q, H.shape[1])
+    trace.amend(-0.5 * float(np.sum(np.maximum(pairs.values, 0.0))))
+    return h_from_pairs(pairs)
+
+
 def _two_loop(grad, memory):
     """Two-loop recursion for the L-BFGS direction H_k * grad."""
     q = grad.copy()
@@ -361,9 +355,9 @@ def dca_solve(G, s: int, objective: ObjectiveSpec, config: SolveConfig | None = 
     """Difference-of-convex iteration for Moreau-envelope objectives:
     Y = grad pi(H_t); H_{t+1} = prox_{Psi*}(Y).
 
-    Stops by ``_stop``, like the L-BFGS solver: on a relative cost stall
-    at tol over 3 iterations (at most 1000 by default), or at eta < tol in
-    benchmark mode. The dual cost never increases. Returns (H, report).
+    Stops by ``_stop`` on the step just taken, ||H_{t+1} - H_t|| / ||H_t||
+    (at most 1000 iterations by default). The dual cost never increases.
+    Returns (H, report).
     """
     if not objective.resolved:
         raise KpcaError("resolve the kappa_max fraction before solving")
@@ -373,15 +367,18 @@ def dca_solve(G, s: int, objective: ObjectiveSpec, config: SolveConfig | None = 
                 "(the prox collapses iterates toward rank deficiency)")
 
     def loop(G, H, trace):
+        step = None
         while True:
             GH = G @ H
             dec = sym_eig_small(_sym(H.T @ GH))
             square_cost = 0.5 * float(np.vdot(H, H)) - _pi_from(dec)
             trace.record(square_cost + psi_star_value(objective, H), square_cost)
-            termination = _stop(trace)
+            termination = _stop(trace, step)
             if termination is not None:
                 return H, termination
             check_floor(dec, singular_hint=hint)
-            H = prox_psi_star(objective, GH @ dec.apply(lambda lam: 1.0 / np.sqrt(lam)))
+            W = dec.apply(lambda lam: 1.0 / np.sqrt(lam))
+            H, H_prev = prox_psi_star(objective, GH @ W), H
+            step = float(np.linalg.norm(H - H_prev) / np.linalg.norm(H_prev))
 
     return _solve(G, s, config or SolveConfig(), h0, DCA_DEFAULT_MAX_ITERS, loop)

@@ -286,3 +286,39 @@ def test_bench_rsvd_unreachable_marks_unconverged(tmp_path, capsys):
     # the cap p = n - s the sketch spans R^n and eta may round to exactly 0
     assert rows[0]["converged"] == "false"
     assert rows[0]["iters_or_oversamples"] == "57"  # the cap n - s = 60 - 3
+
+
+def test_solve_report_nests_the_presolve(tmp_path, capsys):
+    data = tmp_path / "t.csv"
+    write_csv_dataset(data, n=60, d=4, seed=5)
+    base = ["solve", "--data", str(data), "--kernel", "gaussian", "--sigma", "1.2",
+            "--components", "2", "--seed", "2", "--out", str(tmp_path / "m.dk")]
+    assert main(base + ["--objective", "huber2:xmax:0.8"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["presolve"]["termination"] == "tolerance"
+    assert report["presolve"]["iterations"] == len(report["presolve"]["cost_trace"]) - 1
+    assert main(base + ["--objective", "square"]) == 0
+    assert "presolve" not in json.loads(capsys.readouterr().out)
+
+
+def test_solve_solver_lbfgs_is_usage_error(tmp_path):
+    data = tmp_path / "t.csv"
+    write_csv_dataset(data)
+    with pytest.raises(SystemExit) as info:
+        main(["solve", "--data", str(data), "--components", "2", "--sigma", "1.0",
+              "--solver", "lbfgs", "--out", str(tmp_path / "m.dk")])
+    assert info.value.code == 1
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+@pytest.mark.parametrize("fmt", ["csv", "libsvm", "gram"])
+def test_solve_non_finite_input_is_data_error(tmp_path, capsys, fmt, bad):
+    data = tmp_path / f"t.{fmt}"
+    text = {"csv": f"1,2\n{bad},4\n0.5,1\n",
+            "libsvm": f"0 1:1 2:2\n0 1:{bad}\n0 2:0.5\n",
+            "gram": f"2,1,0\n1,{bad},0\n0,0,1\n"}[fmt]
+    data.write_text(text)
+    rc = main(["solve", "--data", str(data), "--format", fmt, "--components", "1",
+               "--out", str(tmp_path / "m.dk")])
+    assert rc == 2
+    assert ("row 2" if fmt == "gram" else "line 2") in capsys.readouterr().err

@@ -199,3 +199,28 @@ def test_controlled_spectrum_validation():
         gen_controlled_spectrum_gram(10, -0.1, 0)
     with pytest.raises(DataError):
         gen_controlled_spectrum_gram(0, 0.1, 0)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_load_csv_non_finite_is_data_error(tmp_path, bad):
+    p = tmp_path / "t.csv"
+    p.write_text(f"1,2\n3,{bad}\n")
+    with pytest.raises(DataError, match="line 2: non-finite"):
+        load_csv(p)
+
+
+@pytest.mark.parametrize("bad", ["nan", "-inf"])
+def test_parse_libsvm_non_finite_is_data_error(bad):
+    with pytest.raises(DataError, match="line 2: non-finite value"):
+        parse_libsvm(f"1 1:1\n1 2:{bad}")
+    with pytest.raises(DataError, match="line 1: non-finite label"):
+        parse_libsvm(f"{bad} 1:1")
+
+
+def test_dataset_stores_one_csr_or_contiguous_float64_buffer():
+    from scipy import sparse
+    X = np.arange(12.0).reshape(3, 4)
+    strided = Dataset(np.repeat(X, 2, axis=1)[:, ::2])
+    assert strided.values.flags.c_contiguous and np.array_equal(strided.values, X)
+    assert Dataset(X.astype(np.float32)).values.dtype == np.float64
+    assert sparse.isspmatrix_csr(Dataset(sparse.csc_matrix(X)).values)

@@ -232,3 +232,25 @@ def test_auto_bandwidth_resolution():
     assert resolved.sigma == pytest.approx(sigma_rule(ds))
     with pytest.raises(KpcaError):
         gram(ds, spec)  # unresolved bandwidths are rejected
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_load_gram_csv_non_finite_is_data_error(tmp_path, bad):
+    p = tmp_path / "g.csv"
+    p.write_text(f"1.0,0.5\n{bad},1.0\n")
+    with pytest.raises(DataError, match="row 2, column 1: non-finite"):
+        load_gram_csv(p)
+
+
+def test_gram_exactly_symmetric_for_every_input_layout():
+    # no mirroring: the kernel of X with itself must come out symmetric as
+    # computed, whatever layout or dtype the samples came in
+    from scipy import sparse
+    X = gen_synth_gaussian(300, 7, 0).values
+    inputs = [X, np.asfortranarray(X), np.repeat(X, 2, axis=1)[:, ::2],
+              X.astype(np.float32), sparse.csr_matrix(X), sparse.csc_matrix(X)]
+    for values in inputs:
+        for spec in (KernelSpec("gaussian", 1.3), KernelSpec("laplace", 0.9),
+                     KernelSpec("linear")):
+            gm = center_gram(gram(Dataset(values), spec))
+            assert np.array_equal(gm.entries, gm.entries.T)

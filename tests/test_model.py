@@ -179,3 +179,79 @@ def test_load_model_rejects_unknown_format(tmp_path):
     p.write_text('{"format": "other/9"}\n')
     with pytest.raises(DataError, match="format"):
         load_model(p)
+
+
+def _rewrite_model(src, dst, header_edit=None, payload_edit=None):
+    import json
+    lines = src.read_text().splitlines()
+    header = json.loads(lines[0])
+    if header_edit:
+        header_edit(header)
+    rows = lines[1:]
+    if payload_edit:
+        rows = payload_edit(rows)
+    dst.write_text("\n".join([json.dumps(header)] + rows) + "\n")
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_load_model_non_finite_is_data_error(tmp_path, small_fit, bad):
+    _, _, m = small_fit
+    good = tmp_path / "good.dk"
+    save_model(m, good)
+    p = tmp_path / "bad.dk"
+
+    def poison_row(rows):
+        rows[4] = ",".join([bad] + rows[4].split(",")[1:])
+        return rows
+    _rewrite_model(good, p, payload_edit=poison_row)
+    with pytest.raises(DataError, match="line 6: non-finite entry in H"):
+        load_model(p)
+    for field in ("lam", "U", "col_means"):
+        _rewrite_model(good, p, header_edit=lambda h: h[field].__setitem__(0, float(bad)))
+        with pytest.raises(DataError, match=f"'{field}' is not finite"):
+            load_model(p)
+    _rewrite_model(good, p, header_edit=lambda h: h.__setitem__("grand_mean", float(bad)))
+    with pytest.raises(DataError, match="'grand_mean' is not finite"):
+        load_model(p)
+
+
+def test_load_model_checks_header_fields_and_shapes(tmp_path, small_fit):
+    _, _, m = small_fit
+    good = tmp_path / "good.dk"
+    save_model(m, good)
+    p = tmp_path / "bad.dk"
+    for field in ("lam", "U", "col_means"):
+        _rewrite_model(good, p, header_edit=lambda h: h[field].pop())
+        with pytest.raises(DataError, match=f"'{field}' has shape"):
+            load_model(p)
+    _rewrite_model(good, p, header_edit=lambda h: h.pop("lam"))
+    with pytest.raises(DataError, match="lacks field.*lam"):
+        load_model(p)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_project_non_finite_query_is_data_error(small_fit, bad):
+    from scipy import sparse
+    ds, _, m = small_fit
+    Q = np.array(ds.values[:3])
+    Q[1, 2] = bad
+    for query in (Q, Q[1], sparse.csr_matrix(Q)):
+        with pytest.raises(DataError, match="non-finite"):
+            project(m, query)
+
+
+def test_fit_keeps_the_presolve_report():
+    ds = gen_synth_gaussian(60, 4, 5)
+    spec = KernelSpec("gaussian", 1.2)
+    m = fit(ds, spec, ObjectiveSpec("huber_row2", kappa_frac=0.8), 2, SolveConfig(seed=1))
+    assert m.report.presolve is not None
+    assert m.report.to_dict()["presolve"]["termination"] == "tolerance"
+    sq = fit(ds, spec, ObjectiveSpec("square"), 2, SolveConfig(seed=1))
+    assert sq.report.presolve is None and "presolve" not in sq.report.to_dict()
+
+
+def test_fit_solver_is_auto_or_dca(small_fit):
+    from dckpca import KpcaError
+    ds, spec, _ = small_fit
+    with pytest.raises(KpcaError, match="unknown solver"):
+        fit(ds, spec, ObjectiveSpec("square"), 2, solver="lbfgs")

@@ -4,15 +4,25 @@ import pytest
 from dckpca import (KernelSpec, ObjectiveSpec, SingularMatrixError,
                     center_gram, check_critical_point, dca_solve, dual_cost,
                     gen_synth_gaussian, gram, kappa_max, lbfgs_solve,
-                    line_search_strong_wolfe, parse_objective)
-from dckpca.solvers import SolveConfig
+                    parse_objective)
+from dckpca.solvers import SolveConfig, _wolfe_scalar
 
-from oracles import dense_top_eigs
+from oracles import dense_top_eigs, prox_psi_independent
 
 
 def centered_gram(n=120, d=5, seed=0, sigma=1.5):
     ds = gen_synth_gaussian(n, d, seed)
     return center_gram(gram(ds, KernelSpec("gaussian", sigma)))
+
+
+def line_search_strong_wolfe(fg, x, direction, c1=1e-4, c2=0.9, max_steps=25):
+    """Strong-Wolfe step along ``direction`` for ``fg(x) -> (cost, gradient)``:
+    the L-BFGS loop's scalar search run on the ray x + a * direction."""
+    x = np.asarray(x, dtype=float)
+    direction = np.asarray(direction, dtype=float)
+    phi = lambda a: float(fg(x + a * direction)[0])
+    dphi = lambda a: float(np.vdot(fg(x + a * direction)[1], direction))
+    return _wolfe_scalar(phi, dphi, phi(0.0), dphi(0.0), c1, c2, 1.0, max_steps)
 
 
 # ------------------------------------------------------------- line search
@@ -133,6 +143,53 @@ def test_lbfgs_warm_start():
     H, rep = lbfgs_solve(G, 1, SolveConfig(tol=1e-12, seed=0), h0=h0)
     assert rep.cost_trace[0] == pytest.approx(dual_cost(G, h0, ObjectiveSpec("square")))
     assert rep.cost_trace[-1] == pytest.approx(-2.0, abs=1e-9)
+
+
+def test_lbfgs_returns_ritz_form():
+    # the Rayleigh-Ritz finish returns H = V diag(theta)^(1/2), so H'GH is
+    # diag(theta^2) with theta decreasing
+    Gc = centered_gram(n=150, d=5, seed=17)
+    H, _ = lbfgs_solve(Gc, 4, SolveConfig(seed=3))
+    M = H.T @ Gc.entries @ H
+    diag = np.diag(M)
+    assert np.max(np.abs(M - np.diag(diag))) <= 1e-8 * np.max(diag)
+    assert np.all(np.diff(diag) < 0)
+
+
+def test_kappa_max_huber_l1_independent_of_init():
+    # max|h_ij| depends on the rotation of H; the Ritz form fixes it, so the
+    # xmax radius no longer moves with the init (4.5e-2 relative spread before)
+    Gc = center_gram(gram(gen_synth_gaussian(200, 5, 3), KernelSpec("gaussian", 1.5)))
+    kms = [kappa_max("huber_l1", lbfgs_solve(Gc, 3, SolveConfig(seed=seed))[0])
+           for seed in (0, 1, 2)]
+    assert (max(kms) - min(kms)) / np.mean(kms) <= 5e-3
+
+
+def _fixed_point_residual(G, H, kind=None, kappa=None):
+    """||H - T(H)|| / ||H|| with T(H) = prox_{Psi*}(grad pi(H)), where
+    prox_{Psi*}(Y) = Y - prox_Psi(Y) (Moreau) and T = grad pi for the square loss."""
+    M = H.T @ G @ H
+    w, V = np.linalg.eigh(0.5 * (M + M.T))
+    Y = G @ H @ (V / np.sqrt(w)) @ V.T
+    T = Y if kind is None else Y - prox_psi_independent(kind, Y, kappa=kappa)
+    return float(np.linalg.norm(H - T) / np.linalg.norm(H))
+
+
+def test_every_solver_honours_the_same_tol():
+    Gc = center_gram(gram(gen_synth_gaussian(200, 5, 3), KernelSpec("gaussian", 1.5)))
+    G = Gc.entries
+    kappa = 0.8 * kappa_max("huber_row2", lbfgs_solve(Gc, 3, SolveConfig(seed=0))[0])
+    for tol in (1e-6, 1e-8):
+        cfg = SolveConfig(tol=tol, seed=0)
+        H, rep = lbfgs_solve(Gc, 3, cfg)
+        assert rep.termination == "tolerance"
+        assert _fixed_point_residual(G, H) <= 2 * np.sqrt(tol)
+        H, rep = dca_solve(Gc, 3, ObjectiveSpec("square"), cfg)
+        assert rep.termination == "tolerance"
+        assert _fixed_point_residual(G, H) <= 2 * np.sqrt(tol)
+        H, rep = dca_solve(Gc, 3, ObjectiveSpec("huber_row2", kappa=kappa), cfg)
+        assert rep.termination == "tolerance"
+        assert _fixed_point_residual(G, H, "huber_row2", kappa) <= 2 * np.sqrt(tol)
 
 
 def test_solve_config_validation():
