@@ -125,14 +125,13 @@ def _cmd_solve(args):
         gm = kernels.load_gram_csv(args.data)
         spec = kernels.KernelSpec("precomputed")
         fitted = model_mod.fit(None, spec, objective, args.components, cfg,
-                               solver=args.solver, jitter=args.jitter,
-                               gram_matrix=gm)
+                               solver=args.solver, gram_matrix=gm)
     else:
         dataset = _load_dataset(args)
         with _usage_phase():
             spec = _kernel_spec(args)
         fitted = model_mod.fit(dataset, spec, objective, args.components, cfg,
-                               solver=args.solver, jitter=args.jitter)
+                               solver=args.solver)
     model_mod.save_model(fitted, args.out)
     report_json = fitted.report.to_json()
     if args.report:
@@ -418,10 +417,8 @@ def build_parser() -> _Parser:
     ps.add_argument("--max-iters", type=int, default=None)
     ps.add_argument("--seed", type=int, default=0)
     ps.add_argument("--solver", choices=("auto", "dca"), default="auto",
-                    help="auto: L-BFGS for the square loss, DCA otherwise; "
-                         "dca: DCA for every objective")
-    ps.add_argument("--jitter", action="store_true",
-                    help="add 1e-10*mean(diag)*I to the centered Gram")
+                    help="auto: exact subspace steps for the square loss, "
+                         "DCA otherwise; dca: DCA for every objective")
     ps.add_argument("--out", required=True, help="model file path")
     ps.add_argument("--report", help="write the solve report JSON here "
                                      "instead of stdout")

@@ -1,5 +1,5 @@
-"""Dual objective machinery: pi(H) = Tr sqrt(H'GH), its gradient, dual costs,
-and the benchmark residual eta.
+"""Dual objective machinery: pi(H) = Tr sqrt(H'GH), its gradient, the
+singularity floor, and the benchmark residual eta.
 
 The whole point of working with H'GH (s x s) instead of G (n x n) is that one
 n^2 s matrix product plus an s x s eigendecomposition replaces the O(n^3) SVD
@@ -11,7 +11,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import KpcaError, SingularMatrixError
-from .objectives import ObjectiveSpec, psi_star_value
 
 
 @dataclass(frozen=True)
@@ -72,9 +71,9 @@ def pi(G, H, gh=None) -> float:
 SINGULARITY_FLOOR_SCALE = 1e-12
 
 
-def check_floor(dec: SpectralDecomp, singular_hint: str | None = None) -> None:
-    """Raise SingularMatrixError unless every eigenvalue of H'GH sits above
-    the floor 1e-12 * max(lam_max, 1).
+def check_floor(lam, singular_hint: str | None = None) -> None:
+    """Raise SingularMatrixError unless every eigenvalue of H'GH (``lam``,
+    decreasing) sits above the floor 1e-12 * max(lam_max, 1).
 
     An eigenvalue below -floor is beyond round-off of a PSD product: H'GH is
     then indefinite, so G is not positive semidefinite on the span of H and
@@ -82,8 +81,8 @@ def check_floor(dec: SpectralDecomp, singular_hint: str | None = None) -> None:
     H'GH is near-singular; ``singular_hint`` (a likely cause) is appended to
     that message only.
     """
-    floor = SINGULARITY_FLOOR_SCALE * max(float(dec.lam[0]), 1.0)
-    lam_min = float(dec.lam[-1])
+    floor = SINGULARITY_FLOOR_SCALE * max(float(lam[0]), 1.0)
+    lam_min = float(lam[-1])
     if lam_min < -floor:
         raise SingularMatrixError(
             f"H'GH is indefinite: eigenvalue {lam_min:.6e} <= floor {floor:.6e}; "
@@ -95,28 +94,19 @@ def check_floor(dec: SpectralDecomp, singular_hint: str | None = None) -> None:
             message if singular_hint is None else f"{message}; {singular_hint}")
 
 
-def grad_pi(G, H, gh=None):
+def grad_pi(G, H, gh=None, singular_hint: str | None = None):
     """Gradient of pi at H together with the decomposition of H'GH.
 
     grad = GH U' diag(1/sqrt(lam)) U, which requires every eigenvalue of
-    H'GH to sit above the floor (``check_floor``). Below the floor the call
-    fails loudly: the gradient is not Lipschitz near singularity and silent
-    clamping would corrupt line searches.
+    H'GH to sit above the floor (``check_floor``, which appends
+    ``singular_hint`` to a near-singular report). Below the floor the call
+    fails loudly: the gradient is not Lipschitz near singularity, and a
+    silent clamp would corrupt the solve.
     """
     GH, dec = _small_eig(G, H, gh)
-    check_floor(dec)
+    check_floor(dec.lam, singular_hint)
     grad = GH @ dec.apply(lambda lam: 1.0 / np.sqrt(lam))
     return grad, dec
-
-
-def dual_cost(G, H, objective: ObjectiveSpec) -> float:
-    """Dual objective 0.5 ||H||_F^2 + Psi*(H) - pi(H).
-
-    For the square loss Psi* vanishes; Huber kinds contribute an indicator
-    (+inf on infeasible H), the eps kinds an eps-scaled dual norm.
-    """
-    value = 0.5 * float(np.sum(H * H)) - pi(G, H)
-    return value + psi_star_value(objective, H)
 
 
 def optimal_dual_cost(top_eigs: np.ndarray) -> float:

@@ -100,23 +100,6 @@ def sigma_rule(dataset: Dataset) -> float:
     return 0.1 * np.sqrt(dataset.d * var_x)
 
 
-def kernel_eval(spec: KernelSpec, x, y) -> float:
-    """Single kernel evaluation k(x, y)."""
-    x = np.asarray(x, dtype=float).ravel()
-    y = np.asarray(y, dtype=float).ravel()
-    if x.shape != y.shape:
-        raise DataError(f"dimension mismatch: {x.shape} vs {y.shape}")
-    if spec.family == "linear":
-        return float(x @ y)
-    if spec.family == "precomputed":
-        raise KpcaError("precomputed kernels cannot be evaluated pointwise")
-    sig2 = 2.0 * spec.sigma ** 2
-    d2 = float(np.sum((x - y) ** 2))
-    if spec.family == "gaussian":
-        return float(np.exp(-d2 / sig2))
-    return float(np.exp(-np.sqrt(d2) / sig2))
-
-
 def _cross_sqdist(X, Y) -> np.ndarray:
     """Pairwise squared Euclidean distances (m x n), dense or CSR inputs."""
     if sparse.issparse(X):
@@ -185,18 +168,6 @@ def center_gram(gm: GramMatrix) -> GramMatrix:
     np.subtract(G, Gc, out=Gc)
     Gc += grand
     return GramMatrix(Gc, centered=True, stats=CenteringStats(mu.copy(), grand))
-
-
-def add_jitter(gm: GramMatrix, theta: float = 1e-10) -> GramMatrix:
-    """Escape hatch for rank-deficient centered Grams: adds theta*mean(diag)*I."""
-    G = np.array(gm.entries)
-    G[np.diag_indices_from(G)] += theta * float(np.mean(np.diag(G)))
-    return GramMatrix(G, centered=gm.centered, stats=gm.stats)
-
-
-def kernel_row(spec: KernelSpec, train: Dataset, stats: CenteringStats, x) -> np.ndarray:
-    """Centered kernel row for a single point x (length-n vector)."""
-    return kernel_rows(spec, train, stats, x)[0]
 
 
 def kernel_rows(spec: KernelSpec, train: Dataset, stats: CenteringStats, X) -> np.ndarray:

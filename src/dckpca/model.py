@@ -70,7 +70,7 @@ def _final_decomp(G, H) -> SpectralDecomp:
     M = H.T @ (G @ H)
     dec = sym_eig_small(0.5 * (M + M.T))
     try:
-        check_floor(dec)
+        check_floor(dec.lam)
     except SingularMatrixError as exc:
         raise UnprojectableModelError(
             f"{exc}: the fitted model cannot project") from exc
@@ -79,15 +79,16 @@ def _final_decomp(G, H) -> SpectralDecomp:
 
 def fit(dataset: Dataset | None, kernel_spec: kernels.KernelSpec,
         objective: ObjectiveSpec, s: int, config: SolveConfig | None = None,
-        solver: str = "auto", jitter: bool = False,
+        solver: str = "auto",
         gram_matrix: kernels.GramMatrix | None = None) -> KpcaModel:
     """Fit KPCA by solving the dual problem.
 
-    The square objective goes to L-BFGS (or DCA when ``solver='dca'``), every
-    Moreau-envelope objective to DCA. An unresolved ``xmax`` radius triggers a
-    square-loss pre-solve to measure kappa_max; its report nests in the
-    model's report as ``presolve``. ``gram_matrix`` short-circuits kernel
-    assembly for precomputed Grams (``dataset`` may then be None).
+    The square objective goes to the subspace solver ``lbfgs_solve`` (or DCA
+    when ``solver='dca'``), every Moreau-envelope objective to DCA. An
+    unresolved ``xmax`` radius triggers a square-loss pre-solve to measure
+    kappa_max; its report nests in the model's report as ``presolve``.
+    ``gram_matrix`` short-circuits kernel assembly for precomputed Grams
+    (``dataset`` may then be None).
     """
     cfg = config or SolveConfig()
     if solver not in ("auto", "dca"):
@@ -105,8 +106,6 @@ def fit(dataset: Dataset | None, kernel_spec: kernels.KernelSpec,
         G_raw = kernels.gram(dataset, spec)
         fingerprint = dataset_fingerprint(dataset)
     Gc = kernels.center_gram(G_raw) if not G_raw.centered else G_raw
-    if jitter:
-        Gc = kernels.add_jitter(Gc)
 
     kappa_max_value = presolve = None
     if not objective.resolved:

@@ -1,10 +1,10 @@
-"""The two dual solvers: L-BFGS on the square-loss dual and DCA for
-Moreau-envelope objectives.
+"""The two dual solvers: exact subspace steps on the square-loss dual and
+DCA for Moreau-envelope objectives.
 
-The L-BFGS line search exploits the ray structure of the dual cost: with
-GH and GD precomputed, (H + a D)' G (H + a D) is a quadratic in ``a`` built
-from s x s blocks, so every Wolfe trial costs O(s^3) instead of O(n^2 s).
-One n^2 s product per accepted step (GD) dominates an iteration.
+On the square loss the dual's minimum over a subspace is the Rayleigh-Ritz
+solution on it, so each step minimizes exactly over span[X, R, P] (current
+Ritz vectors, residual, previous step): one product of G with at most 2s
+columns dominates an iteration.
 
 Both solvers share one entry (``_solve``: checks, init, one reseed, report)
 and one stopping rule (``_stop``, on the fixed-point residual of
@@ -18,21 +18,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baselines import h_from_pairs, rayleigh_ritz
 from .dual_core import (_gram_entries, check_floor, grad_pi, optimal_dual_cost,
                         sym_eig_small)
 from .errors import KpcaError, SingularMatrixError
 from .objectives import HUBER_KINDS, ObjectiveSpec, prox_psi_star, psi_star_value
 
-LBFGS_DEFAULT_MAX_ITERS = 500
+SUBSPACE_DEFAULT_MAX_ITERS = 500
 DCA_DEFAULT_MAX_ITERS = 1000
 REPORT_VERSION = "dckpca/1"
-_GH_REFRESH_EVERY = 64
-# L-BFGS history length and strong-Wolfe line-search constants.
-_LBFGS_MEMORY = 10
-_C1, _C2 = 1e-4, 0.9
-_MAX_LINESEARCH_STEPS = 25
-_INITIAL_STEP = 1.0
 
 
 @dataclass
@@ -40,7 +33,7 @@ class SolveConfig:
     """Shared solver knobs. A solve stops at fixed-point residual r**2 <= tol,
     or at eta < tol given ``benchmark_eigs`` (exact top-s eigenvalues of G);
     see ``_stop``. ``max_iters`` of None picks the solver default (500 for
-    L-BFGS, 1000 for DCA)."""
+    the square-loss subspace solver, 1000 for DCA)."""
 
     tol: float = 1e-6
     max_iters: int | None = None
@@ -80,56 +73,6 @@ class SolveReport:
         return json.dumps(self.to_dict())
 
 
-def _wolfe_scalar(phi, dphi, phi0, dphi0, c1, c2, alpha0, max_trials):
-    """Strong-Wolfe step search (bracketing + zoom, Nocedal & Wright 3.5/3.6).
-
-    Returns the accepted step, or None when no conforming step was found
-    within ``max_trials`` trial points. Raises ValueError on ascent directions.
-    """
-    if not dphi0 < 0:
-        raise ValueError(f"not a descent direction: directional derivative {dphi0:.3e}")
-    trials = [0]
-
-    def zoom(lo, hi, phi_lo, dphi_lo, phi_hi):
-        while trials[0] < max_trials:
-            # quadratic interpolation with bisection safeguard
-            denom = phi_hi - phi_lo - dphi_lo * (hi - lo)
-            a = lo - 0.5 * dphi_lo * (hi - lo) ** 2 / denom if denom != 0 else 0.5 * (lo + hi)
-            width = abs(hi - lo)
-            if not np.isfinite(a) or abs(a - lo) < 0.1 * width or abs(a - hi) < 0.1 * width:
-                a = 0.5 * (lo + hi)
-            phi_a = phi(a)
-            trials[0] += 1
-            if phi_a > phi0 + c1 * a * dphi0 or phi_a >= phi_lo:
-                hi, phi_hi = a, phi_a
-            else:
-                dphi_a = dphi(a)
-                if abs(dphi_a) <= -c2 * dphi0:
-                    return a
-                if dphi_a * (hi - lo) >= 0:
-                    hi, phi_hi = lo, phi_lo
-                lo, phi_lo, dphi_lo = a, phi_a, dphi_a
-        return None
-
-    prev_a, prev_phi, prev_dphi = 0.0, phi0, dphi0
-    a = alpha0
-    first = True
-    while trials[0] < max_trials:
-        phi_a = phi(a)
-        trials[0] += 1
-        if phi_a > phi0 + c1 * a * dphi0 or (not first and phi_a >= prev_phi):
-            return zoom(prev_a, a, prev_phi, prev_dphi, phi_a)
-        dphi_a = dphi(a)
-        if abs(dphi_a) <= -c2 * dphi0:
-            return a
-        if dphi_a >= 0:
-            return zoom(a, prev_a, phi_a, dphi_a, prev_phi)
-        prev_a, prev_phi, prev_dphi = a, phi_a, dphi_a
-        a *= 2.0
-        first = False
-    return None
-
-
 def _sym(M):
     return 0.5 * (M + M.T)
 
@@ -162,15 +105,14 @@ class _Trace:
         self.record(cost, cost)
 
 
-def _stop(trace, residual=None, stalled=False):
+def _stop(trace, residual=None):
     """The one stopping rule of both solvers: the termination reason, or None.
 
     "tolerance": r**2 <= tol for the residual r = ||H - T(H)|| / ||H|| (None
     while unknown); squared, since a DCA step lowers the cost by at least
     0.5 ||H - T(H)||^2, so tol stays a relative cost change. In benchmark mode
     eta < tol instead, and a zero residual (no descent step) is "gradient".
-    "stalled": the line search found no strong-Wolfe step. "max_iters": the
-    iteration cap.
+    "max_iters": the iteration cap.
     """
     if trace.etas is None:
         if residual is not None and residual ** 2 <= trace.tol:
@@ -179,8 +121,6 @@ def _stop(trace, residual=None, stalled=False):
         return "tolerance"
     elif residual == 0.0:
         return "gradient"
-    if stalled:
-        return "stalled"
     if len(trace.costs) - 1 >= trace.max_iters:
         return "max_iters"
     return None
@@ -239,115 +179,80 @@ def _solve(G, s, cfg, h0, default_max_iters, loop):
 
 
 def lbfgs_solve(G, s: int, config: SolveConfig | None = None, h0=None):
-    """Minimize the square-loss dual 0.5 Tr(H'H) - Tr sqrt(H'GH) with two-loop
-    L-BFGS directions and a strong Wolfe line search.
+    """Minimize the square-loss dual 0.5 Tr(H'H) - Tr sqrt(H'GH) by exact
+    steps over subspaces (LOBPCG, Knyazev 2001, with the basis of Hetmaniuk &
+    Lehoucq 2006). The name is historical: no L-BFGS runs.
+
+    The dual's minimum over all H with columns in a subspace S is the
+    Rayleigh-Ritz solution on S, H = X diag(theta)^(1/2) from the top-s Ritz
+    pairs (theta, X). The first step takes S = span[H0, GH0]; each later one
+    S = span[X, R, P], with the residual R = GX - X diag(theta) and P the
+    previous step's component outside X. Each basis contains the last X, so
+    the cost -0.5 sum(theta) never rises. Stops by ``_stop`` on the residual
+    ||grad|| / ||H|| = ||R diag(theta)^(-1/2)|| / sqrt(sum(theta)); every exit
+    returns the Ritz form (H'GH = diag(theta^2), theta decreasing).
 
     H0 has i.i.d. standard normal entries drawn from the config seed (``h0``
-    overrides, e.g. for warm starts). Stops by ``_stop`` on the residual
-    ||grad|| / ||H|| (grad = H - T(H)), then returns the Rayleigh-Ritz
-    solution on span[H, GH] (``_ritz_finish``). Returns (H, report).
+    overrides, e.g. for warm starts). Returns (H, report).
     """
-    return _solve(G, s, config or SolveConfig(), h0, LBFGS_DEFAULT_MAX_ITERS,
-                  _lbfgs_loop)
+    return _solve(G, s, config or SolveConfig(), h0, SUBSPACE_DEFAULT_MAX_ITERS,
+                  _subspace_loop)
 
 
-def _lbfgs_loop(G, H, trace):
+def _subspace_loop(G, H, trace):
+    s = H.shape[1]
     GH = G @ H
-    gpi, dec = grad_pi(G, H, gh=GH)
+    gpi, dec = grad_pi(G, H, gh=GH, singular_hint=_rank_hint(s))
     cost = 0.5 * float(np.vdot(H, H)) - _pi_from(dec)
-    grad = H - gpi
     trace.record(cost, cost)
-    memory = []
-    stalled = False
-
+    termination = _stop(trace, float(np.linalg.norm(H - gpi) / np.linalg.norm(H)))
+    X = GX = np.empty((H.shape[0], 0))
+    X, GX, theta, P = _ritz_step(G, X, GX, np.hstack([H, GH]), s)
+    if termination is not None:
+        # stopped at the init: return the Ritz form on span[H0, GH0] instead
+        trace.amend(-0.5 * float(np.sum(theta)))
+        return X * np.sqrt(theta), termination
     while True:
-        termination = _stop(trace, float(np.linalg.norm(grad) / np.linalg.norm(H)),
-                             stalled)
-        if termination is not None:
-            return _ritz_finish(G, H, GH, trace), termination
-
-        D = -_two_loop(grad, memory)
-        dphi0 = float(np.vdot(grad, D))
-        if dphi0 >= 0:
-            # quasi-Newton model went bad; restart from steepest descent
-            # (grad is nonzero here, or _stop would have ended the solve)
-            memory.clear()
-            D = -grad
-            dphi0 = -float(np.vdot(grad, grad))
-
-        # ray restriction: all Wolfe trials run on s x s blocks
-        GD = G @ D
-        A1 = _sym(H.T @ GH)
-        A2 = H.T @ GD
-        A4 = _sym(D.T @ GD)
-        hh = float(np.vdot(H, H))
-        hd = float(np.vdot(H, D))
-        dd = float(np.vdot(D, D))
-
-        def small(a):
-            return _sym(A1 + a * (A2 + A2.T) + (a * a) * A4)
-
-        def phi(a):
-            lam = np.linalg.eigvalsh(small(a))
-            return 0.5 * (hh + 2 * a * hd + a * a * dd) - float(
-                np.sum(np.sqrt(np.maximum(lam, 0.0))))
-
-        def dphi(a):
-            dec_a = sym_eig_small(small(a))
-            check_floor(dec_a)
-            W = dec_a.apply(lambda lam: 1.0 / np.sqrt(lam))
-            return (hd + a * dd) - float(np.sum((A2.T + a * A4) * W.T))
-
-        alpha = _wolfe_scalar(phi, dphi, cost, dphi0, _C1, _C2, _INITIAL_STEP,
-                              _MAX_LINESEARCH_STEPS)
-        if alpha is None:
-            stalled = True
-            continue
-
-        H_new = H + alpha * D
-        GH_new = GH + alpha * GD
-        if len(trace.costs) % _GH_REFRESH_EVERY == 0:
-            GH_new = G @ H_new
-        gpi, dec = grad_pi(G, H_new, gh=GH_new)
-        cost_new = 0.5 * float(np.vdot(H_new, H_new)) - _pi_from(dec)
-        grad_new = H_new - gpi
-
-        s_vec = alpha * D
-        y_vec = grad_new - grad
-        sy = float(np.vdot(s_vec, y_vec))
-        if sy > 1e-10 * float(np.linalg.norm(s_vec)) * float(np.linalg.norm(y_vec)):
-            memory.append((s_vec, y_vec, 1.0 / sy))
-            if len(memory) > _LBFGS_MEMORY:
-                memory.pop(0)
-
-        H, GH, cost, grad = H_new, GH_new, cost_new, grad_new
+        cost = -0.5 * float(np.sum(theta))
         trace.record(cost, cost)
+        R = GX - X * theta
+        residual = float(np.linalg.norm(R / np.sqrt(theta)) / np.sqrt(np.sum(theta)))
+        termination = _stop(trace, residual)
+        if termination is not None:
+            return X * np.sqrt(theta), termination
+        X, GX, theta, P = _ritz_step(G, X, GX, np.hstack([R, P]), s)
 
 
-def _ritz_finish(G, H, GH, trace):
-    """H = V diag(theta)^(1/2) from the top-s Ritz pairs (theta, V) of G on
-    span[H, GH] (one n x 2s product); its cost -0.5 sum(theta) ends the trace."""
-    Q, _ = np.linalg.qr(np.hstack([H, GH]))
-    pairs = rayleigh_ritz(G, Q, H.shape[1])
-    trace.amend(-0.5 * float(np.sum(np.maximum(pairs.values, 0.0))))
-    return h_from_pairs(pairs)
+def _ritz_step(G, X, GX, block, s):
+    """Top-s Ritz pairs (theta, X) of G on span[X, block], given X with
+    orthonormal columns and GX = G X.
+
+    The block's columns are scaled to unit norm, orthogonalized against X
+    (two Gram-Schmidt passes) and orthonormalized by QR, dropping columns
+    whose QR diagonal is below 1e-12 of the largest. Unit columns make the
+    drop test scale-free, and the QR amplifies what is left of X in a nearly
+    dependent column, so all of this runs twice. G is applied to the result,
+    one product of n x (at most 2s) columns. Returns the new X, GX, theta
+    (checked by ``check_floor`` as the spectrum theta^2 of H'GH) and P, the
+    new X's component in the block.
+    """
+    Q = block / np.maximum(np.linalg.norm(block, axis=0), np.finfo(float).tiny)
+    for _ in range(2):
+        for _ in range(2):
+            Q = Q - X @ (X.T @ Q)
+        Q, T = np.linalg.qr(Q)
+        d = np.abs(np.diag(T))
+        Q = Q[:, d > 1e-12 * d.max(initial=0.0)]
+    S, GS = np.hstack([X, Q]), np.hstack([GX, G @ Q])
+    w, W = np.linalg.eigh(_sym(S.T @ GS))
+    top = np.argsort(-w, kind="stable")[:s]
+    theta, W = w[top], W[:, top]
+    check_floor(np.sign(theta) * theta ** 2)
+    return S @ W, GS @ W, theta, Q @ W[X.shape[1]:]
 
 
-def _two_loop(grad, memory):
-    """Two-loop recursion for the L-BFGS direction H_k * grad."""
-    q = grad.copy()
-    alphas = []
-    for s_i, y_i, rho_i in reversed(memory):
-        a = rho_i * float(np.vdot(s_i, q))
-        alphas.append(a)
-        q -= a * y_i
-    if memory:
-        s_i, y_i, _ = memory[-1]
-        q *= float(np.vdot(s_i, y_i)) / float(np.vdot(y_i, y_i))
-    for (s_i, y_i, rho_i), a in zip(memory, reversed(alphas)):
-        b = rho_i * float(np.vdot(y_i, q))
-        q += (a - b) * s_i
-    return q
+def _rank_hint(s):
+    return f"s={s} likely exceeds the numerical rank of G"
 
 
 def dca_solve(G, s: int, objective: ObjectiveSpec, config: SolveConfig | None = None,
@@ -356,8 +261,9 @@ def dca_solve(G, s: int, objective: ObjectiveSpec, config: SolveConfig | None = 
     Y = grad pi(H_t); H_{t+1} = prox_{Psi*}(Y).
 
     Stops by ``_stop`` on the step just taken, ||H_{t+1} - H_t|| / ||H_t||
-    (at most 1000 iterations by default). The dual cost never increases.
-    Returns (H, report).
+    (at most 1000 iterations by default). The dual cost never increases. A
+    singular H'GH names the rank at the init, and for Huber objectives kappa
+    after it. Returns (H, report).
     """
     if not objective.resolved:
         raise KpcaError("resolve the kappa_max fraction before solving")
@@ -376,7 +282,7 @@ def dca_solve(G, s: int, objective: ObjectiveSpec, config: SolveConfig | None = 
             termination = _stop(trace, step)
             if termination is not None:
                 return H, termination
-            check_floor(dec, singular_hint=hint)
+            check_floor(dec.lam, singular_hint=_rank_hint(s) if step is None else hint)
             W = dec.apply(lambda lam: 1.0 / np.sqrt(lam))
             H, H_prev = prox_psi_star(objective, GH @ W), H
             step = float(np.linalg.norm(H - H_prev) / np.linalg.norm(H_prev))

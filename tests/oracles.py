@@ -4,6 +4,42 @@ never share code with the implementation paths they check."""
 import numpy as np
 
 
+def kernel_eval(spec, x, y):
+    """Single kernel evaluation k(x, y) by the closed forms, pointwise."""
+    x = np.asarray(x, dtype=float).ravel()
+    y = np.asarray(y, dtype=float).ravel()
+    if spec.family == "linear":
+        return float(x @ y)
+    d = float(np.sqrt(np.sum((x - y) ** 2)))
+    arg = d * d if spec.family == "gaussian" else d
+    return float(np.exp(-arg / (2.0 * spec.sigma ** 2)))
+
+
+def kernel_row(spec, train_values, stats, x):
+    """Centered kernel row of one point x, entry by entry from kernel_eval:
+    k(x, x_i) - mean_j k(x, x_j) - colmean_i + grandmean."""
+    k = np.array([kernel_eval(spec, x, xi) for xi in np.asarray(train_values)])
+    return k - k.mean() - stats.col_means + stats.grand_mean
+
+
+def dual_cost(G, H, objective):
+    """Dual objective 0.5 ||H||_F^2 + Psi*(H) - ||G^(1/2) H||_*, with the
+    nuclear norm from an SVD and Psi* (square, eps kinds and Huber ball
+    indicators) written out from its definition."""
+    H = np.asarray(H, dtype=float)
+    value = 0.5 * float(np.sum(H * H)) - nuclear_norm(psd_sqrt(np.asarray(G)) @ H)
+    rows = np.sqrt(np.sum(H * H, axis=1))
+    kind = objective.kind
+    if kind == "eps_linf":
+        return value + objective.eps * float(np.sum(np.abs(H)))
+    if kind == "eps_row2":
+        return value + objective.eps * float(rows.sum())
+    if kind in ("huber_l1", "huber_row2"):
+        gauge = float(np.max(np.abs(H))) if kind == "huber_l1" else float(rows.sum())
+        return value if gauge <= objective.kappa * (1.0 + 1e-9) else np.inf
+    return value
+
+
 def dense_top_eigs(G, s):
     w = np.linalg.eigvalsh(G)
     return w[np.argsort(-w, kind="stable")[:s]]

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from dckpca import (ObjectiveSpec, ToleranceUnreachableError, dual_cost,
+from dckpca import (ObjectiveSpec, ToleranceUnreachableError,
                     dual_residual, check_critical_point,
                     gen_controlled_spectrum_gram, kpca_dense_eig, rsvd,
                     rsvd_adaptive)
 from dckpca.baselines import h_from_pairs
 
-from oracles import dense_top_eigs
+from oracles import dense_top_eigs, dual_cost
 
 
 def random_psd(n, seed, rank=None):

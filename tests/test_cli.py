@@ -97,16 +97,37 @@ def test_solve_precomputed_gram(tmp_path, capsys):
     assert model.kernel_spec.family == "precomputed"
 
 
-def test_solve_report_to_file_and_jitter(tmp_path, capsys):
+def test_solve_report_to_file(tmp_path, capsys):
     data = tmp_path / "t.csv"
     write_csv_dataset(data, n=30, d=3, seed=6)
     rep = tmp_path / "report.json"
     rc = main(["solve", "--data", str(data), "--sigma", "1.0",
-               "--components", "2", "--jitter", "--seed", "0",
+               "--components", "2", "--seed", "0",
                "--out", str(tmp_path / "m.dk"), "--report", str(rep)])
     assert rc == 0
     assert capsys.readouterr().out == ""
     assert json.loads(rep.read_text())["iterations"] >= 0
+
+
+def test_solve_jitter_is_usage_error(tmp_path):
+    # the jitter knob is gone: it could not lift the s-th eigenvalue of H'GH
+    # above the singularity floor
+    data = tmp_path / "t.csv"
+    write_csv_dataset(data)
+    with pytest.raises(SystemExit) as info:
+        main(["solve", "--data", str(data), "--components", "2", "--sigma", "1.0",
+              "--jitter", "--out", str(tmp_path / "m.dk")])
+    assert info.value.code == 1
+
+
+def test_solve_s_above_rank_names_rank(tmp_path, capsys):
+    # a centered linear Gram on d=2 has rank 2, so s=3 cannot be fitted
+    data = tmp_path / "t.csv"
+    write_csv_dataset(data, n=50, d=2, seed=4)
+    rc = main(["solve", "--data", str(data), "--kernel", "linear",
+               "--components", "3", "--out", str(tmp_path / "m.dk")])
+    assert rc == 3
+    assert "s=3 likely exceeds the numerical rank of G" in capsys.readouterr().err
 
 
 def test_bench_rows_converged_and_eta_recompute(tmp_path, capsys):

@@ -2,11 +2,16 @@ import numpy as np
 import pytest
 
 from dckpca import (KpcaError, ObjectiveSpec, SingularMatrixError,
-                    check_critical_point, dual_cost, dual_residual, grad_pi,
-                    optimal_dual_cost, pi, sym_eig_small)
+                    check_critical_point, dual_residual, grad_pi,
+                    optimal_dual_cost, pi, psi_star_value, sym_eig_small)
 from dckpca.baselines import kpca_dense_eig
 
 from oracles import dense_top_eigs, fd_grad, nuclear_norm, psd_sqrt
+
+
+def dual_cost(G, H, objective):
+    """The dual cost as the solvers record it: 0.5 ||H||^2 - pi(H) + Psi*(H)."""
+    return 0.5 * float(np.sum(H * H)) - pi(G, H) + psi_star_value(objective, H)
 
 
 def random_psd(n, seed, rank=None):

@@ -2,9 +2,17 @@ import numpy as np
 import pytest
 
 from dckpca import (DataError, Dataset, KernelSpec, KpcaError, center_gram,
-                    gen_synth_gaussian, gram, kernel_eval, kernel_row,
-                    load_gram_csv, sigma_rule)
-from dckpca.kernels import centered_self_kernel, kernel_rows
+                    gen_synth_gaussian, gram, load_gram_csv, sigma_rule)
+from dckpca.kernels import centered_self_kernel, kernel_cross, kernel_rows
+
+from oracles import kernel_row
+
+
+def kernel_eval(spec, x, y):
+    """k(x, y) as the package computes it: kernel_cross of the query x
+    against a one-point training set {y}."""
+    return float(kernel_cross(spec, Dataset(np.atleast_2d(np.asarray(y, dtype=float))),
+                              x)[0, 0])
 
 
 def test_kernel_eval_self_similarity():
@@ -141,7 +149,7 @@ def test_kernel_row_reproduces_centered_columns():
     spec = KernelSpec("gaussian", 1.1)
     gm = center_gram(gram(ds, spec))
     for i in (0, 7, 24):
-        row = kernel_row(spec, ds, gm.stats, ds.values[i])
+        row = kernel_rows(spec, ds, gm.stats, ds.values[i])[0]
         assert np.max(np.abs(row - gm.entries[:, i])) < 1e-12
 
 
@@ -149,7 +157,7 @@ def test_kernel_row_all_equal_training_data():
     ds = Dataset(np.ones((6, 2)))
     spec = KernelSpec("gaussian", 1.0)
     gm = center_gram(gram(ds, spec))
-    row = kernel_row(spec, ds, gm.stats, np.array([0.3, -0.2]))
+    row = kernel_rows(spec, ds, gm.stats, np.array([0.3, -0.2]))[0]
     assert np.max(np.abs(row)) < 1e-14
 
 
@@ -159,7 +167,7 @@ def test_kernel_row_against_linear_feature_space():
     spec = KernelSpec("linear")
     gm = center_gram(gram(ds, spec))
     x = np.array([0.3, -1.0, 2.0, 0.1])
-    row = kernel_row(spec, ds, gm.stats, x)
+    row = kernel_rows(spec, ds, gm.stats, x)[0]
     mu = ds.values.mean(axis=0)
     expected = (ds.values - mu) @ (x - mu)
     assert np.allclose(row, expected, atol=1e-12)
@@ -174,7 +182,7 @@ def test_kernel_row_probe_against_big_gram_arithmetic():
     big = gram(Dataset(np.vstack([ds.values, x])), spec).entries
     K, kx = big[:15, :15], big[:15, 15]
     expected = kx - kx.mean() - K.mean(axis=1) + K.mean()
-    row = kernel_row(spec, ds, gm.stats, x)
+    row = kernel_rows(spec, ds, gm.stats, x)[0]
     assert np.allclose(row, expected, atol=1e-12)
 
 
@@ -196,7 +204,8 @@ def test_kernel_rows_batch_matches_single():
     X = np.random.default_rng(0).standard_normal((4, 3))
     batch = kernel_rows(spec, ds, gm.stats, X)
     for i in range(4):
-        assert np.allclose(batch[i], kernel_row(spec, ds, gm.stats, X[i]), atol=1e-15)
+        assert np.allclose(batch[i], kernel_row(spec, ds.values, gm.stats, X[i]),
+                           atol=1e-15)
 
 
 def test_load_gram_csv(tmp_path):
