@@ -174,6 +174,7 @@ def _cmd_bench(args):
         gm = kernels.gram(dataset, spec)
         task = args.task
     Gc = kernels.center_gram(gm)
+    del gm  # the solves and baselines below need only the centered Gram
     G = Gc.entries
     n = Gc.n
 
@@ -241,8 +242,7 @@ def _cmd_bench(args):
 def _cmd_spectrum(args):
     rows = []
     for c in args.c_grid:
-        gm = data_io.gen_controlled_spectrum_gram(args.n, c, args.seed)
-        G = gm.entries
+        G = data_io.gen_controlled_spectrum_gram(args.n, c, args.seed).entries
         top = baselines.top_eigenvalues(G, args.components)
         lbfgs_iters, lbfgs_status = None, "ok"
         try:
@@ -262,6 +262,7 @@ def _cmd_spectrum(args):
         except ToleranceUnreachableError:
             rsvd_status = "unreachable"
         rows.append([c, lbfgs_iters, lbfgs_status, oversamples, rsvd_status])
+        del G  # not live while the next matrix is generated
 
     iter_vals = [r[1] for r in rows if r[1] is not None]
     p_vals = [r[3] for r in rows if r[3] is not None]

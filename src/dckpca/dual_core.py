@@ -73,7 +73,11 @@ SINGULARITY_FLOOR_SCALE = 1e-12
 
 def check_floor(lam, singular_hint: str | None = None) -> None:
     """Raise SingularMatrixError unless every eigenvalue of H'GH (``lam``,
-    decreasing) sits above the floor 1e-12 * max(lam_max, 1).
+    decreasing) sits above the floor 1e-12 * lam_max.
+
+    The floor is relative, so the check is the same for G and c G at any
+    scale c > 0. An H'GH with no positive eigenvalue (all-zero rows of H, for
+    one) has a floor of zero or below and always fails.
 
     An eigenvalue below -floor is beyond round-off of a PSD product: H'GH is
     then indefinite, so G is not positive semidefinite on the span of H and
@@ -81,7 +85,7 @@ def check_floor(lam, singular_hint: str | None = None) -> None:
     H'GH is near-singular; ``singular_hint`` (a likely cause) is appended to
     that message only.
     """
-    floor = SINGULARITY_FLOOR_SCALE * max(float(lam[0]), 1.0)
+    floor = SINGULARITY_FLOOR_SCALE * float(lam[0])
     lam_min = float(lam[-1])
     if lam_min < -floor:
         raise SingularMatrixError(

@@ -1,8 +1,16 @@
 """Kernel evaluation, Gram assembly, double centering, and out-of-sample rows.
 
 Gram matrices are symmetric by construction, so ``entries == entries.T``
-holds exactly (``GramMatrix`` checks it). Centering stats (column means of the
-uncentered matrix plus its grand mean) are stored for out-of-sample use.
+holds exactly (``GramMatrix`` checks it, tile by tile). Centering stats
+(column means of the uncentered matrix plus its grand mean) are stored for
+out-of-sample use.
+
+Every kernel matrix is built inside its one output buffer. The inner
+products X Y' fill it, then the distance, bandwidth and exponential steps
+run in place, one panel of ``BLOCK`` rows at a time; a panel is the only
+other allocation. Query rows are centered in place as well. ``center_gram``
+fills a new buffer panel by panel and never modifies its argument, so a fit
+holds two n x n buffers while centering and one afterwards.
 """
 
 from dataclasses import dataclass
@@ -14,6 +22,11 @@ from .data_io import Dataset
 from .errors import DataError, KpcaError
 
 FAMILIES = ("linear", "gaussian", "laplace", "precomputed")
+
+# Rows per panel of the in-place kernel and centering passes, and the side
+# of the tiles of the symmetry checks: a 256-row panel of an n=3000 matrix
+# is 6 MB, a 256 x 256 tile 512 KB.
+BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -72,13 +85,26 @@ class GramMatrix:
         e = self.entries
         if e.ndim != 2 or e.shape[0] != e.shape[1]:
             raise KpcaError("Gram matrix must be square")
-        if not np.array_equal(e, e.T):
+        if not all(np.array_equal(e[r, c], e[c, r].T) for r, c in _tiles(e.shape[0])):
             raise KpcaError("Gram matrix is not exactly symmetric")
         e.setflags(write=False)
 
     @property
     def n(self) -> int:
         return self.entries.shape[0]
+
+
+def _tiles(n):
+    """(rows, cols) slices of the BLOCK x BLOCK tiles on and above the
+    diagonal of an n x n matrix; each tile's mirror is [cols, rows]."""
+    for i in range(0, n, BLOCK):
+        for j in range(i, n, BLOCK):
+            yield slice(i, i + BLOCK), slice(j, j + BLOCK)
+
+
+def _panels(m):
+    """Row slices of BLOCK rows covering an m-row matrix."""
+    return (slice(i, i + BLOCK) for i in range(0, m, BLOCK))
 
 
 def sigma_rule(dataset: Dataset) -> float:
@@ -100,36 +126,57 @@ def sigma_rule(dataset: Dataset) -> float:
     return 0.1 * np.sqrt(dataset.d * var_x)
 
 
-def _cross_sqdist(X, Y) -> np.ndarray:
-    """Pairwise squared Euclidean distances (m x n), dense or CSR inputs."""
+def _sq_norms(X) -> np.ndarray:
     if sparse.issparse(X):
-        xs = np.asarray(X.multiply(X).sum(axis=1)).ravel()
-        ys = np.asarray(Y.multiply(Y).sum(axis=1)).ravel()
-        inner = np.asarray((X @ Y.T).todense())
-    else:
-        xs = np.einsum("ij,ij->i", X, X)
-        ys = np.einsum("ij,ij->i", Y, Y)
-        inner = X @ Y.T
-    d2 = xs[:, None] + ys[None, :] - 2.0 * inner
-    np.maximum(d2, 0.0, out=d2)
-    return d2
+        return np.asarray(X.multiply(X).sum(axis=1)).ravel()
+    return np.einsum("ij,ij->i", X, X)
+
+
+def _inner(X, Y) -> np.ndarray:
+    """X Y' as a new dense m x n float64 buffer. A dense X X' runs as one
+    symmetric product; CSR inputs multiply one row panel at a time, so the
+    sparse product never holds more than a panel."""
+    if not sparse.issparse(X):
+        return X @ Y.T
+    YT = Y.T.tocsr()
+    if X.shape[0] <= BLOCK:
+        return (X @ YT).toarray()   # one panel: skip the row slice
+    out = np.empty((X.shape[0], Y.shape[0]))
+    for rows in _panels(X.shape[0]):
+        (X[rows] @ YT).toarray(out=out[rows])
+    return out
 
 
 def kernel_cross(spec: KernelSpec, train: Dataset, X) -> np.ndarray:
-    """Uncentered m x n matrix [k(x_a, train_i)] for query rows X."""
+    """Uncentered m x n matrix [k(x_a, train_i)] for query rows X.
+
+    With d2 = (|x_a|^2 + |y_i|^2) - 2 <x_a, y_i>, clamped at 0, the gaussian
+    entry is exp(-d2 / (2 sigma^2)) and the laplace entry
+    exp(-sqrt(d2) / (2 sigma^2)). Both are computed in place in the buffer of
+    inner products; the sum of squared norms comes first, so entry (a, i) of
+    the kernel of X with itself equals entry (i, a) exactly.
+    """
     if spec.family == "precomputed":
         raise KpcaError("precomputed kernels cannot evaluate new points")
     X = _as_query_matrix(train, X)
     if X.shape[1] != train.d:
         raise DataError(f"dimension mismatch: query d={X.shape[1]}, train d={train.d}")
+    Y = train.values
+    K = _inner(X, Y)
     if spec.family == "linear":
-        out = X @ train.values.T
-        return np.asarray(out.todense()) if sparse.issparse(out) else out
-    d2 = _cross_sqdist(X, train.values)
-    sig2 = 2.0 * spec.sigma ** 2
-    if spec.family == "gaussian":
-        return np.exp(-d2 / sig2)
-    return np.exp(-np.sqrt(d2) / sig2)
+        return K
+    xs, ys = _sq_norms(X), _sq_norms(Y)
+    neg_sig2 = -2.0 * spec.sigma ** 2
+    for rows in _panels(K.shape[0]):
+        P = K[rows]
+        P *= -2.0
+        P += np.add.outer(xs[rows], ys)
+        np.maximum(P, 0.0, out=P)
+        if spec.family == "laplace":
+            np.sqrt(P, out=P)
+        np.divide(P, neg_sig2, out=P)
+        np.exp(P, out=P)
+    return K
 
 
 def _as_query_matrix(train: Dataset, X):
@@ -164,9 +211,12 @@ def center_gram(gm: GramMatrix) -> GramMatrix:
     G = gm.entries
     mu = G.mean(axis=0)
     grand = float(mu.mean())
-    Gc = np.add.outer(mu, mu)
-    np.subtract(G, Gc, out=Gc)
-    Gc += grand
+    Gc = np.empty(G.shape)
+    for rows in _panels(G.shape[0]):
+        P = Gc[rows]
+        np.add.outer(mu[rows], mu, out=P)
+        np.subtract(G[rows], P, out=P)
+        P += grand
     return GramMatrix(Gc, centered=True, stats=CenteringStats(mu.copy(), grand))
 
 
@@ -177,8 +227,10 @@ def kernel_rows(spec: KernelSpec, train: Dataset, stats: CenteringStats, X) -> n
     with colmean/grandmean taken from the stored training stats.
     """
     K = kernel_cross(spec, train, X)
-    row_means = K.mean(axis=1)
-    return K - row_means[:, None] - stats.col_means[None, :] + stats.grand_mean
+    K -= K.mean(axis=1)[:, None]
+    K -= stats.col_means
+    K += stats.grand_mean
+    return K
 
 
 def self_kernel(spec: KernelSpec, X) -> np.ndarray:
@@ -210,8 +262,15 @@ def load_gram_csv(path) -> GramMatrix:
     if bad.size:
         i, j = bad[0]
         raise DataError(f"precomputed Gram row {i + 1}, column {j + 1}: non-finite entry")
-    scale = np.max(np.abs(G)) if G.size else 0.0
-    asym = np.max(np.abs(G - G.T))
+    # symmetrized in place, tile against mirror tile: no n x n temporary
+    scale = max(G.max(), -G.min()) if G.size else 0.0
+    asym = 0.0
+    for r, c in _tiles(G.shape[0]):
+        upper, lower = G[r, c], G[c, r].T
+        asym = max(asym, np.max(np.abs(upper - lower)))
+        sym = 0.5 * (upper + lower)
+        G[r, c] = sym
+        G[c, r] = sym.T
     if asym > 1e-8 * max(scale, 1e-300):
         raise DataError(f"precomputed Gram asymmetry {asym:.3e} exceeds tolerance")
-    return GramMatrix(0.5 * (G + G.T), centered=False)
+    return GramMatrix(G, centered=False)

@@ -62,7 +62,7 @@ def dataset_fingerprint(dataset: Dataset) -> str:
 def gram_fingerprint(gm: kernels.GramMatrix) -> str:
     h = hashlib.sha256()
     h.update(np.asarray(gm.entries.shape, dtype=np.int64).tobytes())
-    h.update(np.ascontiguousarray(gm.entries, dtype=np.float64).tobytes())
+    h.update(np.ascontiguousarray(gm.entries, dtype=np.float64))  # no n^2 copy
     return h.hexdigest()
 
 
@@ -97,15 +97,15 @@ def fit(dataset: Dataset | None, kernel_spec: kernels.KernelSpec,
         if dataset is not None and gram_matrix.n != dataset.n:
             raise DataError("precomputed Gram size does not match dataset")
         spec = kernel_spec
-        G_raw = gram_matrix
         fingerprint = gram_fingerprint(gram_matrix)
+        Gc = gram_matrix if gram_matrix.centered else kernels.center_gram(gram_matrix)
     else:
         if dataset is None:
             raise DataError("fit needs a dataset or a precomputed Gram")
         spec = kernel_spec.resolve(dataset)
-        G_raw = kernels.gram(dataset, spec)
         fingerprint = dataset_fingerprint(dataset)
-    Gc = kernels.center_gram(G_raw) if not G_raw.centered else G_raw
+        # no name holds the raw Gram, so it is freed once centered
+        Gc = kernels.center_gram(kernels.gram(dataset, spec))
 
     kappa_max_value = presolve = None
     if not objective.resolved:

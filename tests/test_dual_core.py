@@ -5,6 +5,7 @@ from dckpca import (KpcaError, ObjectiveSpec, SingularMatrixError,
                     check_critical_point, dual_residual, grad_pi,
                     optimal_dual_cost, pi, psi_star_value, sym_eig_small)
 from dckpca.baselines import kpca_dense_eig
+from dckpca.dual_core import check_floor
 
 from oracles import dense_top_eigs, fd_grad, nuclear_norm, psd_sqrt
 
@@ -117,6 +118,19 @@ def test_grad_pi_singularity_error():
     H = np.array([[1.0, 2.0], [0.0, 0.0], [0.0, 0.0]])  # rank-1 H'GH
     with pytest.raises(SingularMatrixError, match="eigenvalue"):
         grad_pi(G, H)
+
+
+@pytest.mark.parametrize("lam", [[0.0, 0.0], [0.0, -1e-300], [-1e-30, -2e-30]])
+def test_check_floor_rejects_no_positive_eigenvalue(lam):
+    # the relative floor is zero or below here; all-zero rows of H still fail
+    with pytest.raises(SingularMatrixError, match="eigenvalue"):
+        check_floor(np.array(lam))
+
+
+def test_check_floor_accepts_a_small_well_conditioned_spectrum():
+    check_floor(np.array([3e-20, 1e-20]))
+    with pytest.raises(SingularMatrixError, match="near-singular"):
+        check_floor(np.array([3e-20, 3e-33]))
 
 
 def test_dual_cost_square_toy():

@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import sparse
 
 from dckpca import (DataError, Dataset, KernelSpec, KpcaError, center_gram,
                     gen_synth_gaussian, gram, load_gram_csv, sigma_rule)
-from dckpca.kernels import centered_self_kernel, kernel_cross, kernel_rows
+from dckpca.kernels import (BLOCK, GramMatrix, centered_self_kernel, kernel_cross,
+                            kernel_rows)
 
+import oracles
 from oracles import kernel_row
 
 
@@ -232,6 +237,24 @@ def test_load_gram_csv_symmetrizes_within_tolerance(tmp_path):
     assert np.array_equal(gm.entries, gm.entries.T)
 
 
+@pytest.mark.parametrize("gap", [0.5e-8, 2e-8])
+def test_load_gram_csv_tiles_match_whole_matrix_symmetrization(tmp_path, gap):
+    # n crosses a tile edge; the one asymmetric pair sits in the last partial
+    # tile, just inside or just outside the 1e-8 * max|entry| tolerance
+    n = BLOCK + 45
+    A = np.random.default_rng(3).uniform(-1.0, 1.0, (n, n))
+    G = A + A.T
+    G[0, 0] = 4.0
+    G[n - 1, n - 3] += gap * 4.0
+    p = tmp_path / "g.csv"
+    np.savetxt(p, G, delimiter=",", fmt="%.17g")
+    if gap > 1e-8:
+        with pytest.raises(DataError, match="asymmetry"):
+            load_gram_csv(p)
+    else:
+        assert np.array_equal(load_gram_csv(p).entries, 0.5 * (G + G.T))
+
+
 def test_auto_bandwidth_resolution():
     ds = gen_synth_gaussian(30, 4, 13)
     spec = KernelSpec("gaussian", "auto")
@@ -263,3 +286,68 @@ def test_gram_exactly_symmetric_for_every_input_layout():
                      KernelSpec("linear")):
             gm = center_gram(gram(Dataset(values), spec))
             assert np.array_equal(gm.entries, gm.entries.T)
+
+
+def whole_matrix_kernel(spec, X, Y):
+    """The kernel as whole-matrix expressions, with the same floating-point
+    operations in the same order as the in-place panels of kernel_cross."""
+    if sparse.issparse(X):
+        xs = np.asarray(X.multiply(X).sum(axis=1)).ravel()
+        ys = np.asarray(Y.multiply(Y).sum(axis=1)).ravel()
+        inner = np.asarray((X @ Y.T).todense())
+    else:
+        xs, ys, inner = np.einsum("ij,ij->i", X, X), np.einsum("ij,ij->i", Y, Y), X @ Y.T
+    if spec.family == "linear":
+        return inner
+    d2 = np.maximum(xs[:, None] + ys[None, :] - 2.0 * inner, 0.0)
+    arg = d2 if spec.family == "gaussian" else np.sqrt(d2)
+    return np.exp(-arg / (2.0 * spec.sigma ** 2))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 600), m=st.integers(1, 600),
+       family=st.sampled_from(["linear", "gaussian", "laplace"]),
+       layout=st.sampled_from(["dense", "csr"]), seed=st.integers(0, 2 ** 32 - 1))
+def test_kernels_across_panel_boundaries(n, m, family, layout, seed):
+    # n and m cross the BLOCK-row panels and the BLOCK x BLOCK symmetry tiles
+    # and leave partial ones; entries near the edges are checked by closed form
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(1, 6))
+    X, Q = rng.standard_normal((n, d)), rng.standard_normal((m, d))
+    X[rng.random((n, d)) < 0.3] = 0.0
+    spec = KernelSpec(family, None if family == "linear" else float(rng.uniform(0.5, 3.0)))
+    ds = Dataset(sparse.csr_matrix(X) if layout == "csr" else X)
+    query = sparse.csr_matrix(Q) if layout == "csr" else Q
+
+    gm = gram(ds, spec)
+    assert np.array_equal(gm.entries, gm.entries.T)
+
+    def edges(k):
+        picks = {0, BLOCK - 1, BLOCK, k - 1, int(rng.integers(k))}
+        return sorted(i for i in picks if i < k)
+
+    K = kernel_cross(spec, ds, query)
+    assert np.array_equal(K, whole_matrix_kernel(spec, query, ds.values))
+    for a in edges(m):
+        for i in edges(n):
+            assert K[a, i] == pytest.approx(oracles.kernel_eval(spec, Q[a], X[i]),
+                                            abs=1e-12)
+    gc = center_gram(gm)
+    mu, stats = gm.entries.mean(axis=0), gc.stats
+    assert np.array_equal(gc.entries, gm.entries - np.add.outer(mu, mu) + stats.grand_mean)
+    rows = kernel_rows(spec, ds, stats, query)
+    assert np.array_equal(rows, K - K.mean(axis=1)[:, None] - stats.col_means[None, :]
+                          + stats.grand_mean)
+    for a in edges(m):
+        assert np.allclose(rows[a], oracles.kernel_row(spec, X, stats, Q[a]),
+                           rtol=0.0, atol=1e-12)
+
+    if n > 1:
+        # one ulp off an off-diagonal entry, in the last tile row and anywhere
+        last = n - 1
+        for i, j in ((last, int(rng.integers(last))),
+                     tuple(rng.choice(n, size=2, replace=False))):
+            entries = gm.entries.copy()
+            entries[i, j] = np.nextafter(entries[i, j], np.inf)
+            with pytest.raises(KpcaError, match="not exactly symmetric"):
+                GramMatrix(entries)

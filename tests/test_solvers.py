@@ -137,6 +137,21 @@ def test_lbfgs_singularity_retry_then_fail():
         lbfgs_solve(G, 2, SolveConfig(seed=0))
 
 
+@pytest.mark.parametrize("solve", [
+    lambda G: lbfgs_solve(G, 2),
+    lambda G: dca_solve(G, 2, parse_objective("square")),
+], ids=["lbfgs", "dca"])
+def test_floor_is_relative_to_the_scale_of_g(solve):
+    # the optimum for c G is sqrt(c) times the one for G; at c = 1e-7, H'GH
+    # has eigenvalues near c^2 lam^2 ~ 1e-14, below an absolute floor of 1e-12
+    G = np.diag([3.0, 2.0, 1.0])
+    H1, _ = solve(G)
+    for c in (1e-7, 1.0, 1e7):
+        H, rep = solve(c * G)
+        assert rep.termination == "tolerance"
+        assert np.max(np.abs(H / np.sqrt(c) - H1)) <= 1e-8 * np.max(np.abs(H1))
+
+
 def test_lbfgs_indefinite_gram_named():
     # H'GH = -1: G is not PSD on span(H), which is not a near-singular H'GH
     with pytest.raises(SingularMatrixError, match="indefinite") as info:
@@ -335,10 +350,12 @@ def test_dca_indefinite_huber_does_not_blame_kappa():
 
 
 def test_dca_huber_singularity_names_kappa():
-    # a tiny kappa collapses every row to near-zero, killing rank
+    # a tiny kappa on the sum of row norms leaves one nonzero row of H,
+    # killing rank (a tiny sup-norm kappa only scales H, which the relative
+    # floor accepts)
     Gc = centered_gram(n=30, d=3, seed=14)
     with pytest.raises(SingularMatrixError, match="kappa"):
-        dca_solve(Gc, 2, ObjectiveSpec("huber_l1", kappa=1e-14), SolveConfig(seed=0))
+        dca_solve(Gc, 2, ObjectiveSpec("huber_row2", kappa=1e-14), SolveConfig(seed=0))
 
 
 def test_report_json_round_trip():
