@@ -31,10 +31,11 @@ class Dataset:
             raise DataError(f"dataset must have n >= 1 and d >= 1, got {n} x {d}")
         if self.labels is not None and len(self.labels) != n:
             raise DataError("label count does not match row count")
-        # one CSR matrix, or one float64 buffer in C or F order: X X' (the
-        # Gram) is then computed as a symmetric product, exactly symmetric
+        # one float64 CSR matrix, or one float64 buffer in C or F order: X X'
+        # (the Gram) is then computed as a symmetric product, exactly symmetric
         if sparse.issparse(self.values):
-            object.__setattr__(self, "values", self.values.tocsr())
+            values = self.values.tocsr().astype(float, copy=False)
+            object.__setattr__(self, "values", values)
         else:
             values = np.asarray(self.values, dtype=float)
             if not (values.flags.c_contiguous or values.flags.f_contiguous):

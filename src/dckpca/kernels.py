@@ -8,9 +8,11 @@ out-of-sample use.
 Every kernel matrix is built inside its one output buffer. The inner
 products X Y' fill it, then the distance, bandwidth and exponential steps
 run in place, one panel of ``BLOCK`` rows at a time; a panel is the only
-other allocation. Query rows are centered in place as well. ``center_gram``
-fills a new buffer panel by panel and never modifies its argument, so a fit
-holds two n x n buffers while centering and one afterwards.
+other allocation. With CSR input the sparse product X Y' is densified into
+that buffer, so it is live beside it until then. Query rows are centered in
+place as well. ``center_gram`` fills a new buffer panel by panel and never
+modifies its argument, so a fit holds two n x n buffers while centering and
+one afterwards.
 """
 
 from dataclasses import dataclass
@@ -133,18 +135,10 @@ def _sq_norms(X) -> np.ndarray:
 
 
 def _inner(X, Y) -> np.ndarray:
-    """X Y' as a new dense m x n float64 buffer. A dense X X' runs as one
-    symmetric product; CSR inputs multiply one row panel at a time, so the
-    sparse product never holds more than a panel."""
-    if not sparse.issparse(X):
-        return X @ Y.T
-    YT = Y.T.tocsr()
-    if X.shape[0] <= BLOCK:
-        return (X @ YT).toarray()   # one panel: skip the row slice
-    out = np.empty((X.shape[0], Y.shape[0]))
-    for rows in _panels(X.shape[0]):
-        (X[rows] @ YT).toarray(out=out[rows])
-    return out
+    """X Y' as a new dense m x n buffer. A dense X X' runs as one symmetric
+    product; with CSR on either side the product is densified once."""
+    K = X @ Y.T
+    return K.toarray() if sparse.issparse(K) else np.asarray(K)
 
 
 def kernel_cross(spec: KernelSpec, train: Dataset, X) -> np.ndarray:

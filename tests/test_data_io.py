@@ -224,3 +224,6 @@ def test_dataset_stores_one_csr_or_contiguous_float64_buffer():
     assert strided.values.flags.c_contiguous and np.array_equal(strided.values, X)
     assert Dataset(X.astype(np.float32)).values.dtype == np.float64
     assert sparse.isspmatrix_csr(Dataset(sparse.csc_matrix(X)).values)
+    for dtype in (np.int64, np.float32):
+        values = Dataset(sparse.csr_matrix(X.astype(dtype))).values
+        assert sparse.isspmatrix_csr(values) and values.dtype == np.float64

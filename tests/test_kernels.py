@@ -288,6 +288,36 @@ def test_gram_exactly_symmetric_for_every_input_layout():
             assert np.array_equal(gm.entries, gm.entries.T)
 
 
+@pytest.mark.parametrize("n", [5, BLOCK + 44])
+def test_integer_csr_dataset_kernels_match_float(n):
+    # a Dataset converts integer CSR samples to float64, on either side of a
+    # panel, so every kernel matrix is built in a float64 buffer
+    X = np.random.default_rng(n).integers(-3, 4, (n, 6))
+    X[X < 0] = 0
+    ints, floats = Dataset(sparse.csr_matrix(X)), Dataset(sparse.csr_matrix(X.astype(float)))
+    query = sparse.csr_matrix(X[:3])
+    for spec in (KernelSpec("linear"), KernelSpec("gaussian", 1.1), KernelSpec("laplace", 0.8)):
+        gm = gram(ints, spec)
+        assert gm.entries.dtype == np.float64
+        assert np.array_equal(gm.entries, gram(floats, spec).entries)
+        stats = center_gram(gm).stats
+        assert np.array_equal(kernel_rows(spec, ints, stats, query),
+                              kernel_rows(spec, floats, stats, query))
+
+
+def test_csr_query_against_dense_training_set():
+    # a CSR query of a model fitted on dense samples gives the dense query's rows
+    ds = gen_synth_gaussian(40, 5, 17)
+    Q = ds.values[:4].copy()
+    Q[Q < 0] = 0.0
+    for spec in (KernelSpec("linear"), KernelSpec("gaussian", 1.4), KernelSpec("laplace", 0.9)):
+        stats = center_gram(gram(ds, spec)).stats
+        expected = kernel_rows(spec, ds, stats, Q)
+        got = kernel_rows(spec, ds, stats, sparse.csr_matrix(Q))
+        assert isinstance(got, np.ndarray) and got.shape == (4, 40)
+        assert np.allclose(got, expected, rtol=0.0, atol=1e-12)
+
+
 def whole_matrix_kernel(spec, X, Y):
     """The kernel as whole-matrix expressions, with the same floating-point
     operations in the same order as the in-place panels of kernel_cross."""

@@ -358,6 +358,17 @@ def test_dca_huber_singularity_names_kappa():
         dca_solve(Gc, 2, ObjectiveSpec("huber_row2", kappa=1e-14), SolveConfig(seed=0))
 
 
+def test_dca_tiny_sup_norm_kappa_solves():
+    # a tiny kappa on the sup norm clips every entry of H to +-kappa: that
+    # scales H without losing rank, and the relative floor accepts it
+    Gc = centered_gram(n=30, d=3, seed=14)
+    H, rep = dca_solve(Gc, 2, ObjectiveSpec("huber_l1", kappa=1e-14), SolveConfig(seed=0))
+    assert rep.termination == "tolerance"
+    assert np.all(np.isfinite(H)) and np.max(np.abs(H)) <= 1e-14 * (1 + 1e-12)
+    lam = np.linalg.eigvalsh(H.T @ Gc.entries @ H)
+    assert lam[0] > 0.1 * lam[-1]
+
+
 def test_report_json_round_trip():
     import json
     Gc = centered_gram(n=40, d=3, seed=15)
