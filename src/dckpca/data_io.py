@@ -1,13 +1,16 @@
 """Dataset loading, synthetic generators, and the outlier-contamination protocol.
 
 Datasets are immutable after construction and safe to share across threads;
-every generator is a pure function of its sizes and a 64-bit seed.
+every generator is a pure function of its sizes and a 64-bit seed. A Dataset
+computes the training side of every kernel evaluation when it is built: the
+squared norm of each row, and the transposed sample matrix (for CSR samples
+a CSR matrix of its own, which doubles the memory the samples take).
 """
 
 import csv
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
@@ -15,13 +18,27 @@ from scipy import sparse
 from .errors import DataError
 
 
+def row_sq_norms(X) -> np.ndarray:
+    """Squared Euclidean norm of each row of a dense or CSR matrix."""
+    if sparse.issparse(X):
+        return np.asarray(X.multiply(X).sum(axis=1)).ravel()
+    return np.einsum("ij,ij->i", X, X)
+
+
 @dataclass(frozen=True)
 class Dataset:
     """n x d sample matrix, dense float64 ndarray or CSR (other inputs are
-    converted), with optional per-row labels."""
+    converted), with optional per-row labels.
+
+    ``sq_norms`` (the rows' squared norms) and ``transposed`` (the d x n
+    transpose: a view of a dense buffer, a CSR matrix of its own for CSR
+    samples) are computed once, here, and are read-only.
+    """
 
     values: object
     labels: np.ndarray | None = None
+    sq_norms: np.ndarray = field(init=False, repr=False, compare=False)
+    transposed: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.values.ndim != 2:
@@ -35,13 +52,20 @@ class Dataset:
         # (the Gram) is then computed as a symmetric product, exactly symmetric
         if sparse.issparse(self.values):
             values = self.values.tocsr().astype(float, copy=False)
-            object.__setattr__(self, "values", values)
+            transposed = values.T.tocsr()
+            for part in (transposed.data, transposed.indices, transposed.indptr):
+                part.setflags(write=False)
         else:
             values = np.asarray(self.values, dtype=float)
             if not (values.flags.c_contiguous or values.flags.f_contiguous):
                 values = np.ascontiguousarray(values)
             values.setflags(write=False)
-            object.__setattr__(self, "values", values)
+            transposed = values.T
+        sq_norms = row_sq_norms(values)
+        sq_norms.setflags(write=False)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "transposed", transposed)
+        object.__setattr__(self, "sq_norms", sq_norms)
 
     @property
     def n(self) -> int:
@@ -189,21 +213,54 @@ def gen_controlled_spectrum_gram(n: int, c: float, seed: int):
     X is standard normal n x n, U a random orthogonal matrix (sign-fixed QR),
     and i runs over 1..n, so ``c`` controls how quickly the planted spectrum
     decays. Exactly symmetric by upper-triangle mirroring.
+
+    The seed draws X, then the matrix whose QR gives U. X is not held while
+    U is formed: its draws are skipped a panel at a time and redrawn once
+    U diag(exp(-c i)) U' is built, so at most three n x n buffers are live
+    (the two factors and the output of that product).
     """
-    from .kernels import GramMatrix
+    from .kernels import BLOCK, GramMatrix, _panels, _tiles
 
     if n < 1:
         raise DataError("n must be >= 1")
     if c < 0:
         raise DataError("c must be >= 0")
     rng = np.random.default_rng(seed)
-    X = rng.standard_normal((n, n))
-    Q, R = np.linalg.qr(rng.standard_normal((n, n)))
-    Q = Q * np.sign(np.diag(R))
-    decay = np.exp(-c * np.arange(1, n + 1))
-    G = 0.01 * (X + X.T) + (Q * decay) @ Q.T
-    G = np.triu(G) + np.triu(G, 1).T
+    for i in range(0, n, BLOCK):
+        rng.standard_normal((min(BLOCK, n - i), n))  # X's draws
+    Z = rng.standard_normal((n, n))
+    Q = _sign_fixed_q(Z)
+    G = np.multiply(Q, np.exp(-c * np.arange(1, n + 1)), out=Z) @ Q.T
+    del Q, Z
+    X = np.random.default_rng(seed).standard_normal((n, n))
+    for rows in _panels(n):
+        S = X[rows] + X[:, rows].T
+        S *= 0.01
+        G[rows] += S
+        del S  # one panel live at a time
+    del X
+    for rows, cols in _tiles(n):
+        if rows == cols:
+            D = G[rows, rows]
+            G[rows, rows] = np.triu(D) + np.triu(D, 1).T
+        else:
+            G[cols, rows] = G[rows, cols].T
     return GramMatrix(G, centered=False)
+
+
+def _sign_fixed_q(Z):
+    """Q diag(sign(diag R)) for Z = QR, by the two LAPACK steps np.linalg.qr
+    runs in reduced mode (geqrf, then orgqr), so Q is bit-identical to its Q.
+    The Householder factorization overwrites Z in place; neither a copy of Z
+    nor R is formed. numpy exposes these steps only through the private
+    gufuncs of ``numpy.linalg``."""
+    from numpy.linalg import _umath_linalg
+
+    tau = _umath_linalg.qr_r_raw(Z, signature="d->d")
+    signs = np.sign(np.diag(Z))
+    Q = _umath_linalg.qr_reduced(Z, tau, signature="dd->d")
+    Q *= signs
+    return Q
 
 
 def contaminate(dataset: Dataset, omega: float, tau: float, seed: int) -> Dataset:

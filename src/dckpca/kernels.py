@@ -13,6 +13,12 @@ that buffer, so it is live beside it until then. Query rows are centered in
 place as well. ``center_gram`` fills a new buffer panel by panel and never
 modifies its argument, so a fit holds two n x n buffers while centering and
 one afterwards.
+
+The training side of a kernel evaluation comes from the Dataset, which
+computes it once: the rows' squared norms and the transposed sample matrix
+(CSR for CSR samples, so no product converts it again). A query pays for its
+own rows only; when the query is the training set itself (``gram``, or
+reconstruction on the training set) its norms are read from there too.
 """
 
 from dataclasses import dataclass
@@ -20,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .data_io import Dataset
+from .data_io import Dataset, row_sq_norms
 from .errors import DataError, KpcaError
 
 FAMILIES = ("linear", "gaussian", "laplace", "precomputed")
@@ -128,19 +134,6 @@ def sigma_rule(dataset: Dataset) -> float:
     return 0.1 * np.sqrt(dataset.d * var_x)
 
 
-def _sq_norms(X) -> np.ndarray:
-    if sparse.issparse(X):
-        return np.asarray(X.multiply(X).sum(axis=1)).ravel()
-    return np.einsum("ij,ij->i", X, X)
-
-
-def _inner(X, Y) -> np.ndarray:
-    """X Y' as a new dense m x n buffer. A dense X X' runs as one symmetric
-    product; with CSR on either side the product is densified once."""
-    K = X @ Y.T
-    return K.toarray() if sparse.issparse(K) else np.asarray(K)
-
-
 def kernel_cross(spec: KernelSpec, train: Dataset, X) -> np.ndarray:
     """Uncentered m x n matrix [k(x_a, train_i)] for query rows X.
 
@@ -155,11 +148,13 @@ def kernel_cross(spec: KernelSpec, train: Dataset, X) -> np.ndarray:
     X = _as_query_matrix(train, X)
     if X.shape[1] != train.d:
         raise DataError(f"dimension mismatch: query d={X.shape[1]}, train d={train.d}")
-    Y = train.values
-    K = _inner(X, Y)
+    # a dense X X' runs as one symmetric product; with CSR on either side the
+    # product is densified once
+    K = X @ train.transposed
+    K = K.toarray() if sparse.issparse(K) else np.asarray(K)
     if spec.family == "linear":
         return K
-    xs, ys = _sq_norms(X), _sq_norms(Y)
+    xs, ys = _query_sq_norms(train, X), train.sq_norms
     neg_sig2 = -2.0 * spec.sigma ** 2
     for rows in _panels(K.shape[0]):
         P = K[rows]
@@ -171,6 +166,10 @@ def kernel_cross(spec: KernelSpec, train: Dataset, X) -> np.ndarray:
         np.divide(P, neg_sig2, out=P)
         np.exp(P, out=P)
     return K
+
+
+def _query_sq_norms(train: Dataset, X) -> np.ndarray:
+    return train.sq_norms if X is train.values else row_sq_norms(X)
 
 
 def _as_query_matrix(train: Dataset, X):
@@ -221,28 +220,28 @@ def kernel_rows(spec: KernelSpec, train: Dataset, stats: CenteringStats, X) -> n
     with colmean/grandmean taken from the stored training stats.
     """
     K = kernel_cross(spec, train, X)
-    K -= K.mean(axis=1)[:, None]
+    return _center_rows(K, K.mean(axis=1), stats)
+
+
+def kernel_rows_with_self(spec: KernelSpec, train: Dataset, stats: CenteringStats,
+                          X) -> tuple[np.ndarray, np.ndarray]:
+    """``kernel_rows`` of X together with the centered self-similarity
+    k~(x, x) = k(x, x) - 2 mean_j k(x, x_j) + grandmean of each row (the
+    squared feature-space norm of the centered feature map), from one
+    evaluation of the cross kernel."""
+    X = _as_query_matrix(train, X)
+    K = kernel_cross(spec, train, X)
+    row_means = K.mean(axis=1)
+    kxx = _query_sq_norms(train, X) if spec.family == "linear" else np.ones(X.shape[0])
+    self_k = kxx - 2.0 * row_means + stats.grand_mean
+    return _center_rows(K, row_means, stats), self_k
+
+
+def _center_rows(K, row_means, stats):
+    K -= row_means[:, None]
     K -= stats.col_means
     K += stats.grand_mean
     return K
-
-
-def self_kernel(spec: KernelSpec, X) -> np.ndarray:
-    """Uncentered k(x, x) per query row. X must be a 2-d matrix (dense or CSR)."""
-    if spec.family in ("gaussian", "laplace"):
-        return np.ones(X.shape[0])
-    if sparse.issparse(X):
-        return np.asarray(X.multiply(X).sum(axis=1)).ravel()
-    X = np.asarray(X, dtype=float)
-    return np.einsum("ij,ij->i", X, X)
-
-
-def centered_self_kernel(spec: KernelSpec, train: Dataset, stats: CenteringStats, X) -> np.ndarray:
-    """Centered self-similarity k~(x, x) per query row: the squared feature-space
-    norm of the centered feature map."""
-    K = kernel_cross(spec, train, X)
-    kxx = self_kernel(spec, _as_query_matrix(train, X))
-    return kxx - 2.0 * K.mean(axis=1) + stats.grand_mean
 
 
 def load_gram_csv(path) -> GramMatrix:

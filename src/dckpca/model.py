@@ -2,16 +2,20 @@
 recovery, feature-space reconstruction error, and sparsity metrics.
 
 Out-of-sample projection follows the kernel trick
-    p(x) = k_row(x) @ H @ U' diag(lam)^(-1/2) U
+    p(x) = k_row(x) @ A,   A = H @ U' diag(lam)^(-1/2) U
 with (U, lam) the eigendecomposition of H'GH, which needs every lam above the
-positivity floor. Models serialize as a one-line JSON header followed by a CSV
-payload of H; the training data itself is replaced by a fingerprint and must
-be re-supplied for projection.
+positivity floor. Only the centered kernel row k_row(x) depends on the query:
+a model checks its spectrum and computes A once, when it is built (a fit,
+``assemble_model``, ``load_model`` or ``attach_training_data``), and its
+training Dataset holds the training rows' norms, so projecting m rows costs
+one m x n kernel evaluation and an m x n by n x s product. Models serialize as
+a one-line JSON header followed by a CSV payload of H; the training data
+itself is replaced by a fingerprint and must be re-supplied for projection.
 """
 
 import hashlib
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import sparse
@@ -29,6 +33,10 @@ MODEL_FORMAT = "dckpca-model/1"
 
 @dataclass(frozen=True)
 class KpcaModel:
+    """A fitted model. Building one checks that ``decomp.lam`` is
+    non-increasing and above the singularity floor (UnprojectableModelError
+    otherwise) and computes the read-only primal coefficients A."""
+
     kernel_spec: kernels.KernelSpec
     objective: ObjectiveSpec
     s: int
@@ -39,6 +47,20 @@ class KpcaModel:
     train_data: Dataset | None = None
     report: SolveReport | None = None
     kappa_max_value: float | None = None
+    coefficients: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        lam = self.decomp.lam
+        if np.any(lam[1:] > lam[:-1]):
+            raise UnprojectableModelError("eigenvalues of H'GH are not non-increasing")
+        try:
+            check_floor(lam)
+        except SingularMatrixError as exc:
+            raise UnprojectableModelError(
+                f"{exc}: the fitted model cannot project") from exc
+        A = self.H @ self.decomp.apply(lambda lam: 1.0 / np.sqrt(lam))
+        A.setflags(write=False)
+        object.__setattr__(self, "coefficients", A)
 
     @property
     def n(self) -> int:
@@ -68,13 +90,7 @@ def gram_fingerprint(gm: kernels.GramMatrix) -> str:
 
 def _final_decomp(G, H) -> SpectralDecomp:
     M = H.T @ (G @ H)
-    dec = sym_eig_small(0.5 * (M + M.T))
-    try:
-        check_floor(dec.lam)
-    except SingularMatrixError as exc:
-        raise UnprojectableModelError(
-            f"{exc}: the fitted model cannot project") from exc
-    return dec
+    return sym_eig_small(0.5 * (M + M.T))
 
 
 def fit(dataset: Dataset | None, kernel_spec: kernels.KernelSpec,
@@ -148,21 +164,27 @@ def _dispatch(kind, objective, Gc, s, cfg, solver):
 
 def recover_primal_coefficients(model: KpcaModel) -> np.ndarray:
     """Coefficients A with w_j = sum_i A_ij phi(x_i): A = H U' diag(lam)^(-1/2) U.
-    Satisfies A'GA = I_s (orthonormal directions in feature space)."""
-    return model.H @ model.decomp.apply(lambda lam: 1.0 / np.sqrt(lam))
+    Satisfies A'GA = I_s (orthonormal directions in feature space). A is
+    computed once, when the model is built; this returns that read-only
+    array."""
+    return model.coefficients
+
+
+def _check_query(model: KpcaModel, X) -> None:
+    if model.train_data is None:
+        raise KpcaError("model has no training data attached; call attach_training_data")
+    if model.kernel_spec.family == "precomputed":
+        raise KpcaError("precomputed-kernel models cannot project new points")
+    values = X.data if sparse.issparse(X) else np.asarray(X, dtype=float)
+    if not np.isfinite(values).all():
+        raise DataError("query rows contain a non-finite value")
 
 
 def project(model: KpcaModel, X) -> np.ndarray:
     """Principal-component projections of query rows (m x s, or (s,) for a
     single vector x)."""
-    if model.train_data is None:
-        raise KpcaError("model has no training data attached; call attach_training_data")
-    if model.kernel_spec.family == "precomputed":
-        raise KpcaError("precomputed-kernel models cannot project new points")
+    _check_query(model, X)
     single = not sparse.issparse(X) and np.asarray(X).ndim == 1
-    values = X.data if sparse.issparse(X) else np.asarray(X, dtype=float)
-    if not np.isfinite(values).all():
-        raise DataError("query rows contain a non-finite value")
     rows = kernels.kernel_rows(model.kernel_spec, model.train_data, model.stats, X)
     P = rows @ recover_primal_coefficients(model)
     return P[0] if single else P
@@ -172,9 +194,10 @@ def reconstruction_error(model: KpcaModel, dataset: Dataset) -> float:
     """Mean feature-space reconstruction error over the dataset:
     mean_x max(0, k~(x,x) - ||p(x)||^2), the squared distance from the centered
     feature map to its projection onto the fitted components."""
-    P = project(model, dataset.values)
-    self_k = kernels.centered_self_kernel(
+    _check_query(model, dataset.values)
+    rows, self_k = kernels.kernel_rows_with_self(
         model.kernel_spec, model.train_data, model.stats, dataset.values)
+    P = rows @ recover_primal_coefficients(model)
     residual = np.maximum(self_k - np.einsum("ij,ij->i", P, P), 0.0)
     return float(residual.mean())
 
@@ -217,7 +240,8 @@ def save_model(model: KpcaModel, path) -> None:
 def load_model(path) -> KpcaModel:
     """Inverse of save_model. The returned model has no training data attached;
     use attach_training_data before projecting. Every array must have its
-    header-given shape and finite entries."""
+    header-given shape and finite entries, and ``lam`` must be non-increasing
+    and above the singularity floor, or a model cannot project."""
     with open(path) as fh:
         header = json.loads(fh.readline())
         if header.get("format") != MODEL_FORMAT:
@@ -248,9 +272,12 @@ def load_model(path) -> KpcaModel:
     spec = kernels.KernelSpec(fam, sigma if fam in ("gaussian", "laplace") else None)
     dec = SpectralDecomp(fields["U"].reshape(s, s), fields["lam"])
     stats = kernels.CenteringStats(fields["col_means"], float(fields["grand_mean"]))
-    return KpcaModel(
-        kernel_spec=spec, objective=parse_objective(header["objective"]),
-        s=s, H=H, decomp=dec, stats=stats, fingerprint=header["fingerprint"])
+    try:
+        return KpcaModel(
+            kernel_spec=spec, objective=parse_objective(header["objective"]),
+            s=s, H=H, decomp=dec, stats=stats, fingerprint=header["fingerprint"])
+    except UnprojectableModelError as exc:
+        raise DataError(f"model header field 'lam': {exc}") from exc
 
 
 def attach_training_data(model: KpcaModel, dataset: Dataset) -> KpcaModel:

@@ -227,3 +227,30 @@ def test_dataset_stores_one_csr_or_contiguous_float64_buffer():
     for dtype in (np.int64, np.float32):
         values = Dataset(sparse.csr_matrix(X.astype(dtype))).values
         assert sparse.isspmatrix_csr(values) and values.dtype == np.float64
+
+
+def test_dataset_holds_read_only_norms_and_transpose():
+    from scipy import sparse
+    X = np.array([[1.0, 0.0, -2.0], [0.0, 0.0, 0.0], [3.0, 0.5, 0.0], [0.0, -1.0, 4.0]])
+    dense, csr = Dataset(X), Dataset(sparse.csr_matrix(X))
+    for ds in (dense, csr):
+        assert np.array_equal(ds.sq_norms, np.sum(X * X, axis=1))
+        assert not ds.sq_norms.flags.writeable
+    assert np.array_equal(dense.transposed, X.T) and not dense.transposed.flags.writeable
+    t = csr.transposed
+    assert sparse.isspmatrix_csr(t) and np.array_equal(t.toarray(), X.T)
+    assert not any(a.flags.writeable for a in (t.data, t.indices, t.indptr))
+
+
+@pytest.mark.parametrize("n, c, seed", [(1, 0.3, 0), (7, 0.0, 3), (300, 0.1, 0),
+                                        (513, 0.5, 5)])
+def test_controlled_spectrum_matches_whole_matrix_formula(n, c, seed):
+    # the same draws and floating-point operations as building every term
+    # as a whole n x n matrix, across the panel and tile edges
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, n))
+    Q, R = np.linalg.qr(rng.standard_normal((n, n)))
+    Q = Q * np.sign(np.diag(R))
+    G = 0.01 * (X + X.T) + (Q * np.exp(-c * np.arange(1, n + 1))) @ Q.T
+    expected = np.triu(G) + np.triu(G, 1).T
+    assert np.array_equal(gen_controlled_spectrum_gram(n, c, seed).entries, expected)

@@ -6,8 +6,8 @@ from scipy import sparse
 
 from dckpca import (DataError, Dataset, KernelSpec, KpcaError, center_gram,
                     gen_synth_gaussian, gram, load_gram_csv, sigma_rule)
-from dckpca.kernels import (BLOCK, GramMatrix, centered_self_kernel, kernel_cross,
-                            kernel_rows)
+from dckpca.kernels import (BLOCK, GramMatrix, kernel_cross, kernel_rows,
+                            kernel_rows_with_self)
 
 import oracles
 from oracles import kernel_row
@@ -196,10 +196,11 @@ def test_centered_self_kernel_linear_oracle():
     spec = KernelSpec("linear")
     gm = center_gram(gram(ds, spec))
     X = np.array([[0.2, 0.4, -1.0], [1.5, 0.0, 0.5]])
-    vals = centered_self_kernel(spec, ds, gm.stats, X)
+    rows, vals = kernel_rows_with_self(spec, ds, gm.stats, X)
     mu = ds.values.mean(axis=0)
     expected = np.sum((X - mu) ** 2, axis=1)
     assert np.allclose(vals, expected, atol=1e-12)
+    assert np.array_equal(rows, kernel_rows(spec, ds, gm.stats, X))
 
 
 def test_kernel_rows_batch_matches_single():

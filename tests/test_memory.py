@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from dckpca import Dataset, KernelSpec, ObjectiveSpec, gen_synth_gaussian, gram
+from dckpca import (Dataset, KernelSpec, ObjectiveSpec, gen_controlled_spectrum_gram,
+                    gen_synth_gaussian, gram)
 from dckpca import model
 from dckpca.objectives import parse_objective
 from dckpca.solvers import SolveConfig
@@ -66,3 +67,14 @@ def test_csr_huber_fit_enters_both_solves_with_one_gram(traced, monkeypatch):
               SolveConfig(seed=0))
     assert len(sizes) == 2  # the xmax pre-solve, then the main solve
     assert max(sizes) <= 1.1 * 8 * n * n
+
+
+def test_controlled_spectrum_peak_is_three_buffers(traced):
+    # U diag(exp(-c i)) U' needs its two factors and its output; nothing else
+    # of size n x n is live beside them
+    n = 1000
+    tracemalloc.reset_peak()
+    gm = gen_controlled_spectrum_gram(n, 0.1, 0)
+    peak = tracemalloc.get_traced_memory()[1]
+    assert gm.n == n
+    assert peak <= 3 * 8 * n * n + 8 * n

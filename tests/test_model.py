@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from dckpca import (DataError, KernelSpec, ObjectiveSpec, UnprojectableModelError,
-                    attach_training_data, center_gram, fit, gen_synth_gaussian,
-                    gram, kpca_dense_eig, load_model, project,
+from dckpca import (DataError, Dataset, KernelSpec, ObjectiveSpec,
+                    UnprojectableModelError, attach_training_data, center_gram, fit,
+                    gen_synth_gaussian, gram, kpca_dense_eig, load_model, project,
                     reconstruction_error, recover_primal_coefficients,
                     save_model, sparsity_metrics)
 from dckpca.model import assemble_model
@@ -255,3 +255,123 @@ def test_fit_solver_is_auto_or_dca(small_fit):
     ds, spec, _ = small_fit
     with pytest.raises(KpcaError, match="unknown solver"):
         fit(ds, spec, ObjectiveSpec("square"), 2, solver="lbfgs")
+
+
+def _reference_projection(m, Q):
+    """Projections recomputed from scratch on every call: the training rows'
+    norms, the transposed product and A = H U' diag(lam)^(-1/2) U, with the
+    package's floating-point operations in its order."""
+    from scipy import sparse
+    Y = m.train_data.values
+    X = np.atleast_2d(Q) if not sparse.issparse(Q) else Q.tocsr()
+    if sparse.issparse(Y) and not sparse.issparse(X):
+        X = sparse.csr_matrix(X)
+
+    def norms(M):
+        if sparse.issparse(M):
+            return np.asarray(M.multiply(M).sum(axis=1)).ravel()
+        return np.einsum("ij,ij->i", M, M)
+
+    inner = X @ Y.T
+    K = inner.toarray() if sparse.issparse(inner) else np.asarray(inner)
+    spec = m.kernel_spec
+    if spec.family != "linear":
+        d2 = np.maximum(norms(X)[:, None] + norms(Y)[None, :] - 2.0 * K, 0.0)
+        arg = d2 if spec.family == "gaussian" else np.sqrt(d2)
+        K = np.exp(-arg / (2.0 * spec.sigma ** 2))
+    Kc = K - K.mean(axis=1)[:, None] - m.stats.col_means + m.stats.grand_mean
+    return Kc @ (m.H @ m.decomp.apply(lambda lam: 1.0 / np.sqrt(lam)))
+
+
+@pytest.mark.parametrize("layout", ["dense", "csr"])
+def test_projections_equal_a_reference_that_recomputes_per_call(layout):
+    from scipy import sparse
+    rng = np.random.default_rng(8)
+    X, Q = rng.standard_normal((70, 6)), rng.standard_normal((9, 6))
+    X[rng.random(X.shape) < 0.4] = 0.0
+    Q[rng.random(Q.shape) < 0.4] = 0.0
+    ds = Dataset(sparse.csr_matrix(X) if layout == "csr" else X)
+    for spec in (KernelSpec("linear"), KernelSpec("gaussian", 1.6),
+                 KernelSpec("laplace", 0.8)):
+        m = fit(ds, spec, ObjectiveSpec("square"), 3, SolveConfig(seed=4))
+        for query in (Q, sparse.csr_matrix(Q)):  # one of them is cross-format
+            for rows in (query, query[2:3]):  # a batch and a single row
+                assert np.array_equal(project(m, rows), _reference_projection(m, rows))
+        assert np.array_equal(project(m, Q[4]), _reference_projection(m, Q[4])[0])
+        # the training set itself, whose norms the Dataset holds, and n other rows
+        for rows in (ds.values, ds.values[::-1]):
+            assert np.array_equal(project(m, rows), _reference_projection(m, rows))
+
+
+def test_primal_coefficients_are_computed_once_and_read_only(tmp_path, small_fit):
+    ds, _, m = small_fit
+    A = recover_primal_coefficients(m)
+    assert recover_primal_coefficients(m) is A
+    assert not A.flags.writeable
+    with pytest.raises(ValueError):
+        A[0, 0] = 1.0
+    path = tmp_path / "model.dk"
+    save_model(m, path)
+    attached = attach_training_data(load_model(path), ds)
+    assert np.array_equal(recover_primal_coefficients(attached), A)
+    assert not recover_primal_coefficients(attached).flags.writeable
+
+
+def test_threads_projecting_from_one_model_match_serial(small_fit):
+    # more workers than cores, switching often: the model and its Dataset are
+    # shared and only read
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+    ds, _, m = small_fit
+    rng = np.random.default_rng(3)
+    queries = [rng.standard_normal((k, ds.d)) for k in (1, 40, 7, 120, 3, 60)] * 4
+    queries.append(ds.values)
+    serial = [project(m, q) for q in queries]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            threaded = list(pool.map(lambda q: project(m, q), queries, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(np.array_equal(a, b) for a, b in zip(serial, threaded))
+
+
+@pytest.mark.parametrize("edit", ["negative", "zero", "below_floor", "increasing"])
+def test_load_model_rejects_a_spectrum_that_cannot_project(tmp_path, small_fit, edit):
+    _, _, m = small_fit
+    good = tmp_path / "good.dk"
+    save_model(m, good)
+    p = tmp_path / "bad.dk"
+
+    def spoil(header):
+        lam = header["lam"]
+        if edit == "negative":
+            lam[-1] = -1.0
+        elif edit == "zero":
+            lam[-1] = 0.0
+        elif edit == "below_floor":
+            lam[-1] = 1e-13 * lam[0]
+        else:
+            lam[0], lam[1] = lam[1], lam[0]
+    _rewrite_model(good, p, header_edit=spoil)
+    with pytest.raises(DataError, match="model header field 'lam'"):
+        load_model(p)
+
+
+def test_reconstruction_error_evaluates_the_cross_kernel_once(monkeypatch, small_fit):
+    from dckpca import kernels
+    ds, _, m = small_fit
+    calls = []
+    cross = kernels.kernel_cross
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return cross(*args, **kwargs)
+
+    monkeypatch.setattr(kernels, "kernel_cross", counted)
+    test = gen_synth_gaussian(30, ds.d, 12)
+    for data in (ds, test):
+        calls.clear()
+        reconstruction_error(m, data)
+        assert len(calls) == 1
