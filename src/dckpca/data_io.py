@@ -216,8 +216,9 @@ def gen_controlled_spectrum_gram(n: int, c: float, seed: int):
 
     The seed draws X, then the matrix whose QR gives U. X is not held while
     U is formed: its draws are skipped a panel at a time and redrawn once
-    U diag(exp(-c i)) U' is built, so at most three n x n buffers are live
-    (the two factors and the output of that product).
+    U diag(exp(-c i)) U' is built. At most three n x n buffers are live as
+    Python allocates them (the two factors and the output of that product);
+    LAPACK's work copies inside the QR steps come on top, about one more.
     """
     from .kernels import BLOCK, GramMatrix, _panels, _tiles
 
@@ -253,12 +254,18 @@ def _sign_fixed_q(Z):
     runs in reduced mode (geqrf, then orgqr), so Q is bit-identical to its Q.
     The Householder factorization overwrites Z in place; neither a copy of Z
     nor R is formed. numpy exposes these steps only through the private
-    gufuncs of ``numpy.linalg``."""
-    from numpy.linalg import _umath_linalg
+    gufuncs of ``numpy.linalg`` (in this form from numpy 2.1 on), and, like
+    np.linalg.qr, a LAPACK argument error raises LinAlgError."""
+    from numpy.linalg import LinAlgError, _umath_linalg
 
-    tau = _umath_linalg.qr_r_raw(Z, signature="d->d")
-    signs = np.sign(np.diag(Z))
-    Q = _umath_linalg.qr_reduced(Z, tau, signature="dd->d")
+    def fail(err, flag):
+        raise LinAlgError("Incorrect argument found while performing QR factorization")
+
+    with np.errstate(call=fail, invalid="call", over="ignore", divide="ignore",
+                     under="ignore"):
+        tau = _umath_linalg.qr_r_raw(Z, signature="d->d")
+        signs = np.sign(np.diag(Z))
+        Q = _umath_linalg.qr_reduced(Z, tau, signature="dd->d")
     Q *= signs
     return Q
 

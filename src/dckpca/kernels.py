@@ -17,8 +17,7 @@ one afterwards.
 The training side of a kernel evaluation comes from the Dataset, which
 computes it once: the rows' squared norms and the transposed sample matrix
 (CSR for CSR samples, so no product converts it again). A query pays for its
-own rows only; when the query is the training set itself (``gram``, or
-reconstruction on the training set) its norms are read from there too.
+own rows only.
 """
 
 from dataclasses import dataclass
@@ -154,7 +153,7 @@ def kernel_cross(spec: KernelSpec, train: Dataset, X) -> np.ndarray:
     K = K.toarray() if sparse.issparse(K) else np.asarray(K)
     if spec.family == "linear":
         return K
-    xs, ys = _query_sq_norms(train, X), train.sq_norms
+    xs, ys = row_sq_norms(X), train.sq_norms
     neg_sig2 = -2.0 * spec.sigma ** 2
     for rows in _panels(K.shape[0]):
         P = K[rows]
@@ -166,10 +165,6 @@ def kernel_cross(spec: KernelSpec, train: Dataset, X) -> np.ndarray:
         np.divide(P, neg_sig2, out=P)
         np.exp(P, out=P)
     return K
-
-
-def _query_sq_norms(train: Dataset, X) -> np.ndarray:
-    return train.sq_norms if X is train.values else row_sq_norms(X)
 
 
 def _as_query_matrix(train: Dataset, X):
@@ -232,7 +227,7 @@ def kernel_rows_with_self(spec: KernelSpec, train: Dataset, stats: CenteringStat
     X = _as_query_matrix(train, X)
     K = kernel_cross(spec, train, X)
     row_means = K.mean(axis=1)
-    kxx = _query_sq_norms(train, X) if spec.family == "linear" else np.ones(X.shape[0])
+    kxx = row_sq_norms(X) if spec.family == "linear" else np.ones(X.shape[0])
     self_k = kxx - 2.0 * row_means + stats.grand_mean
     return _center_rows(K, row_means, stats), self_k
 

@@ -254,3 +254,17 @@ def test_controlled_spectrum_matches_whole_matrix_formula(n, c, seed):
     G = 0.01 * (X + X.T) + (Q * np.exp(-c * np.arange(1, n + 1))) @ Q.T
     expected = np.triu(G) + np.triu(G, 1).T
     assert np.array_equal(gen_controlled_spectrum_gram(n, c, seed).entries, expected)
+
+
+def test_controlled_spectrum_qr_raises_on_a_lapack_argument_error(monkeypatch):
+    # numpy's QR gufuncs report a LAPACK argument error as an invalid
+    # floating-point operation; as in np.linalg.qr, that is a LinAlgError,
+    # not a matrix of NaN
+    from numpy.linalg import _umath_linalg
+
+    def flagged(Z, tau=None, signature=None):
+        return np.divide(np.zeros(Z.shape[0]), 0.0)
+
+    monkeypatch.setattr(_umath_linalg, "qr_reduced", flagged)
+    with pytest.raises(np.linalg.LinAlgError, match="QR"):
+        gen_controlled_spectrum_gram(5, 0.1, 0)

@@ -71,7 +71,9 @@ def test_csr_huber_fit_enters_both_solves_with_one_gram(traced, monkeypatch):
 
 def test_controlled_spectrum_peak_is_three_buffers(traced):
     # U diag(exp(-c i)) U' needs its two factors and its output; nothing else
-    # of size n x n is live beside them
+    # of size n x n that Python allocates is live beside them. LAPACK's work
+    # copies inside the QR steps are malloc'd and not traced: the process's
+    # real peak is about one buffer more.
     n = 1000
     tracemalloc.reset_peak()
     gm = gen_controlled_spectrum_gram(n, 0.1, 0)
