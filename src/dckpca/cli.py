@@ -173,8 +173,7 @@ def _cmd_bench(args):
         spec = spec.resolve(dataset)
         gm = kernels.gram(dataset, spec)
         task = args.task
-    Gc = kernels.center_gram(gm)
-    del gm  # the solves and baselines below need only the centered Gram
+    Gc = kernels.center_gram(gm, overwrite=True)
     G = Gc.entries
     n = Gc.n
 
@@ -343,7 +342,7 @@ def _cmd_sparse(args):
     with _usage_phase():
         spec = _kernel_spec(args)
     spec = spec.resolve(dataset)
-    Gc = kernels.center_gram(kernels.gram(dataset, spec))
+    Gc = kernels.center_gram(kernels.gram(dataset, spec), overwrite=True)
 
     def baseline(s):
         cfg = SolveConfig(seed=args.seed)

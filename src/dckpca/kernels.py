@@ -10,9 +10,10 @@ products X Y' fill it, then the distance, bandwidth and exponential steps
 run in place, one panel of ``BLOCK`` rows at a time; a panel is the only
 other allocation. With CSR input the sparse product X Y' is densified into
 that buffer, so it is live beside it until then. Query rows are centered in
-place as well. ``center_gram`` fills a new buffer panel by panel and never
-modifies its argument, so a fit holds two n x n buffers while centering and
-one afterwards.
+place as well. ``center_gram(gm, overwrite=True)`` centers panel by panel in
+``gm``'s own buffer, so a fit from data holds one n x n buffer from the
+kernel's inner products to the final decomposition; the default copies
+first and leaves ``gm`` as it was, for a Gram the caller owns.
 
 The training side of a kernel evaluation comes from the Dataset, which
 computes it once: the rows' squared norms and the transposed sample matrix
@@ -76,8 +77,13 @@ class KernelSpec:
 
 @dataclass(frozen=True)
 class CenteringStats:
+    """Column means of an uncentered Gram (read-only) and its grand mean."""
+
     col_means: np.ndarray
     grand_mean: float
+
+    def __post_init__(self):
+        self.col_means.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -192,20 +198,32 @@ def gram(dataset: Dataset, spec: KernelSpec) -> GramMatrix:
     return GramMatrix(G, centered=False)
 
 
-def center_gram(gm: GramMatrix) -> GramMatrix:
+def center_gram(gm: GramMatrix, overwrite: bool = False) -> GramMatrix:
     """Double centering G_c = J G J with J = I - 11'/n; records the stats of
     its input so new points can be centered consistently. Entry (i, j) is
-    G_ij - (mu_i + mu_j) + grand, symmetric in i and j term by term."""
+    (G_ij - (mu_i + mu_j)) + grand, symmetric in i and j term by term.
+
+    With ``overwrite=True`` the centering runs in ``gm``'s buffer, which the
+    result takes over (``gm`` then holds centered entries), as scipy's
+    ``overwrite_a``; a buffer that cannot be made writable is a KpcaError.
+    By default the entries are copied and ``gm`` is left unchanged. Both give
+    the same entries bit for bit."""
     G = gm.entries
+    if overwrite:
+        try:
+            G.setflags(write=True)
+        except ValueError as exc:
+            raise KpcaError(f"cannot center the Gram in place: its buffer "
+                            f"is read-only memory ({exc})") from exc
     mu = G.mean(axis=0)
     grand = float(mu.mean())
-    Gc = np.empty(G.shape)
+    if not overwrite:
+        G = G.copy()
     for rows in _panels(G.shape[0]):
-        P = Gc[rows]
-        np.add.outer(mu[rows], mu, out=P)
-        np.subtract(G[rows], P, out=P)
+        P = G[rows]
+        P -= np.add.outer(mu[rows], mu)
         P += grand
-    return GramMatrix(Gc, centered=True, stats=CenteringStats(mu.copy(), grand))
+    return GramMatrix(G, centered=True, stats=CenteringStats(mu, grand))
 
 
 def kernel_rows(spec: KernelSpec, train: Dataset, stats: CenteringStats, X) -> np.ndarray:

@@ -120,8 +120,8 @@ def fit(dataset: Dataset | None, kernel_spec: kernels.KernelSpec,
             raise DataError("fit needs a dataset or a precomputed Gram")
         spec = kernel_spec.resolve(dataset)
         fingerprint = dataset_fingerprint(dataset)
-        # no name holds the raw Gram, so it is freed once centered
-        Gc = kernels.center_gram(kernels.gram(dataset, spec))
+        # centered in the buffer it was built in: one n x n buffer per fit
+        Gc = kernels.center_gram(kernels.gram(dataset, spec), overwrite=True)
 
     kappa_max_value = presolve = None
     if not objective.resolved:

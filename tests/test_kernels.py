@@ -134,6 +134,23 @@ def test_center_gram_matches_feature_space_centering():
     assert np.allclose(gm.entries, Xc @ Xc.T, atol=1e-12)
 
 
+def test_center_gram_default_leaves_its_input_unchanged():
+    gm = gram(gen_synth_gaussian(300, 3, 7), KernelSpec("gaussian", 1.5))
+    before = gm.entries.copy()
+    gc = center_gram(gm)
+    assert np.array_equal(gm.entries, before)
+    assert not gm.entries.flags.writeable
+    assert not np.shares_memory(gc.entries, gm.entries)
+
+
+def test_center_gram_in_place_rejects_read_only_memory():
+    G = np.array([[2.0, 1.0], [1.0, 2.0]])
+    gm = GramMatrix(np.frombuffer(G.tobytes()).reshape(2, 2))
+    with pytest.raises(KpcaError, match="read-only memory"):
+        center_gram(gm, overwrite=True)
+    assert np.array_equal(gm.entries, G)
+
+
 def test_center_gram_idempotent():
     ds = gen_synth_gaussian(35, 4, 5)
     g1 = center_gram(gram(ds, KernelSpec("gaussian", 1.5)))
@@ -366,6 +383,14 @@ def test_kernels_across_panel_boundaries(n, m, family, layout, seed):
     gc = center_gram(gm)
     mu, stats = gm.entries.mean(axis=0), gc.stats
     assert np.array_equal(gc.entries, gm.entries - np.add.outer(mu, mu) + stats.grand_mean)
+    # in place: the same entries and stats, in the buffer the Gram was built in
+    built = gram(ds, spec)
+    inplace = center_gram(built, overwrite=True)
+    assert np.array_equal(inplace.entries, gc.entries)
+    assert np.array_equal(inplace.stats.col_means, stats.col_means)
+    assert inplace.stats.grand_mean == stats.grand_mean
+    assert np.shares_memory(inplace.entries, built.entries)
+    assert not inplace.entries.flags.writeable
     rows = kernel_rows(spec, ds, stats, query)
     assert np.array_equal(rows, K - K.mean(axis=1)[:, None] - stats.col_means[None, :]
                           + stats.grand_mean)

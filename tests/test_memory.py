@@ -55,6 +55,17 @@ def test_dense_square_fit_enters_the_solver_with_one_gram(traced, monkeypatch):
     assert sizes[0] <= 1.1 * 8 * n * n
 
 
+def test_dense_square_fit_peak_is_one_gram(traced):
+    # the Gram is centered in the buffer it was built in, so no second n x n
+    # buffer is live at any point of the fit
+    n = 2000
+    ds = gen_synth_gaussian(n, 5, 1)
+    tracemalloc.reset_peak()
+    model.fit(ds, KernelSpec("gaussian", 2.0), ObjectiveSpec("square"), 3,
+              SolveConfig(seed=0))
+    assert tracemalloc.get_traced_memory()[1] <= 1.25 * 8 * n * n
+
+
 def test_csr_huber_fit_enters_both_solves_with_one_gram(traced, monkeypatch):
     n = 1500
     values = sparse.random(n, 100, density=0.1, format="csr",

@@ -317,6 +317,15 @@ def test_primal_coefficients_are_computed_once_and_read_only(tmp_path, small_fit
     assert not recover_primal_coefficients(attached).flags.writeable
 
 
+def test_centering_stats_are_read_only(tmp_path, small_fit):
+    _, _, m = small_fit
+    path = tmp_path / "model.dk"
+    save_model(m, path)
+    for stats in (m.stats, load_model(path).stats):
+        with pytest.raises(ValueError):
+            stats.col_means[0] = 1.0
+
+
 def test_threads_projecting_from_one_model_match_serial(small_fit):
     # more workers than cores, switching often: the model and its Dataset are
     # shared and only read

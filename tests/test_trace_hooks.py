@@ -2,12 +2,26 @@
 attribute; a renamed or moved function would silently drop out of it."""
 
 import importlib
+from collections import Counter
 
 import pytest
 
-from perfbench.tracer import WRAPPED
+from dckpca import KernelSpec, ObjectiveSpec, fit, gen_synth_gaussian
+from dckpca.solvers import SolveConfig
+from perfbench.tracer import WRAPPED, Tracer
 
 
 @pytest.mark.parametrize("module, attr, span", WRAPPED, ids=[w[2] for w in WRAPPED])
 def test_traced_attribute_resolves(module, attr, span):
     assert callable(getattr(importlib.import_module(module), attr))
+
+
+def test_fit_records_one_gram_and_one_centering_span():
+    # a helper that fused the two calls would leave both layers' spans empty
+    ds = gen_synth_gaussian(60, 3, 0)
+    with Tracer().installed() as tracer:
+        fit(ds, KernelSpec("gaussian", 1.5), ObjectiveSpec("square"), 2,
+            SolveConfig(seed=0))
+    counts = Counter(sp.name for sp in tracer.spans)
+    assert counts["kernels.gram"] == 1
+    assert counts["kernels.center_gram"] == 1
