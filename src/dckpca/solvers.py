@@ -1,5 +1,5 @@
 """The two dual solvers: exact subspace steps on the square-loss dual and
-DCA for Moreau-envelope objectives.
+Anderson-accelerated DCA for Moreau-envelope objectives.
 
 On the square loss the dual's minimum over a subspace is the Rayleigh-Ritz
 solution on it, so each step minimizes exactly over span[X, R, P] (current
@@ -14,6 +14,7 @@ T(H) = prox_{Psi*}(grad pi(H))); they return ``(H, report)``.
 import json
 import math
 import time
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +26,10 @@ from .objectives import HUBER_KINDS, ObjectiveSpec, prox_psi_star, psi_star_valu
 
 SUBSPACE_DEFAULT_MAX_ITERS = 500
 DCA_DEFAULT_MAX_ITERS = 1000
-REPORT_VERSION = "dckpca/1"
+# Differences of the DCA map kept for its Anderson step. Depth 5 took no fewer
+# products with G on twelve robust-libsvm inputs (501 against 495).
+ANDERSON_DEPTH = 3
+REPORT_VERSION = "dckpca/2"
 
 
 @dataclass
@@ -47,11 +51,16 @@ class SolveConfig:
 
 @dataclass
 class SolveReport:
+    """What a solve did: ``products`` counts products with G, ``rejected`` the
+    Anderson candidates DCA turned down (0 for the subspace solver)."""
+
     iterations: int
     cost_trace: list
     eta_trace: list | None
     wall_seconds: float
     termination: str
+    products: int
+    rejected: int
     presolve: "SolveReport | None" = None
 
     def to_dict(self) -> dict:
@@ -64,6 +73,8 @@ class SolveReport:
             "eta_trace": None if self.eta_trace is None else clean(self.eta_trace),
             "wall_seconds": self.wall_seconds,
             "termination": self.termination,
+            "products": self.products,
+            "rejected": self.rejected,
         }
         if self.presolve is not None:
             out["presolve"] = self.presolve.to_dict()
@@ -83,7 +94,8 @@ def _pi_from(dec):
 
 class _Trace:
     """What ``_stop`` reads: the cost of every iterate (iterations =
-    len(costs) - 1), eta in benchmark mode, and the run's tol and cap."""
+    len(costs) - 1), eta in benchmark mode, and the run's tol and cap; and
+    the loop's counts of G-products and rejected Anderson candidates."""
 
     def __init__(self, tol, max_iters, d_opt):
         self.tol = tol
@@ -91,6 +103,8 @@ class _Trace:
         self.d_opt = d_opt
         self.costs = []
         self.etas = None if d_opt is None else []
+        self.products = 0
+        self.rejected = 0
 
     def record(self, cost, square_cost):
         self.costs.append(cost)
@@ -105,17 +119,18 @@ class _Trace:
         self.record(cost, cost)
 
 
-def _stop(trace, residual=None):
+def _stop(trace, residual):
     """The one stopping rule of both solvers: the termination reason, or None.
 
-    "tolerance": r**2 <= tol for the residual r = ||H - T(H)|| / ||H|| (None
-    while unknown); squared, since a DCA step lowers the cost by at least
+    "tolerance": r**2 <= tol for the fixed-point residual r = ||H - T(H)|| /
+    ||H|| of the current iterate H, so the H a solve returns is the one that
+    met it; squared, since a DCA step from H lowers the cost by at least
     0.5 ||H - T(H)||^2, so tol stays a relative cost change. In benchmark mode
     eta < tol instead, and a zero residual (no descent step) is "gradient".
     "max_iters": the iteration cap.
     """
     if trace.etas is None:
-        if residual is not None and residual ** 2 <= trace.tol:
+        if residual ** 2 <= trace.tol:
             return "tolerance"
     elif trace.etas[-1] < trace.tol:
         return "tolerance"
@@ -162,7 +177,8 @@ def _solve(G, s, cfg, h0, default_max_iters, loop):
         trace = _Trace(cfg.tol, max_iters, d_opt)
         H, termination = loop(G, H, trace)
         return H, SolveReport(len(trace.costs) - 1, trace.costs, trace.etas,
-                              time.perf_counter() - t0, termination)
+                              time.perf_counter() - t0, termination,
+                              trace.products, trace.rejected)
 
     if h0 is not None:
         return attempt(h0)
@@ -202,12 +218,14 @@ def lbfgs_solve(G, s: int, config: SolveConfig | None = None, h0=None):
 def _subspace_loop(G, H, trace):
     s = H.shape[1]
     GH = G @ H
+    trace.products += 1
     gpi, dec = grad_pi(G, H, gh=GH, singular_hint=_rank_hint(s))
     cost = 0.5 * float(np.vdot(H, H)) - _pi_from(dec)
     trace.record(cost, cost)
     termination = _stop(trace, float(np.linalg.norm(H - gpi) / np.linalg.norm(H)))
     X = GX = np.empty((H.shape[0], 0))
     X, GX, theta, P = _ritz_step(G, X, GX, np.hstack([H, GH]), s)
+    trace.products += 1
     if termination is not None:
         # stopped at the init: return the Ritz form on span[H0, GH0] instead
         trace.amend(-0.5 * float(np.sum(theta)))
@@ -221,6 +239,7 @@ def _subspace_loop(G, H, trace):
         if termination is not None:
             return X * np.sqrt(theta), termination
         X, GX, theta, P = _ritz_step(G, X, GX, np.hstack([R, P]), s)
+        trace.products += 1
 
 
 def _ritz_step(G, X, GX, block, s):
@@ -257,34 +276,94 @@ def _rank_hint(s):
 
 def dca_solve(G, s: int, objective: ObjectiveSpec, config: SolveConfig | None = None,
               h0=None):
-    """Difference-of-convex iteration for Moreau-envelope objectives:
-    Y = grad pi(H_t); H_{t+1} = prox_{Psi*}(Y).
+    """Difference-of-convex iteration for Moreau-envelope objectives: drives
+    the DCA map T(H) = prox_{Psi*}(grad pi(H)) to a fixed point by safeguarded
+    type-II Anderson acceleration (Walker & Ni 2011; the cost safeguard after
+    Zhang, O'Donoghue & Boyd 2020).
 
-    Stops by ``_stop`` on the step just taken, ||H_{t+1} - H_t|| / ||H_t||
-    (at most 1000 iterations by default). The dual cost never increases. A
-    singular H'GH names the rank at the init, and for Huber objectives kappa
+    At each iterate H the loop forms T = T(H) and g = T - H and stops by
+    ``_stop`` on r = ||g|| / ||H||, so the returned H is itself within tol (at
+    most 1000 iterations by default). Differences of successive g and of
+    successive T (at most ANDERSON_DEPTH of each; the init never enters them)
+    give the candidate H_a = T - dT gamma, gamma the least-squares solution of
+    min ||g - dR gamma||. Huber candidates are projected onto the ball. H_a is
+    the next iterate only if H_a'G H_a passes the floor check and its cost is
+    at most F(H) - 0.5 ||g||^2, the decrease a plain DCA step guarantees;
+    otherwise the next iterate is T and the differences are dropped. The cost
+    never increases. An accepted step costs one product with G and a rejected
+    one two; the report counts both.
+
+    A singular H'GH names the rank at the init, and for Huber objectives kappa
     after it. Returns (H, report).
     """
     if not objective.resolved:
         raise KpcaError("resolve the kappa_max fraction before solving")
+    huber = objective.kind in HUBER_KINDS
     hint = None
-    if objective.kind in HUBER_KINDS:
+    if huber:
         hint = (f"kappa={objective.kappa:g} is likely too small "
                 "(the prox collapses iterates toward rank deficiency)")
 
+    def evaluate(H, GH):
+        dec = sym_eig_small(_sym(H.T @ GH))
+        square_cost = 0.5 * float(np.vdot(H, H)) - _pi_from(dec)
+        return dec, square_cost, square_cost + psi_star_value(objective, H)
+
     def loop(G, H, trace):
-        step = None
+        GH = G @ H
+        trace.products += 1
+        dec, square_cost, cost = evaluate(H, GH)
+        dR, dT = deque(maxlen=ANDERSON_DEPTH), deque(maxlen=ANDERSON_DEPTH)
+        last = None
         while True:
-            GH = G @ H
-            dec = sym_eig_small(_sym(H.T @ GH))
-            square_cost = 0.5 * float(np.vdot(H, H)) - _pi_from(dec)
-            trace.record(square_cost + psi_star_value(objective, H), square_cost)
-            termination = _stop(trace, step)
+            trace.record(cost, square_cost)
+            init = len(trace.costs) == 1
+            check_floor(dec.lam, singular_hint=_rank_hint(s) if init else hint)
+            T = prox_psi_star(objective, GH @ dec.apply(lambda lam: 1.0 / np.sqrt(lam)))
+            g = T - H
+            g_sq = float(np.vdot(g, g))
+            termination = _stop(trace, math.sqrt(g_sq) / float(np.linalg.norm(H)))
             if termination is not None:
                 return H, termination
-            check_floor(dec.lam, singular_hint=_rank_hint(s) if step is None else hint)
-            W = dec.apply(lambda lam: 1.0 / np.sqrt(lam))
-            H, H_prev = prox_psi_star(objective, GH @ W), H
-            step = float(np.linalg.norm(H - H_prev) / np.linalg.norm(H_prev))
+            if last is not None:
+                dR.append(g - last[0])
+                dT.append(T - last[1])
+            last = None if init else (g, T)
+            if dR:
+                H_a = _anderson_candidate(dR, dT, g, T)
+                if huber:
+                    H_a = prox_psi_star(objective, H_a)
+                GH_a = G @ H_a
+                trace.products += 1
+                dec_a, square_a, cost_a = evaluate(H_a, GH_a)
+                if _above_floor(dec_a.lam) and cost_a <= cost - 0.5 * g_sq:
+                    H, GH, dec, square_cost, cost = H_a, GH_a, dec_a, square_a, cost_a
+                    continue
+                trace.rejected += 1
+                dR.clear()
+                dT.clear()
+                last = None
+            H, GH = T, G @ T
+            trace.products += 1
+            dec, square_cost, cost = evaluate(H, GH)
 
     return _solve(G, s, config or SolveConfig(), h0, DCA_DEFAULT_MAX_ITERS, loop)
+
+
+def _anderson_candidate(dR, dT, g, T):
+    """T - sum_j gamma_j dT_j with gamma = argmin ||g - sum_j gamma_j dR_j||,
+    solved on the normal equations: the differences are never stacked."""
+    A = np.array([[np.vdot(a, b) for b in dR] for a in dR])
+    gamma = np.linalg.lstsq(A, np.array([np.vdot(a, g) for a in dR]), rcond=None)[0]
+    H = T.copy()
+    for c, d in zip(gamma, dT):
+        H -= c * d
+    return H
+
+
+def _above_floor(lam):
+    try:
+        check_floor(lam)
+    except SingularMatrixError:
+        return False
+    return True

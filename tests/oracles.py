@@ -115,3 +115,17 @@ def prox_psi_independent(kind, Y, kappa=None, eps=None, iters=200):
         scale = np.minimum(1.0, np.divide(t, r, out=np.ones_like(r), where=r > 0))
         return Y * scale[:, None]
     raise ValueError(kind)
+
+
+def plain_dca(G, H, prox, tol, max_iters=1000):
+    """Unaccelerated DCA H <- prox(G H (H'GH)^(-1/2)) from H, stopped at the
+    first iterate whose fixed-point residual r has r**2 <= tol. Returns H and
+    the number of products with G (one per iterate)."""
+    for products in range(1, max_iters + 1):
+        GH = G @ H
+        w, V = np.linalg.eigh(H.T @ GH)
+        T = prox(GH @ (V / np.sqrt(w)) @ V.T)
+        if np.sum((T - H) ** 2) <= tol * np.sum(H * H):
+            break
+        H = T
+    return H, products

@@ -9,7 +9,7 @@ from dckpca import (KernelSpec, ObjectiveSpec, SingularMatrixError,
                     parse_objective)
 from dckpca.solvers import SolveConfig
 
-from oracles import dense_top_eigs, dual_cost, prox_psi_independent
+from oracles import dense_top_eigs, dual_cost, plain_dca, prox_psi_independent
 
 
 def centered_gram(n=120, d=5, seed=0, sigma=1.5):
@@ -78,6 +78,8 @@ def test_lbfgs_max_iters_termination():
     _, rep = lbfgs_solve(Gc, 2, SolveConfig(tol=1e-16, max_iters=3, seed=0))
     assert rep.termination == "max_iters"
     assert rep.iterations == 3
+    # the init's GH, then one product per Ritz step; no Anderson candidates
+    assert (rep.products, rep.rejected) == (4, 0)
 
 
 def test_lbfgs_iterations_on_a_slow_spectrum():
@@ -148,6 +150,23 @@ def test_floor_is_relative_to_the_scale_of_g(solve):
     H1, _ = solve(G)
     for c in (1e-7, 1.0, 1e7):
         H, rep = solve(c * G)
+        assert rep.termination == "tolerance"
+        assert np.max(np.abs(H / np.sqrt(c) - H1)) <= 1e-8 * np.max(np.abs(H1))
+
+
+@pytest.mark.parametrize("kind, radius", [
+    ("huber_row2", 2.5), ("huber_l1", 1.4), ("eps_row2", 0.1), ("eps_linf", 0.05)])
+def test_dca_is_scale_equivariant(kind, radius):
+    # with kappa or eps scaled by sqrt(c), the first step from the shared
+    # random init already gives sqrt(c) times the one for G; the Anderson
+    # history must hold no difference taken at the init to keep that
+    G = np.diag([3.0, 2.0, 1.0])
+    param = "kappa" if kind.startswith("huber") else "eps"
+    solve = lambda c: dca_solve(c * G, 2, ObjectiveSpec(kind, **{param: np.sqrt(c) * radius}))
+    H1, rep1 = solve(1.0)
+    assert rep1.iterations >= 3   # so candidates were formed from iterate 2 on
+    for c in (1e-6, 1e6):
+        H, rep = solve(c)
         assert rep.termination == "tolerance"
         assert np.max(np.abs(H / np.sqrt(c) - H1)) <= 1e-8 * np.max(np.abs(H1))
 
@@ -318,6 +337,30 @@ def test_dca_huber_iterates_feasible_after_first_step():
     assert np.linalg.norm(H, axis=1).sum() <= kappa + 1e-12
 
 
+def test_dca_anderson_against_plain_dca():
+    # the accelerated solve ends at a fixed point of the same cost as plain
+    # DCA from the same init, in fewer products with G
+    products = plain_products = 0
+    for seed in range(3):
+        Gc = centered_gram(n=300, d=6, seed=seed, sigma=2.0)
+        G = Gc.entries
+        kappa = 0.8 * kappa_max("huber_row2", lbfgs_solve(Gc, 4, SolveConfig(seed=seed))[0])
+        spec = ObjectiveSpec("huber_row2", kappa=kappa)
+        cfg = SolveConfig(seed=seed)
+        H, rep = dca_solve(Gc, 4, spec, cfg)
+        H_plain, count = plain_dca(
+            G, np.random.default_rng(seed).standard_normal((300, 4)),
+            lambda Y: Y - prox_psi_independent("huber_row2", Y, kappa=kappa), cfg.tol)
+        assert rep.termination == "tolerance"
+        assert _fixed_point_residual(G, H, "huber_row2", kappa) ** 2 <= cfg.tol * (1 + 1e-9)
+        cost, plain_cost = dual_cost(G, H, spec), dual_cost(G, H_plain, spec)
+        assert abs(cost - plain_cost) <= 1e-5 * abs(plain_cost)
+        assert rep.rejected < rep.iterations
+        products += rep.products
+        plain_products += count
+    assert products <= 0.75 * plain_products
+
+
 def test_dca_stops_at_1000_iterations_by_default():
     Gc = centered_gram(n=40, d=3, seed=12)
     _, rep = dca_solve(Gc, 2, ObjectiveSpec("eps_linf", eps=0.01), SolveConfig(seed=5))
@@ -378,6 +421,8 @@ def test_report_json_round_trip():
     assert blob["spec_version"]
     assert blob["iterations"] == rep.iterations
     assert blob["termination"] == rep.termination
+    assert blob["products"] == rep.products >= rep.iterations + 1
+    assert blob["rejected"] == rep.rejected
     assert len(blob["cost_trace"]) == rep.iterations + 1
     # an infeasible random init shows up as null, not Infinity
     assert blob["cost_trace"][0] is None or isinstance(blob["cost_trace"][0], float)
