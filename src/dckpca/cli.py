@@ -133,6 +133,13 @@ def _cmd_solve(args):
         fitted = model_mod.fit(dataset, spec, objective, args.components, cfg,
                                solver=args.solver)
     model_mod.save_model(fitted, args.out)
+    # a capped model still projects, so it is written and the exit code
+    # stays 0; the cap is named on stderr (the report says "max_iters")
+    for stage, rep in (("xmax pre-solve", fitted.report.presolve),
+                       ("solve", fitted.report)):
+        if rep is not None and rep.termination == "max_iters":
+            print(f"dckpca: warning: the {stage} stopped at its iteration cap "
+                  f"({rep.iterations}) before reaching --tol", file=sys.stderr)
     report_json = fitted.report.to_json()
     if args.report:
         with open(args.report, "w") as fh:

@@ -3,8 +3,12 @@
 Datasets are immutable after construction and safe to share across threads;
 every generator is a pure function of its sizes and a 64-bit seed. A Dataset
 computes the training side of every kernel evaluation when it is built: the
-squared norm of each row, and the transposed sample matrix (for CSR samples
-a CSR matrix of its own, which doubles the memory the samples take).
+squared norm of each row, and the transposed sample matrix. For CSR samples
+the transpose is a dense d x n buffer when the samples are dense enough for
+a sparse x dense product to beat scipy's sparse x sparse one (see
+``_transpose_csr``), and a CSR matrix of its own otherwise. CSR samples are
+held in canonical form (sorted indices, no duplicates); a non-canonical
+input is canonicalized on a copy.
 """
 
 import csv
@@ -19,10 +23,68 @@ from .errors import DataError
 
 
 def row_sq_norms(X) -> np.ndarray:
-    """Squared Euclidean norm of each row of a dense or CSR matrix."""
-    if sparse.issparse(X):
-        return np.asarray(X.multiply(X).sum(axis=1)).ravel()
-    return np.einsum("ij,ij->i", X, X)
+    """Squared Euclidean norm of each row of a dense or CSR matrix.
+
+    For CSR the result is bit-identical to ``X.multiply(X).sum(axis=1)``:
+    the nonzero squares of X's canonical form, summed row by row by
+    ``np.add.reduceat``, without building a sparse matrix. A non-canonical X
+    is canonicalized on a copy."""
+    if not sparse.issparse(X):
+        return np.einsum("ij,ij->i", X, X)
+    X = _canonical_csr(X)
+    sq = X.data * X.data
+    ptr = X.indptr
+    if not sq.all():
+        # X.multiply(X) stores no zero squares (explicit zeros, underflow);
+        # reduceat's grouping of a row's terms shifts with them, so drop them
+        kept = sq != 0
+        ptr = np.concatenate(([0], np.cumsum(kept)))[ptr]
+        sq = sq[kept]
+    out = np.zeros(X.shape[0])
+    rows = np.flatnonzero(np.diff(ptr))
+    out[rows] = np.add.reduceat(sq, ptr[rows])
+    return out
+
+
+def _canonical_csr(X):
+    """X as CSR with sorted indices and no duplicates: X itself when it
+    already is, else a canonicalized copy (the caller's matrix is kept)."""
+    X = X.tocsr()
+    if not X.has_canonical_format:
+        X = X.copy()
+        X.sum_duplicates()
+    return X
+
+
+# A CSR Dataset holds a dense transpose when scipy's sparse x sparse product
+# X X' would do at least 1/DENSE_WORK_RATIO of the multiplies of the sparse x
+# dense one: sum_j c_j^2 >= nnz * n / DENSE_WORK_RATIO, c_j being the
+# nonzeros of column j. Measured on uniform random CSR (best of 5 Gram
+# products, one thread, 2-vCPU Xeon VM), sparse x sparse time over sparse x
+# dense at n=3000: d=100, density 10%: 2.7; 5%: 1.1; 3%: 0.91; 1%: 0.75;
+# d=1000, 5%: 1.5; 3%: 1.2; 1%: 0.39; 0.1%: 0.57. At n=1000, d=100, 10%
+# (the robust-libsvm benchmark's shape): 5.9. The ratio sum_j c_j^2 /
+# (nnz * n) is about the density, so 1/32 sits where the two meet.
+DENSE_WORK_RATIO = 32
+
+
+def _transpose_csr(X):
+    """The d x n transpose of canonical n x d CSR samples, read-only: dense
+    and C-contiguous when d <= n (it is then no larger than an n x n Gram)
+    and the DENSE_WORK_RATIO rule holds, CSR otherwise. Both forms give the
+    same product Q @ T for a CSR query Q bit for bit: scipy sums the same
+    nonzero terms in the same order, and the dense form only adds exact
+    zeros."""
+    n, d = X.shape
+    cols = np.bincount(X.indices, minlength=d)
+    if d <= n and DENSE_WORK_RATIO * int(cols @ cols) >= X.nnz * n:
+        T = X.T.toarray(order="C")
+        T.setflags(write=False)
+        return T
+    T = X.T.tocsr()
+    for part in (T.data, T.indices, T.indptr):
+        part.setflags(write=False)
+    return T
 
 
 @dataclass(frozen=True)
@@ -31,8 +93,12 @@ class Dataset:
     converted), with optional per-row labels.
 
     ``sq_norms`` (the rows' squared norms) and ``transposed`` (the d x n
-    transpose: a view of a dense buffer, a CSR matrix of its own for CSR
-    samples) are computed once, here, and are read-only.
+    transpose) are computed once, here, and are read-only. For dense samples
+    the transpose is a view of their buffer. CSR samples are held in
+    canonical form (a non-canonical input is canonicalized on a copy, so the
+    caller's matrix is left as it was); their transpose is a dense buffer
+    (8nd bytes, at most 8n^2) for dense-ish samples with d <= n, and a CSR
+    matrix of its own otherwise (see ``_transpose_csr``).
     """
 
     values: object
@@ -51,10 +117,8 @@ class Dataset:
         # one float64 CSR matrix, or one float64 buffer in C or F order: X X'
         # (the Gram) is then computed as a symmetric product, exactly symmetric
         if sparse.issparse(self.values):
-            values = self.values.tocsr().astype(float, copy=False)
-            transposed = values.T.tocsr()
-            for part in (transposed.data, transposed.indices, transposed.indptr):
-                part.setflags(write=False)
+            values = _canonical_csr(self.values.astype(float, copy=False))
+            transposed = _transpose_csr(values)
         else:
             values = np.asarray(self.values, dtype=float)
             if not (values.flags.c_contiguous or values.flags.f_contiguous):

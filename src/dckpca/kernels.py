@@ -8,17 +8,21 @@ out-of-sample use.
 Every kernel matrix is built inside its one output buffer. The inner
 products X Y' fill it, then the distance, bandwidth and exponential steps
 run in place, one panel of ``BLOCK`` rows at a time; a panel is the only
-other allocation. With CSR input the sparse product X Y' is densified into
-that buffer, so it is live beside it until then. Query rows are centered in
-place as well. ``center_gram(gm, overwrite=True)`` centers panel by panel in
-``gm``'s own buffer, so a fit from data holds one n x n buffer from the
-kernel's inner products to the final decomposition; the default copies
-first and leaves ``gm`` as it was, for a Gram the caller owns.
+other allocation. With CSR queries against a Dataset that holds a dense
+transpose, scipy writes X Y' straight into that buffer; against a CSR
+transpose (low-density or d > n samples) the sparse product X Y' is
+densified into it, so it is live beside it until then. Query rows are
+centered in place as well. ``center_gram(gm, overwrite=True)`` centers
+panel by panel in ``gm``'s own buffer, so a fit from data holds one n x n
+buffer from the kernel's inner products to the final decomposition; the
+default copies first and leaves ``gm`` as it was, for a Gram the caller
+owns.
 
 The training side of a kernel evaluation comes from the Dataset, which
 computes it once: the rows' squared norms and the transposed sample matrix
-(CSR for CSR samples, so no product converts it again). A query pays for its
-own rows only.
+(for CSR samples dense or CSR, by the Dataset's rule, so no product converts
+it again). A query pays for its own rows only. Either form of the transpose
+gives the same entries bit for bit.
 """
 
 from dataclasses import dataclass
@@ -26,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .data_io import Dataset, row_sq_norms
+from .data_io import Dataset, _canonical_csr, row_sq_norms
 from .errors import DataError, KpcaError
 
 FAMILIES = ("linear", "gaussian", "laplace", "precomputed")
@@ -153,8 +157,9 @@ def kernel_cross(spec: KernelSpec, train: Dataset, X) -> np.ndarray:
     X = _as_query_matrix(train, X)
     if X.shape[1] != train.d:
         raise DataError(f"dimension mismatch: query d={X.shape[1]}, train d={train.d}")
-    # a dense X X' runs as one symmetric product; with CSR on either side the
-    # product is densified once
+    # a dense X X' runs as one symmetric product; a CSR X against a dense
+    # transpose is written straight into a dense result, against a CSR one
+    # the sparse product is densified once
     K = X @ train.transposed
     K = K.toarray() if sparse.issparse(K) else np.asarray(K)
     if spec.family == "linear":
@@ -175,7 +180,7 @@ def kernel_cross(spec: KernelSpec, train: Dataset, X) -> np.ndarray:
 
 def _as_query_matrix(train: Dataset, X):
     if sparse.issparse(X):
-        return X.tocsr()
+        return _canonical_csr(X)
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
         X = X[None, :]

@@ -82,6 +82,34 @@ def test_solve_huber_xmax_records_resolved_kappa(tmp_path, capsys):
     assert np.max(np.abs(model.H)) <= model.objective.kappa * (1 + 1e-9)
 
 
+def test_solve_at_its_iteration_cap_warns_and_still_writes_the_model(tmp_path, capsys):
+    # a capped model can still project: it is written, the exit code stays 0,
+    # and stderr names each capped stage and its cap, the pre-solve first
+    data = tmp_path / "t.csv"
+    write_csv_dataset(data, n=60, d=4, seed=5)
+    out = tmp_path / "m.dk"
+    rc = main(["solve", "--data", str(data), "--kernel", "gaussian",
+               "--sigma", "1.2", "--components", "2",
+               "--objective", "huber2:xmax:0.8", "--max-iters", "1",
+               "--out", str(out)])
+    assert rc == 0
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert report["termination"] == report["presolve"]["termination"] == "max_iters"
+    assert captured.err.splitlines() == [
+        "dckpca: warning: the xmax pre-solve stopped at its iteration cap (1) "
+        "before reaching --tol",
+        "dckpca: warning: the solve stopped at its iteration cap (1) "
+        "before reaching --tol"]
+    load_model(out)
+    # a solve that reaches its tolerance prints nothing to stderr
+    assert main(["solve", "--data", str(data), "--kernel", "gaussian",
+                 "--sigma", "1.2", "--components", "2", "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["termination"] == "tolerance"
+    assert captured.err == ""
+
+
 def test_solve_precomputed_gram(tmp_path, capsys):
     rng = np.random.default_rng(0)
     B = rng.standard_normal((25, 25))

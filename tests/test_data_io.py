@@ -230,6 +230,8 @@ def test_dataset_stores_one_csr_or_contiguous_float64_buffer():
 
 
 def test_dataset_holds_read_only_norms_and_transpose():
+    # dense-ish CSR samples with d <= n get a dense C-contiguous transpose,
+    # low-density or d > n ones a CSR transpose; either is read-only
     from scipy import sparse
     X = np.array([[1.0, 0.0, -2.0], [0.0, 0.0, 0.0], [3.0, 0.5, 0.0], [0.0, -1.0, 4.0]])
     dense, csr = Dataset(X), Dataset(sparse.csr_matrix(X))
@@ -238,8 +240,46 @@ def test_dataset_holds_read_only_norms_and_transpose():
         assert not ds.sq_norms.flags.writeable
     assert np.array_equal(dense.transposed, X.T) and not dense.transposed.flags.writeable
     t = csr.transposed
-    assert sparse.isspmatrix_csr(t) and np.array_equal(t.toarray(), X.T)
-    assert not any(a.flags.writeable for a in (t.data, t.indices, t.indptr))
+    assert type(t) is np.ndarray and t.flags.c_contiguous and not t.flags.writeable
+    assert np.array_equal(t, X.T)
+    # one nonzero in each of 100 rows over 50 columns: sum_j c_j^2 = 200 is
+    # below nnz * n / 32 = 312.5; and the 3 x 4 transpose of X has d > n
+    diagonal = np.zeros((100, 50))
+    diagonal[np.arange(100), np.arange(100) % 50] = np.arange(1.0, 101.0)
+    for M in (diagonal, X.T):
+        t = Dataset(sparse.csr_matrix(M)).transposed
+        assert sparse.isspmatrix_csr(t) and np.array_equal(t.toarray(), M.T)
+        assert not any(a.flags.writeable for a in (t.data, t.indices, t.indptr))
+
+
+def test_non_canonical_csr_is_canonicalized_on_a_copy():
+    # duplicate entries and unsorted indices: row 0 holds 1 and 0.5 at
+    # column 1 and 0.25 at column 0, so its squared norm is 1.5^2 + 0.25^2
+    from scipy import sparse
+    from dckpca import KernelSpec, gram
+    from dckpca.data_io import row_sq_norms
+    data = np.array([1.0, 0.5, 0.25, 2.0, 3.0, -1.0])
+    indices = np.array([1, 1, 0, 2, 2, 0], dtype=np.int32)
+    indptr = np.array([0, 3, 4, 6], dtype=np.int32)
+    # d = 3 gives the Dataset a dense transpose, d = 5 > n a CSR one
+    for d in (3, 5):
+        X = sparse.csr_matrix((data, indices, indptr), shape=(3, d))
+        assert not X.has_canonical_format
+        # summing the stored squares row by row would miss the cross term
+        assert np.add.reduceat(X.data * X.data, X.indptr[:-1])[0] == 1.3125
+        canonical = X.copy()
+        canonical.sum_duplicates()
+        ds = Dataset(X)
+        assert ds.values.has_canonical_format
+        assert row_sq_norms(X)[0] == 2.3125
+        assert np.array_equal(row_sq_norms(X), row_sq_norms(canonical))
+        assert np.array_equal(ds.sq_norms, Dataset(canonical).sq_norms)
+        for spec in (KernelSpec("linear"), KernelSpec("gaussian", 1.3)):
+            assert np.array_equal(gram(ds, spec).entries,
+                                  gram(Dataset(canonical), spec).entries)
+        assert np.array_equal(X.indices, [1, 1, 0, 2, 2, 0])
+        assert np.array_equal(X.data, [1.0, 0.5, 0.25, 2.0, 3.0, -1.0])
+        assert np.array_equal(X.indptr, [0, 3, 4, 6])
 
 
 @pytest.mark.parametrize("n, c, seed", [(1, 0.3, 0), (7, 0.0, 3), (300, 0.1, 0),

@@ -6,6 +6,7 @@ from scipy import sparse
 
 from dckpca import (DataError, Dataset, KernelSpec, KpcaError, center_gram,
                     gen_synth_gaussian, gram, load_gram_csv, sigma_rule)
+from dckpca.data_io import row_sq_norms
 from dckpca.kernels import (BLOCK, GramMatrix, kernel_cross, kernel_rows,
                             kernel_rows_with_self)
 
@@ -407,3 +408,69 @@ def test_kernels_across_panel_boundaries(n, m, family, layout, seed):
             entries[i, j] = np.nextafter(entries[i, j], np.inf)
             with pytest.raises(KpcaError, match="not exactly symmetric"):
                 GramMatrix(entries)
+
+
+def _draw_csr(kind, n, rng):
+    """CSR samples on one side of the Dataset's transpose rule, with negative
+    values, empty rows, explicit zeros and squares that underflow to 0.
+    "denseish": d <= 16 and at least half the rows nonzero, so nnz >= n d / 32
+    and, by Cauchy-Schwarz, sum_j c_j^2 >= nnz^2 / d >= nnz n / 32 (dense).
+    "sparse": every column has fewer than n / 32 nonzeros, so sum_j c_j^2 <
+    nnz n / 32 (CSR). "wide": d > n (CSR)."""
+    if kind == "denseish":
+        d = int(rng.integers(1, min(n, 16) + 1))
+        M = rng.standard_normal((n, d)) * (rng.random((n, d)) < rng.uniform(0.2, 1.0))
+        M[np.arange(n), rng.integers(0, d, n)] = rng.standard_normal(n)
+        M[rng.choice(n, size=int(rng.integers(0, n // 2 + 1)), replace=False)] = 0.0
+    elif kind == "sparse":
+        d = int(rng.integers(2, n + 1))
+        M = np.zeros((n, d))
+        for j in range(d):
+            rows = rng.choice(n, size=int(rng.integers(0, -(-n // 32))), replace=False)
+            M[rows, j] = rng.standard_normal(rows.size)
+    else:
+        d = n + int(rng.integers(1, 40))
+        M = rng.standard_normal((n, d)) * (rng.random((n, d)) < rng.uniform(0.0, 0.3))
+    X = sparse.csr_matrix(M)
+    special = rng.random(X.nnz)
+    X.data[special < 0.05] = 0.0
+    X.data[special > 0.95] *= 1e-170
+    return X
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(kind=st.sampled_from(["denseish", "sparse", "wide"]), n=st.integers(1, 300),
+       family=st.sampled_from(["linear", "gaussian", "laplace"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_csr_kernels_are_bit_identical_to_the_sparse_product(kind, n, family, seed):
+    # whichever transpose a CSR Dataset holds, every kernel evaluation equals
+    # the explicit CSR x CSR product with X.multiply(X) norms bit for bit
+    rng = np.random.default_rng(seed)
+    if kind == "sparse":
+        n = max(n, 64)
+    X = _draw_csr(kind, n, rng)
+    Q = X[rng.integers(0, n, int(rng.integers(1, 30)))]
+    Q.data[rng.random(Q.nnz) < 0.3] *= -0.5
+    ds = Dataset(X)
+    assert isinstance(ds.transposed, np.ndarray) == (kind == "denseish")
+    spec = KernelSpec(family, None if family == "linear" else float(rng.uniform(0.5, 3.0)))
+
+    def norms(M):
+        return np.asarray(M.multiply(M).sum(axis=1)).ravel()
+
+    for M in (X, Q):
+        assert np.array_equal(row_sq_norms(M), norms(M))
+    assert np.array_equal(ds.sq_norms, norms(X))
+    expected = whole_matrix_kernel(spec, X, X)
+    if family != "linear":
+        np.fill_diagonal(expected, 1.0)
+    gm = gram(ds, spec)
+    assert np.array_equal(gm.entries, expected)
+    stats = center_gram(gm).stats
+    K = whole_matrix_kernel(spec, Q, X)
+    rows = K - K.mean(axis=1)[:, None] - stats.col_means[None, :] + stats.grand_mean
+    assert np.array_equal(kernel_rows(spec, ds, stats, Q), rows)
+    got_rows, self_k = kernel_rows_with_self(spec, ds, stats, Q)
+    kxx = norms(Q) if family == "linear" else np.ones(Q.shape[0])
+    assert np.array_equal(got_rows, rows)
+    assert np.array_equal(self_k, kxx - 2.0 * K.mean(axis=1) + stats.grand_mean)
