@@ -4,10 +4,9 @@ Datasets are immutable after construction and safe to share across threads;
 every generator is a pure function of its sizes and a 64-bit seed. A Dataset
 computes the training side of every kernel evaluation when it is built: the
 squared norm of each row, and the transposed sample matrix. For CSR samples
-the transpose is a dense d x n buffer when the samples are dense enough for
-a sparse x dense product to beat scipy's sparse x sparse one (see
-``_transpose_csr``), and a CSR matrix of its own otherwise. CSR samples are
-held in canonical form (sorted indices, no duplicates); a non-canonical
+the transpose is a dense d x n buffer when d <= n, so a CSR query is one
+sparse x dense product, and a CSR matrix of its own when d > n. CSR samples
+are held in canonical form (sorted indices, no duplicates); a non-canonical
 input is canonicalized on a copy.
 """
 
@@ -56,28 +55,14 @@ def _canonical_csr(X):
     return X
 
 
-# A CSR Dataset holds a dense transpose when scipy's sparse x sparse product
-# X X' would do at least 1/DENSE_WORK_RATIO of the multiplies of the sparse x
-# dense one: sum_j c_j^2 >= nnz * n / DENSE_WORK_RATIO, c_j being the
-# nonzeros of column j. Measured on uniform random CSR (best of 5 Gram
-# products, one thread, 2-vCPU Xeon VM), sparse x sparse time over sparse x
-# dense at n=3000: d=100, density 10%: 2.7; 5%: 1.1; 3%: 0.91; 1%: 0.75;
-# d=1000, 5%: 1.5; 3%: 1.2; 1%: 0.39; 0.1%: 0.57. At n=1000, d=100, 10%
-# (the robust-libsvm benchmark's shape): 5.9. The ratio sum_j c_j^2 /
-# (nnz * n) is about the density, so 1/32 sits where the two meet.
-DENSE_WORK_RATIO = 32
-
-
 def _transpose_csr(X):
     """The d x n transpose of canonical n x d CSR samples, read-only: dense
-    and C-contiguous when d <= n (it is then no larger than an n x n Gram)
-    and the DENSE_WORK_RATIO rule holds, CSR otherwise. Both forms give the
-    same product Q @ T for a CSR query Q bit for bit: scipy sums the same
-    nonzero terms in the same order, and the dense form only adds exact
-    zeros."""
+    and C-contiguous when d <= n (8nd bytes, no larger than an n x n Gram),
+    CSR otherwise. Both forms give the same product Q @ T for a CSR query Q
+    bit for bit: scipy sums the same nonzero terms in the same order, and
+    the dense form only adds exact zeros."""
     n, d = X.shape
-    cols = np.bincount(X.indices, minlength=d)
-    if d <= n and DENSE_WORK_RATIO * int(cols @ cols) >= X.nnz * n:
+    if d <= n:
         T = X.T.toarray(order="C")
         T.setflags(write=False)
         return T
@@ -97,8 +82,11 @@ class Dataset:
     the transpose is a view of their buffer. CSR samples are held in
     canonical form (a non-canonical input is canonicalized on a copy, so the
     caller's matrix is left as it was); their transpose is a dense buffer
-    (8nd bytes, at most 8n^2) for dense-ish samples with d <= n, and a CSR
-    matrix of its own otherwise (see ``_transpose_csr``).
+    when d <= n and a CSR matrix of its own when d > n. The dense one takes
+    8nd bytes for as long as the Dataset lives: during a fit that is at most
+    the n x n Gram's 8n^2, but a model with its training data attached holds
+    it for every projection, where a CSR transpose took about 12 bytes per
+    nonzero.
     """
 
     values: object

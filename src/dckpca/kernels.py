@@ -10,19 +10,18 @@ products X Y' fill it, then the distance, bandwidth and exponential steps
 run in place, one panel of ``BLOCK`` rows at a time; a panel is the only
 other allocation. With CSR queries against a Dataset that holds a dense
 transpose, scipy writes X Y' straight into that buffer; against a CSR
-transpose (low-density or d > n samples) the sparse product X Y' is
-densified into it, so it is live beside it until then. Query rows are
-centered in place as well. ``center_gram(gm, overwrite=True)`` centers
-panel by panel in ``gm``'s own buffer, so a fit from data holds one n x n
-buffer from the kernel's inner products to the final decomposition; the
-default copies first and leaves ``gm`` as it was, for a Gram the caller
-owns.
+transpose (samples with d > n) the sparse product X Y' is densified into
+it, so it is live beside it until then. Query rows are centered in place as
+well. ``center_gram(gm, overwrite=True)`` centers panel by panel in
+``gm``'s own buffer, so a fit from data holds one n x n buffer from the
+kernel's inner products to the final decomposition; the default copies
+first and leaves ``gm`` as it was, for a Gram the caller owns.
 
 The training side of a kernel evaluation comes from the Dataset, which
 computes it once: the rows' squared norms and the transposed sample matrix
-(for CSR samples dense or CSR, by the Dataset's rule, so no product converts
-it again). A query pays for its own rows only. Either form of the transpose
-gives the same entries bit for bit.
+(for CSR samples dense when d <= n and CSR when d > n, so no product
+converts it again). A query pays for its own rows only. Either form of the
+transpose gives the same entries bit for bit.
 """
 
 from dataclasses import dataclass
@@ -30,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .data_io import Dataset, _canonical_csr, row_sq_norms
+from .data_io import Dataset, row_sq_norms
 from .errors import DataError, KpcaError
 
 FAMILIES = ("linear", "gaussian", "laplace", "precomputed")
@@ -180,7 +179,7 @@ def kernel_cross(spec: KernelSpec, train: Dataset, X) -> np.ndarray:
 
 def _as_query_matrix(train: Dataset, X):
     if sparse.issparse(X):
-        return _canonical_csr(X)
+        return X.tocsr()
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
         X = X[None, :]

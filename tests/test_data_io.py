@@ -230,8 +230,8 @@ def test_dataset_stores_one_csr_or_contiguous_float64_buffer():
 
 
 def test_dataset_holds_read_only_norms_and_transpose():
-    # dense-ish CSR samples with d <= n get a dense C-contiguous transpose,
-    # low-density or d > n ones a CSR transpose; either is read-only
+    # CSR samples with d <= n get a dense C-contiguous transpose, those with
+    # d > n a CSR transpose; either is read-only
     from scipy import sparse
     X = np.array([[1.0, 0.0, -2.0], [0.0, 0.0, 0.0], [3.0, 0.5, 0.0], [0.0, -1.0, 4.0]])
     dense, csr = Dataset(X), Dataset(sparse.csr_matrix(X))
@@ -242,22 +242,19 @@ def test_dataset_holds_read_only_norms_and_transpose():
     t = csr.transposed
     assert type(t) is np.ndarray and t.flags.c_contiguous and not t.flags.writeable
     assert np.array_equal(t, X.T)
-    # one nonzero in each of 100 rows over 50 columns: sum_j c_j^2 = 200 is
-    # below nnz * n / 32 = 312.5; and the 3 x 4 transpose of X has d > n
-    diagonal = np.zeros((100, 50))
-    diagonal[np.arange(100), np.arange(100) % 50] = np.arange(1.0, 101.0)
-    for M in (diagonal, X.T):
-        t = Dataset(sparse.csr_matrix(M)).transposed
-        assert sparse.isspmatrix_csr(t) and np.array_equal(t.toarray(), M.T)
-        assert not any(a.flags.writeable for a in (t.data, t.indices, t.indptr))
+    # the 3 x 4 transpose of X has d > n
+    t = Dataset(sparse.csr_matrix(X.T)).transposed
+    assert sparse.isspmatrix_csr(t) and np.array_equal(t.toarray(), X)
+    assert not any(a.flags.writeable for a in (t.data, t.indices, t.indptr))
 
 
 def test_non_canonical_csr_is_canonicalized_on_a_copy():
     # duplicate entries and unsorted indices: row 0 holds 1 and 0.5 at
     # column 1 and 0.25 at column 0, so its squared norm is 1.5^2 + 0.25^2
     from scipy import sparse
-    from dckpca import KernelSpec, gram
+    from dckpca import KernelSpec, center_gram, gram
     from dckpca.data_io import row_sq_norms
+    from dckpca.kernels import kernel_rows, kernel_rows_with_self
     data = np.array([1.0, 0.5, 0.25, 2.0, 3.0, -1.0])
     indices = np.array([1, 1, 0, 2, 2, 0], dtype=np.int32)
     indptr = np.array([0, 3, 4, 6], dtype=np.int32)
@@ -275,8 +272,16 @@ def test_non_canonical_csr_is_canonicalized_on_a_copy():
         assert np.array_equal(row_sq_norms(X), row_sq_norms(canonical))
         assert np.array_equal(ds.sq_norms, Dataset(canonical).sq_norms)
         for spec in (KernelSpec("linear"), KernelSpec("gaussian", 1.3)):
-            assert np.array_equal(gram(ds, spec).entries,
-                                  gram(Dataset(canonical), spec).entries)
+            gm = gram(ds, spec)
+            assert np.array_equal(gm.entries, gram(Dataset(canonical), spec).entries)
+            # X as a query against the canonical Dataset: its rows' norms
+            # must come from the summed duplicates too
+            stats = center_gram(gm).stats
+            want, want_self = kernel_rows_with_self(spec, ds, stats, canonical)
+            got, got_self = kernel_rows_with_self(spec, ds, stats, X)
+            assert np.allclose(got, want, rtol=0, atol=1e-12)
+            assert np.allclose(got_self, want_self, rtol=0, atol=1e-12)
+            assert np.allclose(kernel_rows(spec, ds, stats, X), want, rtol=0, atol=1e-12)
         assert np.array_equal(X.indices, [1, 1, 0, 2, 2, 0])
         assert np.array_equal(X.data, [1.0, 0.5, 0.25, 2.0, 3.0, -1.0])
         assert np.array_equal(X.indptr, [0, 3, 4, 6])
