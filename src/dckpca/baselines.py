@@ -5,8 +5,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dual_core import _gram_entries, dual_residual
+from .dual_core import dual_residual
 from .errors import ToleranceUnreachableError
+from .kernels import GramMatrix, gram_product
 
 
 @dataclass(frozen=True)
@@ -23,11 +24,16 @@ def h_from_pairs(pairs: EigPairs) -> np.ndarray:
     return pairs.vectors * np.sqrt(np.maximum(pairs.values, 0.0))
 
 
+def _dense(G) -> np.ndarray:
+    """The matrix a full eigendecomposition runs on, in float64: a float32
+    Gram's entries are upcast (a copy, beside the one LAPACK makes)."""
+    return np.asarray(G.entries if isinstance(G, GramMatrix) else G, dtype=float)
+
+
 def kpca_dense_eig(G, s: int):
     """Full symmetric eigendecomposition; returns the top-s pairs and the
     closed-form dual solution H_svd built from them."""
-    G = _gram_entries(G)
-    w, V = np.linalg.eigh(G)
+    w, V = np.linalg.eigh(_dense(G))
     order = np.argsort(-w, kind="stable")[:s]
     pairs = EigPairs(w[order], V[:, order])
     return pairs, h_from_pairs(pairs)
@@ -36,7 +42,7 @@ def kpca_dense_eig(G, s: int):
 def top_eigenvalues(G, s: int) -> np.ndarray:
     """The s largest eigenvalues of symmetric G, decreasing, from a dense
     ``eigvalsh`` (ties keep index order): the exact eta oracle."""
-    w = np.linalg.eigvalsh(_gram_entries(G))
+    w = np.linalg.eigvalsh(_dense(G))
     return w[np.argsort(-w, kind="stable")[:s]]
 
 
@@ -49,14 +55,13 @@ def rsvd(G, s: int, p: int = 10, q: int = 2, seed=0) -> EigPairs:
     """
     if p < 0 or q < 0:
         raise ValueError("oversamples and power iterations must be >= 0")
-    G = _gram_entries(G)
     n = G.shape[0]
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     k = min(s + p, n)
     Omega = rng.standard_normal((n, k))
-    Q, _ = np.linalg.qr(G @ Omega)
+    Q, _ = np.linalg.qr(gram_product(G, Omega))
     for _ in range(q):
-        Q, _ = np.linalg.qr(G @ Q)
+        Q, _ = np.linalg.qr(gram_product(G, Q))
     return rayleigh_ritz(G, Q, s)
 
 
@@ -64,7 +69,7 @@ def rayleigh_ritz(G, Q, s: int) -> EigPairs:
     """Top-s Ritz pairs of symmetric G on the span of Q (orthonormal columns):
     the eigenpairs of Q'GQ, values decreasing, vectors lifted back by Q.
     Costs one product of G with Q."""
-    B = Q.T @ (G @ Q)
+    B = Q.T @ gram_product(G, Q)
     w, W = np.linalg.eigh(0.5 * (B + B.T))
     order = np.argsort(-w, kind="stable")[:s]
     return EigPairs(w[order], Q @ W[:, order])
@@ -86,7 +91,6 @@ def rsvd_adaptive(G, s: int, delta: float, seed=0, top_eigs=None, q: int = 2,
     ``top_eigs`` are the exact top-s eigenvalues of G (the eta oracle),
     computed once by ``top_eigenvalues`` when not given.
     """
-    G = _gram_entries(G)
     n = G.shape[0]
     if top_eigs is None:
         top_eigs = top_eigenvalues(G, s)

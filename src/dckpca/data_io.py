@@ -6,8 +6,8 @@ computes the training side of every kernel evaluation when it is built: the
 squared norm of each row, and the transposed sample matrix. For CSR samples
 the transpose is a dense d x n buffer when d <= n, so a CSR query is one
 sparse x dense product, and a CSR matrix of its own when d > n. CSR samples
-are held in canonical form (sorted indices, no duplicates); a non-canonical
-input is canonicalized on a copy.
+are held as a read-only copy in canonical form (sorted indices, no
+duplicates).
 """
 
 import csv
@@ -79,14 +79,14 @@ class Dataset:
 
     ``sq_norms`` (the rows' squared norms) and ``transposed`` (the d x n
     transpose) are computed once, here, and are read-only. For dense samples
-    the transpose is a view of their buffer. CSR samples are held in
-    canonical form (a non-canonical input is canonicalized on a copy, so the
-    caller's matrix is left as it was); their transpose is a dense buffer
-    when d <= n and a CSR matrix of its own when d > n. The dense one takes
-    8nd bytes for as long as the Dataset lives: during a fit that is at most
-    the n x n Gram's 8n^2, but a model with its training data attached holds
-    it for every projection, where a CSR transpose took about 12 bytes per
-    nonzero.
+    the transpose is a view of their buffer. CSR samples are held as a
+    read-only copy in canonical form, so the caller's matrix is left as it
+    was and a later change to it does not reach the Dataset; their
+    transpose is a dense buffer when d <= n and a CSR matrix of its own when
+    d > n. The dense one takes 8nd bytes for as long as the Dataset lives:
+    during a fit that is at most 8n^2, but a model with its training data
+    attached holds it for every projection, where a CSR transpose took about
+    12 bytes per nonzero.
     """
 
     values: object
@@ -105,7 +105,12 @@ class Dataset:
         # one float64 CSR matrix, or one float64 buffer in C or F order: X X'
         # (the Gram) is then computed as a symmetric product, exactly symmetric
         if sparse.issparse(self.values):
-            values = _canonical_csr(self.values.astype(float, copy=False))
+            # a copy of its own: the caller's matrix could otherwise change
+            # under the norms and the transpose computed from it here
+            values = sparse.csr_matrix(self.values, dtype=float, copy=True)
+            values.sum_duplicates()
+            for part in (values.data, values.indices, values.indptr):
+                part.setflags(write=False)
             transposed = _transpose_csr(values)
         else:
             values = np.asarray(self.values, dtype=float)

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import KpcaError, SingularMatrixError
+from .kernels import gram_product
 
 
 @dataclass(frozen=True)
@@ -47,13 +48,8 @@ def sym_eig_small(M: np.ndarray) -> SpectralDecomp:
     return SpectralDecomp(U, w)
 
 
-def _gram_entries(G) -> np.ndarray:
-    return np.asarray(getattr(G, "entries", G), dtype=float)
-
-
-def _small_eig(G, H, gh=None):
-    G = _gram_entries(G)
-    GH = G @ H if gh is None else gh
+def _small_eig(G, H, gh=None, exact=False):
+    GH = gram_product(G, H, exact) if gh is None else gh
     M = H.T @ GH
     return GH, sym_eig_small(0.5 * (M + M.T))
 
@@ -62,9 +58,10 @@ def pi(G, H, gh=None) -> float:
     """Tr sqrt(H'GH) = sum_i sqrt(max(lam_i(H'GH), 0)).
 
     Negative round-off eigenvalues are clamped to zero; this equals the
-    nuclear norm of G^(1/2) H whenever G is PSD.
+    nuclear norm of G^(1/2) H whenever G is PSD. Without ``gh`` the product
+    GH is the exact one (``gram_product(G, H, exact=True)``).
     """
-    _, dec = _small_eig(G, H, gh)
+    _, dec = _small_eig(G, H, gh, exact=True)
     return float(np.sum(np.sqrt(np.maximum(dec.lam, 0.0))))
 
 
@@ -101,7 +98,8 @@ def check_floor(lam, singular_hint: str | None = None) -> None:
 def grad_pi(G, H, gh=None, singular_hint: str | None = None):
     """Gradient of pi at H together with the decomposition of H'GH.
 
-    grad = GH U' diag(1/sqrt(lam)) U, which requires every eigenvalue of
+    grad = GH U' diag(1/sqrt(lam)) U (GH by ``gram_product``: in single
+    precision on a float32 Gram), which requires every eigenvalue of
     H'GH to sit above the floor (``check_floor``, which appends
     ``singular_hint`` to a near-singular report). Below the floor the call
     fails loudly: the gradient is not Lipschitz near singularity, and a
@@ -135,10 +133,10 @@ def check_critical_point(G, H) -> float:
     """Normal-equation residual ||H H'H - GH||_F / ||GH||_F.
 
     Vanishes at critical points of the dual problem, which are also critical
-    points of the Gram reconstruction cost 0.25 ||G - HH'||_F^2.
+    points of the Gram reconstruction cost 0.25 ||G - HH'||_F^2. GH is the
+    exact product (``gram_product(G, H, exact=True)``).
     """
-    G = _gram_entries(G)
-    GH = G @ H
+    GH = gram_product(G, H, exact=True)
     denom = float(np.linalg.norm(GH))
     if denom == 0.0:
         raise KpcaError("GH = 0: criticality residual undefined")

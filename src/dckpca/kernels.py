@@ -1,9 +1,12 @@
-"""Kernel evaluation, Gram assembly, double centering, and out-of-sample rows.
+"""Kernel evaluation, Gram assembly, double centering, out-of-sample rows, and
+the one product with a Gram.
 
 Gram matrices are symmetric by construction, so ``entries == entries.T``
-holds exactly (``GramMatrix`` checks it, tile by tile). Centering stats
-(column means of the uncentered matrix plus its grand mean) are stored for
-out-of-sample use.
+holds exactly (``GramMatrix`` checks it, tile by tile, when it is built).
+They are stored in float64, or in float32 for a fit from data (see
+``gram``); ``gram_product`` multiplies either. Centering stats (column means
+of the uncentered matrix plus its grand mean) are stored for out-of-sample
+use.
 
 Every kernel matrix is built inside its one output buffer. The inner
 products X Y' fill it, then the distance, bandwidth and exponential steps
@@ -12,10 +15,12 @@ other allocation. With CSR queries against a Dataset that holds a dense
 transpose, scipy writes X Y' straight into that buffer; against a CSR
 transpose (samples with d > n) the sparse product X Y' is densified into
 it, so it is live beside it until then. Query rows are centered in place as
-well. ``center_gram(gm, overwrite=True)`` centers panel by panel in
-``gm``'s own buffer, so a fit from data holds one n x n buffer from the
-kernel's inner products to the final decomposition; the default copies
-first and leaves ``gm`` as it was, for a Gram the caller owns.
+well. A float32 Gram is built a strip of BLOCK columns at a time in float64
+(``_gram_float32``), so no n x n product of the samples is formed.
+``center_gram(gm, overwrite=True)`` centers panel by panel in ``gm``'s own
+buffer, so a fit from data holds one n x n buffer from the kernel to the
+final decomposition; the default copies first and leaves ``gm`` as it was,
+for a Gram the caller owns.
 
 The training side of a kernel evaluation comes from the Dataset, which
 computes it once: the rows' squared norms and the transposed sample matrix
@@ -24,7 +29,7 @@ converts it again). A query pays for its own rows only. Either form of the
 transpose gives the same entries bit for bit.
 """
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 from scipy import sparse
@@ -91,23 +96,59 @@ class CenteringStats:
 
 @dataclass(frozen=True)
 class GramMatrix:
-    """n x n exactly-symmetric kernel matrix with centering state."""
+    """n x n exactly-symmetric kernel matrix, float64 or float32, with
+    centering state. ``stats`` holds the column means of the uncentered
+    Gram: for a centered one those of the Gram it was centered from; an
+    uncentered float32 Gram from ``gram`` carries its own (its entries are
+    shifted, see ``gram``).
+
+    Symmetry is checked once, here, tile by tile. ``center_gram`` keeps it
+    term by term, so its result (``_checked=True``) is not checked again."""
 
     entries: np.ndarray
     centered: bool = False
     stats: CenteringStats | None = None
+    _checked: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, _checked):
         e = self.entries
         if e.ndim != 2 or e.shape[0] != e.shape[1]:
             raise KpcaError("Gram matrix must be square")
-        if not all(np.array_equal(e[r, c], e[c, r].T) for r, c in _tiles(e.shape[0])):
+        if e.dtype not in (np.float32, np.float64):
+            raise KpcaError(f"Gram entries must be float32 or float64, got {e.dtype}")
+        if not _checked and not all(np.array_equal(e[r, c], e[c, r].T)
+                                    for r, c in _tiles(e.shape[0])):
             raise KpcaError("Gram matrix is not exactly symmetric")
         e.setflags(write=False)
 
     @property
     def n(self) -> int:
         return self.entries.shape[0]
+
+    @property
+    def shape(self) -> tuple:
+        return self.entries.shape
+
+
+def gram_product(G, Q, exact: bool = False) -> np.ndarray:
+    """G Q in float64: the one product with a Gram that the solvers, the
+    dual core, the model and the baselines use. ``G`` is a GramMatrix or an
+    array, which is taken as float64 as it was given.
+
+    A float32 Gram multiplies Q cast once to float32, in single precision.
+    With ``exact`` it accumulates in float64 instead, over upcast BLOCK-row
+    panels of the stored entries: the product a model's spectrum and the
+    checks (``pi``, ``dual_residual``, ``check_critical_point``) read. A
+    float64 Gram gives ``G @ Q`` either way."""
+    E = G.entries if isinstance(G, GramMatrix) else np.asarray(G, dtype=float)
+    if E.dtype == np.float64:
+        return E @ Q
+    if not exact:
+        return (E @ Q.astype(np.float32)).astype(np.float64)
+    out = np.empty((E.shape[0], Q.shape[1]))
+    for rows in _panels(E.shape[0]):
+        np.matmul(E[rows].astype(np.float64), Q, out=out[rows])
+    return out
 
 
 def _tiles(n):
@@ -161,9 +202,15 @@ def kernel_cross(spec: KernelSpec, train: Dataset, X) -> np.ndarray:
     # the sparse product is densified once
     K = X @ train.transposed
     K = K.toarray() if sparse.issparse(K) else np.asarray(K)
-    if spec.family == "linear":
-        return K
-    xs, ys = row_sq_norms(X), train.sq_norms
+    if spec.family != "linear":
+        _kernel_in_place(spec, K, row_sq_norms(X), train.sq_norms)
+    return K
+
+
+def _kernel_in_place(spec, K, xs, ys):
+    """Turn inner products K[a, i] = <x_a, y_i> into gaussian or laplace
+    kernel values in place, one panel of BLOCK rows at a time, given the
+    rows' squared norms xs and ys."""
     neg_sig2 = -2.0 * spec.sigma ** 2
     for rows in _panels(K.shape[0]):
         P = K[rows]
@@ -174,7 +221,6 @@ def kernel_cross(spec: KernelSpec, train: Dataset, X) -> np.ndarray:
             np.sqrt(P, out=P)
         np.divide(P, neg_sig2, out=P)
         np.exp(P, out=P)
-    return K
 
 
 def _as_query_matrix(train: Dataset, X):
@@ -188,24 +234,91 @@ def _as_query_matrix(train: Dataset, X):
     return X
 
 
-def gram(dataset: Dataset, spec: KernelSpec) -> GramMatrix:
-    """Assemble the uncentered Gram matrix for a resolved kernel spec. On a
-    Dataset's values (one CSR matrix or float64 buffer) the cross kernel of X
-    with itself is exactly symmetric as computed, so no mirroring is needed."""
+def gram(dataset: Dataset, spec: KernelSpec, dtype=np.float64) -> GramMatrix:
+    """Assemble the uncentered Gram matrix for a resolved kernel spec, stored
+    as ``dtype``: float64 (the default) or float32.
+
+    In float64 it is the cross kernel of the Dataset's values (one CSR
+    matrix or float64 buffer) with themselves, exactly symmetric as
+    computed. In float32 (4n^2 bytes, ``_gram_float32``) the stored entries
+    are G less a term t_i + t_j that centering removes, so they keep the
+    magnitude of the centered entries; the Gram's ``stats`` hold G's own
+    column means, summed in float64. Such a Gram is only good for
+    ``center_gram``."""
     if spec.family == "precomputed":
         raise KpcaError("use load_gram_csv for precomputed Gram matrices")
     if not spec.resolved:
         raise KpcaError("resolve the 'auto' bandwidth before assembling a Gram")
+    dtype = np.dtype(dtype)
+    if dtype == np.float32:
+        return _gram_float32(dataset, spec)
+    if dtype != np.float64:
+        raise KpcaError(f"a Gram is stored as float64 or float32, not {dtype}")
     G = kernel_cross(spec, dataset, dataset.values)
     if spec.family in ("gaussian", "laplace"):
         np.fill_diagonal(G, 1.0)
     return GramMatrix(G, centered=False)
 
 
+def _gram_float32(dataset, spec):
+    """G - (t 1' + 1 t') in float32, with G's column means in float64.
+
+    t = mu~ - mean(mu~) / 2, where mu~ are the column means of the kernel
+    against every ceil(n / BLOCK)-th sample (one BLOCK-row evaluation), so
+    G_ij - t_i - t_j is about the centered entry. Rounding G itself would
+    cost the centered entries their accuracy where they are much smaller
+    than G's (the robust-libsvm Gram: rms 0.83 against 0.017).
+
+    G is computed a strip of BLOCK columns at a time: K = G[i:, strip] as
+    X[i:] X[strip]' in float64 (a sparse product has at most n x BLOCK
+    entries), turned into kernel values in place, so the kernel runs on the
+    lower triangle only. K's diagonal tile is made symmetric by copying its
+    lower triangle over its upper one, and K's column and row sums give
+    G's column sums by symmetry. Shifted by t, K is rounded into the buffer;
+    then each tile above the diagonal is copied from its mirror tile, so the
+    buffer is exactly symmetric."""
+    n = dataset.n
+    V, T = dataset.values, dataset.transposed
+    means = kernel_cross(spec, dataset, V[::(n + BLOCK - 1) // BLOCK]).mean(axis=0)
+    t = means - 0.5 * means.mean()
+    G = np.empty((n, n), dtype=np.float32)
+    sums = np.zeros(n)
+    for cols in _panels(n):
+        i = cols.start
+        b = min(BLOCK, n - i)
+        K = V[i:] @ T[:, cols]
+        K = K.toarray() if sparse.issparse(K) else np.asarray(K)
+        if spec.family != "linear":
+            _kernel_in_place(spec, K, dataset.sq_norms[i:], dataset.sq_norms[cols])
+        D = K[:b]
+        upper = np.triu_indices(b, 1)
+        D[upper] = D.T[upper]
+        if spec.family in ("gaussian", "laplace"):
+            np.fill_diagonal(D, 1.0)
+        sums[cols] += K.sum(axis=0)
+        sums[i + b:] += K[b:].sum(axis=1)
+        for rows in _panels(K.shape[0]):
+            K[rows] -= np.add.outer(t[i:][rows], t[cols])
+        G[i:, cols] = K
+        del K, D  # one strip live at a time
+    for rows, cols in _tiles(n):
+        if rows != cols:
+            G[rows, cols] = G[cols, rows].T
+    mu = sums / n
+    return GramMatrix(G, centered=False, stats=CenteringStats(mu, float(mu.mean())))
+
+
 def center_gram(gm: GramMatrix, overwrite: bool = False) -> GramMatrix:
-    """Double centering G_c = J G J with J = I - 11'/n; records the stats of
-    its input so new points can be centered consistently. Entry (i, j) is
-    (G_ij - (mu_i + mu_j)) + grand, symmetric in i and j term by term.
+    """Double centering G_c = J G J with J = I - 11'/n, so new points can be
+    centered consistently. With mu the column means of the stored entries
+    (summed in float64) and grand their mean, entry (i, j) is
+    (G_ij - (mu_i + mu_j)) + grand in float64, symmetric in i and j term by
+    term, so the result is not checked for symmetry again; a float32 entry
+    is rounded once into the buffer, one BLOCK-row panel at a time.
+
+    The recorded stats are mu and grand, or the uncentered Gram's own
+    ``stats`` where it carries them: a float32 Gram from ``gram`` stores G
+    less a term t_i + t_j, which J removes, and its stats are G's.
 
     With ``overwrite=True`` the centering runs in ``gm``'s buffer, which the
     result takes over (``gm`` then holds centered entries), as scipy's
@@ -219,15 +332,19 @@ def center_gram(gm: GramMatrix, overwrite: bool = False) -> GramMatrix:
         except ValueError as exc:
             raise KpcaError(f"cannot center the Gram in place: its buffer "
                             f"is read-only memory ({exc})") from exc
-    mu = G.mean(axis=0)
+    mu = G.mean(axis=0, dtype=np.float64)
     grand = float(mu.mean())
+    stats = gm.stats if gm.stats is not None and not gm.centered else \
+        CenteringStats(mu, grand)
     if not overwrite:
         G = G.copy()
     for rows in _panels(G.shape[0]):
-        P = G[rows]
-        P -= np.add.outer(mu[rows], mu)
+        P = np.add.outer(mu[rows], mu)
+        np.subtract(G[rows], P, out=P)
         P += grand
-    return GramMatrix(G, centered=True, stats=CenteringStats(mu, grand))
+        G[rows] = P
+        del P  # one panel live at a time
+    return GramMatrix(G, centered=True, stats=stats, _checked=True)
 
 
 def kernel_rows(spec: KernelSpec, train: Dataset, stats: CenteringStats, X) -> np.ndarray:

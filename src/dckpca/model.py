@@ -82,14 +82,38 @@ def dataset_fingerprint(dataset: Dataset) -> str:
 
 
 def gram_fingerprint(gm: kernels.GramMatrix) -> str:
+    """sha256 over shape and the entries' bytes as stored (no n^2 copy)."""
     h = hashlib.sha256()
     h.update(np.asarray(gm.entries.shape, dtype=np.int64).tobytes())
-    h.update(np.ascontiguousarray(gm.entries, dtype=np.float64))  # no n^2 copy
+    h.update(np.ascontiguousarray(gm.entries))
     return h.hexdigest()
 
 
+# Smallest tol a fit from data solves on a float32 Gram. The products' own
+# rounding puts a floor under the fixed-point residual: r^2 ~ 5e-14 at
+# n=1000 (gaussian, dense and CSR samples, s=10 and 20), growing with n.
+FLOAT32_MIN_TOL = 1e-12
+
+
+def _gram_dtype(cfg: SolveConfig, spec: kernels.KernelSpec):
+    """The precision of a fit's Gram storage, decided once: float32, unless
+    the fit is in benchmark mode (eta is defined against the eigenvalues of
+    the float64 G, and float32 products stall short of a tight eta), asks
+    for tol < FLOAT32_MIN_TOL, or uses the linear kernel. A linear Gram has
+    rank at most d, and s > rank is a user error that must be reported as
+    such: rounded to float32, its null space fills with eigenvalues of
+    either sign at the rounding level, so the solve would report an
+    indefinite H'GH instead."""
+    if (cfg.benchmark_eigs is not None or cfg.tol < FLOAT32_MIN_TOL
+            or spec.family == "linear"):
+        return np.float64
+    return np.float32
+
+
 def _final_decomp(G, H) -> SpectralDecomp:
-    M = H.T @ (G @ H)
+    # the exact product: with a float32 Gram, the model's spectrum (and so
+    # its projections) keeps float64 accuracy on the stored entries
+    M = H.T @ kernels.gram_product(G, H, exact=True)
     return sym_eig_small(0.5 * (M + M.T))
 
 
@@ -104,7 +128,14 @@ def fit(dataset: Dataset | None, kernel_spec: kernels.KernelSpec,
     unresolved ``xmax`` radius triggers a square-loss pre-solve to measure
     kappa_max; its report nests in the model's report as ``presolve``.
     ``gram_matrix`` short-circuits kernel assembly for precomputed Grams
-    (``dataset`` may then be None).
+    (``dataset`` may then be None); it is solved in its own precision.
+
+    From data the Gram is stored in float32 (4n^2 bytes), except in
+    benchmark mode, at tol < FLOAT32_MIN_TOL or for the linear kernel,
+    where it is float64 (``_gram_dtype``). On a float32 Gram the solvers'
+    products run in single precision; the s x s algebra, the costs and the
+    final decomposition of H'GH, taken from the exact float64-accumulated
+    product, stay in float64.
     """
     cfg = config or SolveConfig()
     if solver not in ("auto", "dca"):
@@ -121,7 +152,8 @@ def fit(dataset: Dataset | None, kernel_spec: kernels.KernelSpec,
         spec = kernel_spec.resolve(dataset)
         fingerprint = dataset_fingerprint(dataset)
         # centered in the buffer it was built in: one n x n buffer per fit
-        Gc = kernels.center_gram(kernels.gram(dataset, spec), overwrite=True)
+        gm = kernels.gram(dataset, spec, dtype=_gram_dtype(cfg, spec))
+        Gc = kernels.center_gram(gm, overwrite=True)
 
     kappa_max_value = presolve = None
     if not objective.resolved:
@@ -145,7 +177,7 @@ def assemble_model(Gc: kernels.GramMatrix, spec: kernels.KernelSpec,
                    kappa_max_value: float | None = None) -> KpcaModel:
     """Wrap a solved dual variable into a projectable model (spectral factors
     of H'GH, centering stats, fingerprint). Raises when H'GH is singular."""
-    dec = _final_decomp(Gc.entries, H)
+    dec = _final_decomp(Gc, H)
     if fingerprint is None:
         fingerprint = dataset_fingerprint(dataset) if dataset is not None \
             else gram_fingerprint(Gc)

@@ -19,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dual_core import (_gram_entries, check_floor, grad_pi, optimal_dual_cost,
-                        sym_eig_small)
+from .dual_core import check_floor, grad_pi, optimal_dual_cost, sym_eig_small
 from .errors import KpcaError, SingularMatrixError
+from .kernels import GramMatrix, gram_product
 from .objectives import HUBER_KINDS, ObjectiveSpec, prox_psi_star, psi_star_value
 
 SUBSPACE_DEFAULT_MAX_ITERS = 500
@@ -151,8 +151,12 @@ def _solve(G, s, cfg, h0, default_max_iters, loop):
     singular H'GH at a Gaussian init is a measure-zero event. For indefinite
     G, H'GH can be indefinite on a set of positive measure; the reseed then
     fails too, and its error carries both inits' messages.
+
+    ``G`` is a GramMatrix, whose products run in its own precision
+    (``gram_product``), or an array, taken as float64.
     """
-    G = _gram_entries(G)
+    if not isinstance(G, GramMatrix):
+        G = np.asarray(G, dtype=float)
     n = G.shape[0]
     if s < 1:
         raise KpcaError("s must be >= 1")
@@ -217,7 +221,7 @@ def lbfgs_solve(G, s: int, config: SolveConfig | None = None, h0=None):
 
 def _subspace_loop(G, H, trace):
     s = H.shape[1]
-    GH = G @ H
+    GH = gram_product(G, H)
     trace.products += 1
     gpi, dec = grad_pi(G, H, gh=GH, singular_hint=_rank_hint(s))
     cost = 0.5 * float(np.vdot(H, H)) - _pi_from(dec)
@@ -262,7 +266,7 @@ def _ritz_step(G, X, GX, block, s):
         Q, T = np.linalg.qr(Q)
         d = np.abs(np.diag(T))
         Q = Q[:, d > 1e-12 * d.max(initial=0.0)]
-    S, GS = np.hstack([X, Q]), np.hstack([GX, G @ Q])
+    S, GS = np.hstack([X, Q]), np.hstack([GX, gram_product(G, Q)])
     w, W = np.linalg.eigh(_sym(S.T @ GS))
     top = np.argsort(-w, kind="stable")[:s]
     theta, W = w[top], W[:, top]
@@ -310,7 +314,7 @@ def dca_solve(G, s: int, objective: ObjectiveSpec, config: SolveConfig | None = 
         return dec, square_cost, square_cost + psi_star_value(objective, H)
 
     def loop(G, H, trace):
-        GH = G @ H
+        GH = gram_product(G, H)
         trace.products += 1
         dec, square_cost, cost = evaluate(H, GH)
         dR, dT = deque(maxlen=ANDERSON_DEPTH), deque(maxlen=ANDERSON_DEPTH)
@@ -333,7 +337,7 @@ def dca_solve(G, s: int, objective: ObjectiveSpec, config: SolveConfig | None = 
                 H_a = _anderson_candidate(dR, dT, g, T)
                 if huber:
                     H_a = prox_psi_star(objective, H_a)
-                GH_a = G @ H_a
+                GH_a = gram_product(G, H_a)
                 trace.products += 1
                 dec_a, square_a, cost_a = evaluate(H_a, GH_a)
                 if _above_floor(dec_a.lam) and cost_a <= cost - 0.5 * g_sq:
@@ -343,7 +347,7 @@ def dca_solve(G, s: int, objective: ObjectiveSpec, config: SolveConfig | None = 
                 dR.clear()
                 dT.clear()
                 last = None
-            H, GH = T, G @ T
+            H, GH = T, gram_product(G, T)
             trace.products += 1
             dec, square_cost, cost = evaluate(H, GH)
 

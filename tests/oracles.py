@@ -2,6 +2,7 @@
 never share code with the implementation paths they check."""
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 
 def kernel_eval(spec, x, y):
@@ -20,6 +21,45 @@ def kernel_row(spec, train_values, stats, x):
     k(x, x_i) - mean_j k(x, x_j) - colmean_i + grandmean."""
     k = np.array([kernel_eval(spec, x, xi) for xi in np.asarray(train_values)])
     return k - k.mean() - stats.col_means + stats.grand_mean
+
+
+def kernel_matrix(spec, A, B):
+    """k(a_i, b_j) for all pairs of dense rows, by scipy's cdist (the
+    gaussian and laplace closed forms) or the plain inner product."""
+    A, B = np.asarray(A, dtype=float), np.asarray(B, dtype=float)
+    if spec.family == "linear":
+        return A @ B.T
+    arg = cdist(A, B, "sqeuclidean" if spec.family == "gaussian" else "euclidean")
+    return np.exp(-arg / (2.0 * spec.sigma ** 2))
+
+
+def centered_kernels(spec, X, Q):
+    """The float64 double-centered Gram of training rows X and the centered
+    kernel rows of queries Q, each from ``kernel_matrix`` and the column
+    means of the uncentered Gram."""
+    K = kernel_matrix(spec, X, X)
+    mu = K.mean(axis=0)
+    grand = mu.mean()
+    Kq = kernel_matrix(spec, Q, X)
+    return (K - mu[:, None] - mu[None, :] + grand,
+            Kq - Kq.mean(axis=1)[:, None] - mu[None, :] + grand)
+
+
+def projection(Gc, Kc, H):
+    """Projections Kc A of centered query rows, A = H (H'GH)^(-1/2) from a
+    dense eigendecomposition of H'GH."""
+    w, V = np.linalg.eigh(H.T @ Gc @ H)
+    return Kc @ (H @ ((V / np.sqrt(w)) @ V.T))
+
+
+def square_eta(Gc, H, s):
+    """Relative gap |d(H) - d_opt| / |d_opt| of the square-loss dual
+    d(H) = 0.5 ||H||^2 - Tr sqrt(H'GH), with d_opt = -0.5 (sum of the top s
+    eigenvalues of Gc) from a dense eigvalsh."""
+    d_opt = -0.5 * float(np.sum(dense_top_eigs(Gc, s)))
+    lam = np.linalg.eigvalsh(H.T @ Gc @ H)
+    d = 0.5 * float(np.sum(H * H)) - float(np.sum(np.sqrt(np.maximum(lam, 0.0))))
+    return abs(d - d_opt) / abs(d_opt)
 
 
 def dual_cost(G, H, objective):

@@ -253,17 +253,6 @@ def test_sparse_eps_zero_ratio_one(tmp_path, capsys):
     assert float(zero_row["zero_rows_pct"]) == 0.0
 
 
-def test_sparse_and_robust_csvs_reproducible(tmp_path, capsys):
-    args = ["sparse", "--synth-n", "80", "--synth-d", "5",
-            "--kernel", "gaussian", "--sigma", "2.0", "--objective", "eps2",
-            "--eps-grid", "0,0.1,0.3", "--components-grid", "2,3", "--seed", "5"]
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    assert main(args + ["--out", str(a)]) == 0
-    assert main(args + ["--out", str(b)]) == 0
-    capsys.readouterr()
-    assert a.read_bytes() == b.read_bytes()
-
-
 def test_sparse_and_robust_csvs_report_iterations_and_termination(tmp_path, capsys):
     sparse_out, robust_out = tmp_path / "sparse.csv", tmp_path / "robust.csv"
     assert main(["sparse", "--synth-n", "60", "--synth-d", "4",
@@ -306,20 +295,56 @@ def test_robust_jobs_concurrent_matches_serial(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_bench_csv_reproducible_modulo_timing(tmp_path, capsys):
-    args = ["bench", "--synth-n", "120", "--synth-d", "5",
-            "--kernel", "gaussian", "--sigma", "1.5", "--components", "3",
-            "--solvers", "eig,lbfgs", "--delta", "1e-2", "--seed", "2"]
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    assert main(args + ["--out", str(a)]) == 0
-    assert main(args + ["--out", str(b)]) == 0
-    capsys.readouterr()
+def test_every_command_is_deterministic(tmp_path):
+    # each command twice with the same seed: the same bytes, wall-clock
+    # fields aside; solve and robust fit float32 Grams, the rest float64 ones
+    from scipy import sparse
+    from dckpca import Dataset, serialize_libsvm
+    data = tmp_path / "train.csv"
+    write_csv_dataset(data, n=150, d=4, seed=3)
+    libsvm = tmp_path / "train.libsvm"
+    X = sparse.random(120, 30, density=0.2, format="csr",
+                      random_state=np.random.default_rng(4))
+    libsvm.write_text(serialize_libsvm(Dataset(X)))
+    commands = {
+        "solve-csv": ["solve", "--data", str(data), "--sigma", "1.5",
+                      "--components", "3", "--seed", "1"],
+        "solve-libsvm": ["solve", "--data", str(libsvm), "--format", "libsvm",
+                         "--sigma", "2.0", "--components", "3",
+                         "--objective", "huber2:xmax:0.8", "--seed", "1"],
+        "robust": ["robust", "--synth-n", "50", "--synth-d", "3", "--kernel",
+                   "gaussian", "--sigma", "2.0", "--components", "2",
+                   "--omega", "0.1", "--tau-grid", "10,50", "--seed", "4"],
+        "sparse": ["sparse", "--synth-n", "80", "--synth-d", "5", "--kernel",
+                   "gaussian", "--sigma", "2.0", "--objective", "eps2",
+                   "--eps-grid", "0,0.1,0.3", "--components-grid", "2,3",
+                   "--seed", "5"],
+        "bench": ["bench", "--synth-n", "120", "--synth-d", "5", "--kernel",
+                  "gaussian", "--sigma", "1.5", "--components", "3",
+                  "--solvers", "eig,lbfgs", "--delta", "1e-2", "--seed", "2"],
+        "spectrum": ["spectrum", "--c-grid", "0.05,0.3", "--n", "80",
+                     "--components", "4", "--delta", "1e-3", "--seed", "1"],
+    }
     timing = {"wall_seconds", "wall_samples", "speedup_vs_rsvd"}
-    rows_a, rows_b = read_rows(a), read_rows(b)
-    for ra, rb in zip(rows_a, rows_b):
-        for key in ra:
-            if key not in timing:
-                assert ra[key] == rb[key]
+
+    def untimed(report):
+        return {k: untimed(v) if k == "presolve" else v
+                for k, v in report.items() if k not in timing}
+
+    for name, args in commands.items():
+        runs = []
+        for run in ("a", "b"):
+            out = tmp_path / f"{name}-{run}.out"
+            if args[0] == "solve":
+                report = tmp_path / f"{name}-{run}.json"
+                assert main(args + ["--out", str(out), "--report", str(report)]) == 0
+                runs.append((out.read_bytes(), untimed(json.loads(report.read_text()))))
+            else:
+                assert main(args + ["--out", str(out)]) == 0
+                rows = read_rows(out)
+                runs.append([{k: v for k, v in row.items() if k not in timing}
+                             for row in rows] if timing & set(rows[0]) else out.read_bytes())
+        assert runs[0] == runs[1], name
 
 
 def test_bench_rsvd_unreachable_marks_unconverged(tmp_path, capsys):

@@ -248,6 +248,19 @@ def test_dataset_holds_read_only_norms_and_transpose():
     assert not any(a.flags.writeable for a in (t.data, t.indices, t.indptr))
 
 
+def test_csr_dataset_holds_a_read_only_copy():
+    # a later change to the caller's matrix must not reach the samples the
+    # norms and the transpose were computed from
+    from scipy import sparse
+    X = sparse.csr_matrix(np.eye(3))
+    ds = Dataset(X)
+    assert ds.values is not X
+    X.data[0] = 5.0
+    assert ds.values[0, 0] == ds.sq_norms[0] == ds.transposed[0, 0] == 1.0
+    assert not any(a.flags.writeable
+                   for a in (ds.values.data, ds.values.indices, ds.values.indptr))
+
+
 def test_non_canonical_csr_is_canonicalized_on_a_copy():
     # duplicate entries and unsorted indices: row 0 holds 1 and 0.5 at
     # column 1 and 0.25 at column 0, so its squared norm is 1.5^2 + 0.25^2

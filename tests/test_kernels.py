@@ -392,6 +392,19 @@ def test_kernels_across_panel_boundaries(n, m, family, layout, seed):
     assert inplace.stats.grand_mean == stats.grand_mean
     assert np.shares_memory(inplace.entries, built.entries)
     assert not inplace.entries.flags.writeable
+    # float32 storage: exactly symmetric, the float64 Gram's column means,
+    # and, centered in place, within a few float32 roundings of the centered
+    # entries' scale
+    g32 = gram(ds, spec, dtype=np.float32)
+    assert g32.entries.dtype == np.float32
+    assert np.array_equal(g32.entries, g32.entries.T)
+    scale = np.max(np.abs(gm.entries))
+    assert np.allclose(g32.stats.col_means, mu, rtol=1e-12, atol=1e-14 * scale)
+    c32 = center_gram(g32, overwrite=True)
+    assert c32.stats is g32.stats and np.shares_memory(c32.entries, g32.entries)
+    assert np.array_equal(c32.entries, c32.entries.T)
+    assert np.max(np.abs(c32.entries - gc.entries)) <= \
+        2.0 ** -21 * np.max(np.abs(gc.entries)) + 1e-14 * scale
     rows = kernel_rows(spec, ds, stats, query)
     assert np.array_equal(rows, K - K.mean(axis=1)[:, None] - stats.col_means[None, :]
                           + stats.grand_mean)

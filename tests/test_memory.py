@@ -56,14 +56,32 @@ def test_dense_square_fit_enters_the_solver_with_one_gram(traced, monkeypatch):
 
 
 def test_dense_square_fit_peak_is_one_gram(traced):
-    # the Gram is centered in the buffer it was built in, so no second n x n
-    # buffer is live at any point of the fit
+    # one float32 Gram (half a float64 buffer), built and centered in place,
+    # plus panels of BLOCK rows: 0.67 of a float64 buffer measured
     n = 2000
     ds = gen_synth_gaussian(n, 5, 1)
     tracemalloc.reset_peak()
     model.fit(ds, KernelSpec("gaussian", 2.0), ObjectiveSpec("square"), 3,
               SolveConfig(seed=0))
-    assert tracemalloc.get_traced_memory()[1] <= 1.25 * 8 * n * n
+    assert tracemalloc.get_traced_memory()[1] <= 0.75 * 8 * n * n
+
+
+def test_csr_fit_with_d_above_n_never_holds_the_sparse_product(traced):
+    # every two rows of these samples share a column, so X X' is 99% dense
+    # and its CSR form alone takes 1.49 float64 buffers; the fit builds the
+    # Gram from n x BLOCK products, and what it allocates peaks at 0.93
+    n = 1500
+    X = sparse.random(n, 2 * n, density=0.04, format="csr",
+                      random_state=np.random.default_rng(3))
+    ds = Dataset(X)
+    tracemalloc.reset_peak()
+    before = tracemalloc.get_traced_memory()[0]
+    model.fit(ds, KernelSpec("gaussian", 4.0), ObjectiveSpec("square"), 3,
+              SolveConfig(seed=0))
+    peak = tracemalloc.get_traced_memory()[1] - before
+    tracemalloc.stop()
+    product = X @ X.T
+    assert peak < product.data.nbytes + product.indices.nbytes
 
 
 def test_csr_huber_fit_enters_both_solves_with_one_gram(traced, monkeypatch):
