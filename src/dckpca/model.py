@@ -98,7 +98,7 @@ FLOAT32_MIN_TOL = 1e-12
 def _gram_dtype(cfg: SolveConfig, spec: kernels.KernelSpec):
     """The precision of a fit's Gram storage, decided once: float32, unless
     the fit is in benchmark mode (eta is defined against the eigenvalues of
-    the float64 G, and float32 products stall short of a tight eta), asks
+    the float64 G, which a float32 Gram's differ from at its rounding), asks
     for tol < FLOAT32_MIN_TOL, or uses the linear kernel. A linear Gram has
     rank at most d, and s > rank is a user error that must be reported as
     such: rounded to float32, its null space fills with eigenvalues of
