@@ -253,6 +253,17 @@ def test_sparse_eps_zero_ratio_one(tmp_path, capsys):
     assert float(zero_row["zero_rows_pct"]) == 0.0
 
 
+def test_sparse_and_robust_csvs_reproducible(tmp_path, capsys):
+    args = ["sparse", "--synth-n", "80", "--synth-d", "5",
+            "--kernel", "gaussian", "--sigma", "2.0", "--objective", "eps2",
+            "--eps-grid", "0,0.1,0.3", "--components-grid", "2,3", "--seed", "5"]
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert main(args + ["--out", str(a)]) == 0
+    assert main(args + ["--out", str(b)]) == 0
+    capsys.readouterr()
+    assert a.read_bytes() == b.read_bytes()
+
+
 def test_sparse_and_robust_csvs_report_iterations_and_termination(tmp_path, capsys):
     sparse_out, robust_out = tmp_path / "sparse.csv", tmp_path / "robust.csv"
     assert main(["sparse", "--synth-n", "60", "--synth-d", "4",
@@ -293,6 +304,22 @@ def test_robust_jobs_concurrent_matches_serial(tmp_path, capsys):
     assert main(base + ["--jobs", "2", "--out", str(b)]) == 0
     capsys.readouterr()
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_bench_csv_reproducible_modulo_timing(tmp_path, capsys):
+    args = ["bench", "--synth-n", "120", "--synth-d", "5",
+            "--kernel", "gaussian", "--sigma", "1.5", "--components", "3",
+            "--solvers", "eig,lbfgs", "--delta", "1e-2", "--seed", "2"]
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert main(args + ["--out", str(a)]) == 0
+    assert main(args + ["--out", str(b)]) == 0
+    capsys.readouterr()
+    timing = {"wall_seconds", "wall_samples", "speedup_vs_rsvd"}
+    rows_a, rows_b = read_rows(a), read_rows(b)
+    for ra, rb in zip(rows_a, rows_b):
+        for key in ra:
+            if key not in timing:
+                assert ra[key] == rb[key]
 
 
 def test_every_command_is_deterministic(tmp_path):
