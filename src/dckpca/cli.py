@@ -88,6 +88,11 @@ def _add_kernel_flags(p, kernel="gaussian", sigma=None):
                    help="kernel bandwidth: a positive value or 'auto'")
 
 
+def _check_count(flag, value, low=1):
+    if value < low:
+        raise _Usage(f"{flag} must be >= {low}")
+
+
 def _kernel_spec(args) -> kernels.KernelSpec:
     if args.kernel in ("gaussian", "laplace"):
         sigma = args.sigma if args.sigma is not None else "auto"
@@ -118,8 +123,7 @@ def _cmd_solve(args):
         raise _Usage("solve requires --data")
     with _usage_phase():
         objective = parse_objective(args.objective)
-    if args.components < 1:
-        raise _Usage("--components must be >= 1")
+    _check_count("--components", args.components)
     cfg = SolveConfig(tol=args.tol, seed=args.seed, max_iters=args.max_iters)
     if args.format == "gram":
         gm = kernels.load_gram_csv(args.data)
@@ -167,8 +171,8 @@ def _cmd_bench(args):
     bad = set(solvers) - known
     if bad:
         raise _Usage(f"unknown solvers: {sorted(bad)}")
-    if args.repeats < 1:
-        raise _Usage("--repeats must be >= 1")
+    _check_count("--repeats", args.repeats)
+    _check_count("--components", args.components)
     s = args.components
     if args.data is not None and args.format == "gram":
         gm = kernels.load_gram_csv(args.data)
@@ -246,6 +250,8 @@ def _cmd_bench(args):
 # ---------------------------------------------------------------- spectrum
 
 def _cmd_spectrum(args):
+    _check_count("--components", args.components)
+    _check_count("--q", args.q, low=0)
     rows = []
     for c in args.c_grid:
         G = data_io.gen_controlled_spectrum_gram(args.n, c, args.seed).entries
@@ -304,6 +310,7 @@ def _split_indices(n, test_frac, labels, rng):
 
 
 def _cmd_robust(args):
+    _check_count("--components", args.components)
     with _usage_phase():
         objectives = [parse_objective(t) for t in args.objectives.split(",")]
     base = _load_dataset(args)
@@ -344,6 +351,7 @@ def _cmd_robust(args):
 def _cmd_sparse(args):
     if args.objective not in ("eps2", "epsinf"):
         raise _Usage("--objective must be eps2 or epsinf")
+    _check_count("--components-grid", min(args.components_grid, default=1))
     kind = {"eps2": "eps_row2", "epsinf": "eps_linf"}[args.objective]
     dataset = _load_dataset(args)
     with _usage_phase():

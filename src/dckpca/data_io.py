@@ -102,8 +102,8 @@ class Dataset:
             raise DataError(f"dataset must have n >= 1 and d >= 1, got {n} x {d}")
         if self.labels is not None and len(self.labels) != n:
             raise DataError("label count does not match row count")
-        # one float64 CSR matrix, or one float64 buffer in C or F order: X X'
-        # (the Gram) is then computed as a symmetric product, exactly symmetric
+        # one float64 CSR matrix, or one float64 buffer in C or F order that
+        # the products with it and its transpose read without a copy
         if sparse.issparse(self.values):
             # a copy of its own: the caller's matrix could otherwise change
             # under the norms and the transpose computed from it here

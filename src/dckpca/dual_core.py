@@ -54,14 +54,14 @@ def _small_eig(G, H, gh=None, exact=False):
     return GH, sym_eig_small(0.5 * (M + M.T))
 
 
-def pi(G, H, gh=None) -> float:
+def pi(G, H) -> float:
     """Tr sqrt(H'GH) = sum_i sqrt(max(lam_i(H'GH), 0)).
 
     Negative round-off eigenvalues are clamped to zero; this equals the
-    nuclear norm of G^(1/2) H whenever G is PSD. Without ``gh`` the product
-    GH is the exact one (``gram_product(G, H, exact=True)``).
+    nuclear norm of G^(1/2) H whenever G is PSD. The product GH is the exact
+    one (``gram_product(G, H, exact=True)``).
     """
-    _, dec = _small_eig(G, H, gh, exact=True)
+    _, dec = _small_eig(G, H, exact=True)
     return float(np.sum(np.sqrt(np.maximum(dec.lam, 0.0))))
 
 

@@ -10,13 +10,15 @@ use.
 
 Every kernel matrix is built inside its one output buffer. The inner
 products X Y' fill it, then the distance, bandwidth and exponential steps
-run in place, one panel of ``BLOCK`` rows at a time; a panel is the only
-other allocation. With CSR queries against a Dataset that holds a dense
-transpose, scipy writes X Y' straight into that buffer; against a CSR
-transpose (samples with d > n) the sparse product X Y' is densified into
-it, so it is live beside it until then. Query rows are centered in place as
-well. A float32 Gram is built a strip of BLOCK columns at a time in float64
-(``_gram_float32``), so no n x n product of the samples is formed.
+run in place, one panel of ``BLOCK`` rows at a time (``_kernel_block``); a
+panel is the only other allocation. A query takes the layout of the
+training samples. Against a dense transpose (dense samples, and CSR samples
+with d <= n) X Y' is written straight into that buffer; against a CSR
+transpose (CSR samples with d > n) the sparse product X Y' is densified
+into it, so it is live beside it until then. Query rows are centered in
+place as well. A Gram, float64 or float32, is built a strip of BLOCK
+columns at a time on and below the diagonal, so no n x n product of the
+samples is formed.
 ``center_gram(gm, overwrite=True)`` centers panel by panel in ``gm``'s own
 buffer, so a fit from data holds one n x n buffer from the kernel to the
 final decomposition; the default copies first and leaves ``gm`` as it was,
@@ -197,20 +199,20 @@ def kernel_cross(spec: KernelSpec, train: Dataset, X) -> np.ndarray:
     X = _as_query_matrix(train, X)
     if X.shape[1] != train.d:
         raise DataError(f"dimension mismatch: query d={X.shape[1]}, train d={train.d}")
-    # a dense X X' runs as one symmetric product; a CSR X against a dense
-    # transpose is written straight into a dense result, against a CSR one
-    # the sparse product is densified once
-    K = X @ train.transposed
+    xs = None if spec.family == "linear" else row_sq_norms(X)
+    return _kernel_block(spec, X @ train.transposed, xs, train.sq_norms)
+
+
+def _kernel_block(spec, K, xs, ys):
+    """Kernel values in one dense float64 buffer from the inner products
+    K[a, i] = <x_a, y_i> and the rows' squared norms xs and ys (unread by the
+    linear kernel). A sparse K, the product with a CSR transpose, is
+    densified once; the gaussian and laplace steps then run in place, one
+    panel of BLOCK rows at a time. Callers pass the product as the call's
+    expression X @ T, so no slice of X or T outlives it."""
     K = K.toarray() if sparse.issparse(K) else np.asarray(K)
-    if spec.family != "linear":
-        _kernel_in_place(spec, K, row_sq_norms(X), train.sq_norms)
-    return K
-
-
-def _kernel_in_place(spec, K, xs, ys):
-    """Turn inner products K[a, i] = <x_a, y_i> into gaussian or laplace
-    kernel values in place, one panel of BLOCK rows at a time, given the
-    rows' squared norms xs and ys."""
+    if spec.family == "linear":
+        return K
     neg_sig2 = -2.0 * spec.sigma ** 2
     for rows in _panels(K.shape[0]):
         P = K[rows]
@@ -221,89 +223,77 @@ def _kernel_in_place(spec, K, xs, ys):
             np.sqrt(P, out=P)
         np.divide(P, neg_sig2, out=P)
         np.exp(P, out=P)
+    return K
 
 
 def _as_query_matrix(train: Dataset, X):
+    """Query rows in the training samples' layout, CSR or a float64 array:
+    scipy copies a dense F-ordered transpose whole for a CSR query."""
     if sparse.issparse(X):
-        return X.tocsr()
+        if train.is_sparse:
+            return X.tocsr()
+        X = X.toarray()
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
         X = X[None, :]
-    if train.is_sparse:
-        return sparse.csr_matrix(X)
-    return X
+    return sparse.csr_matrix(X) if train.is_sparse else X
 
 
 def gram(dataset: Dataset, spec: KernelSpec, dtype=np.float64) -> GramMatrix:
     """Assemble the uncentered Gram matrix for a resolved kernel spec, stored
     as ``dtype``: float64 (the default) or float32.
 
-    In float64 it is the cross kernel of the Dataset's values (one CSR
-    matrix or float64 buffer) with themselves, exactly symmetric as
-    computed. In float32 (4n^2 bytes, ``_gram_float32``) the stored entries
-    are G less a term t_i + t_j that centering removes, so they keep the
-    magnitude of the centered entries; the Gram's ``stats`` hold G's own
-    column means, summed in float64. Such a Gram is only good for
-    ``center_gram``."""
+    G is computed a strip of BLOCK columns at a time: K = G[i:, strip] is
+    X[i:] X[strip]' in float64 (a sparse product has at most n x BLOCK
+    entries) turned into kernel values in place, so the kernel runs on the
+    lower triangle only. K's diagonal tile gets its lower triangle copied
+    over its upper one, K is stored, and each tile above the diagonal is then
+    copied from its mirror, so the buffer is exactly symmetric.
+
+    float64 stores G. float32 (4n^2 bytes) stores G - (t 1' + 1 t'), rounded
+    once, with G's column means as ``stats``, summed in float64 from K's
+    column and row sums; only ``center_gram``, which removes the shift,
+    should read it. t = mu~ - mean(mu~) / 2, mu~ being the column means of
+    the kernel against every ceil(n / BLOCK)-th sample, so G_ij - t_i - t_j
+    is about the centered entry: rounding G itself would cost the centered
+    entries their accuracy where they are much smaller than G's (the
+    robust-libsvm Gram: rms 0.83 against 0.017)."""
     if spec.family == "precomputed":
         raise KpcaError("use load_gram_csv for precomputed Gram matrices")
     if not spec.resolved:
         raise KpcaError("resolve the 'auto' bandwidth before assembling a Gram")
     dtype = np.dtype(dtype)
-    if dtype == np.float32:
-        return _gram_float32(dataset, spec)
-    if dtype != np.float64:
+    if dtype not in (np.float32, np.float64):
         raise KpcaError(f"a Gram is stored as float64 or float32, not {dtype}")
-    G = kernel_cross(spec, dataset, dataset.values)
-    if spec.family in ("gaussian", "laplace"):
-        np.fill_diagonal(G, 1.0)
-    return GramMatrix(G, centered=False)
-
-
-def _gram_float32(dataset, spec):
-    """G - (t 1' + 1 t') in float32, with G's column means in float64.
-
-    t = mu~ - mean(mu~) / 2, where mu~ are the column means of the kernel
-    against every ceil(n / BLOCK)-th sample (one BLOCK-row evaluation), so
-    G_ij - t_i - t_j is about the centered entry. Rounding G itself would
-    cost the centered entries their accuracy where they are much smaller
-    than G's (the robust-libsvm Gram: rms 0.83 against 0.017).
-
-    G is computed a strip of BLOCK columns at a time: K = G[i:, strip] as
-    X[i:] X[strip]' in float64 (a sparse product has at most n x BLOCK
-    entries), turned into kernel values in place, so the kernel runs on the
-    lower triangle only. K's diagonal tile is made symmetric by copying its
-    lower triangle over its upper one, and K's column and row sums give
-    G's column sums by symmetry. Shifted by t, K is rounded into the buffer;
-    then each tile above the diagonal is copied from its mirror tile, so the
-    buffer is exactly symmetric."""
+    shifted = dtype == np.float32
     n = dataset.n
-    V, T = dataset.values, dataset.transposed
-    means = kernel_cross(spec, dataset, V[::(n + BLOCK - 1) // BLOCK]).mean(axis=0)
-    t = means - 0.5 * means.mean()
-    G = np.empty((n, n), dtype=np.float32)
-    sums = np.zeros(n)
+    V, T, norms = dataset.values, dataset.transposed, dataset.sq_norms
+    if shifted:
+        means = kernel_cross(spec, dataset, V[::(n + BLOCK - 1) // BLOCK]).mean(axis=0)
+        t = means - 0.5 * means.mean()
+        sums = np.zeros(n)
+    G = np.empty((n, n), dtype=dtype)
     for cols in _panels(n):
         i = cols.start
         b = min(BLOCK, n - i)
-        K = V[i:] @ T[:, cols]
-        K = K.toarray() if sparse.issparse(K) else np.asarray(K)
-        if spec.family != "linear":
-            _kernel_in_place(spec, K, dataset.sq_norms[i:], dataset.sq_norms[cols])
+        K = _kernel_block(spec, V[i:] @ T[:, cols], norms[i:], norms[cols])
         D = K[:b]
         upper = np.triu_indices(b, 1)
         D[upper] = D.T[upper]
         if spec.family in ("gaussian", "laplace"):
             np.fill_diagonal(D, 1.0)
-        sums[cols] += K.sum(axis=0)
-        sums[i + b:] += K[b:].sum(axis=1)
-        for rows in _panels(K.shape[0]):
-            K[rows] -= np.add.outer(t[i:][rows], t[cols])
+        if shifted:
+            sums[cols] += K.sum(axis=0)
+            sums[i + b:] += K[b:].sum(axis=1)
+            for rows in _panels(K.shape[0]):
+                K[rows] -= np.add.outer(t[i:][rows], t[cols])
         G[i:, cols] = K
         del K, D  # one strip live at a time
     for rows, cols in _tiles(n):
         if rows != cols:
             G[rows, cols] = G[cols, rows].T
+    if not shifted:
+        return GramMatrix(G, centered=False)
     mu = sums / n
     return GramMatrix(G, centered=False, stats=CenteringStats(mu, float(mu.mean())))
 

@@ -29,6 +29,7 @@ from .objectives import ObjectiveSpec, format_objective, kappa_max, parse_object
 from .solvers import SolveConfig, SolveReport, dca_solve, lbfgs_solve
 
 MODEL_FORMAT = "dckpca-model/1"
+ZERO_REL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -157,13 +158,11 @@ def fit(dataset: Dataset | None, kernel_spec: kernels.KernelSpec,
 
     kappa_max_value = presolve = None
     if not objective.resolved:
-        H_sq, presolve = _dispatch("square", ObjectiveSpec("square"), Gc, s, cfg,
-                                   solver)
+        H_sq, presolve = _dispatch(ObjectiveSpec("square"), Gc, s, cfg, solver)
         kappa_max_value = kappa_max(objective.kind, H_sq)
         objective = objective.resolve(kappa_max_value)
 
-    kind = "square" if objective.kind == "square" else "envelope"
-    H, report = _dispatch(kind, objective, Gc, s, cfg, solver)
+    H, report = _dispatch(objective, Gc, s, cfg, solver)
     report = replace(report, presolve=presolve)
     return assemble_model(Gc, spec, objective, s, H, dataset,
                           fingerprint=fingerprint, report=report,
@@ -188,8 +187,8 @@ def assemble_model(Gc: kernels.GramMatrix, spec: kernels.KernelSpec,
                      report=report, kappa_max_value=kappa_max_value)
 
 
-def _dispatch(kind, objective, Gc, s, cfg, solver):
-    if kind == "square" and solver != "dca":
+def _dispatch(objective, Gc, s, cfg, solver):
+    if objective.kind == "square" and solver != "dca":
         return lbfgs_solve(Gc, s, cfg)
     return dca_solve(Gc, s, objective, cfg)
 
@@ -234,14 +233,14 @@ def reconstruction_error(model: KpcaModel, dataset: Dataset) -> float:
     return float(residual.mean())
 
 
-def sparsity_metrics(H: np.ndarray, rel_tol: float = 1e-9) -> dict:
+def sparsity_metrics(H: np.ndarray) -> dict:
     """Percentages of zero entries and all-zero rows of H, where an entry
-    counts as zero when |h| < rel_tol * max|H|. All-zero H is 100/100."""
+    counts as zero when |h| < ZERO_REL_TOL * max|H|. All-zero H is 100/100."""
     H = np.asarray(H, dtype=float)
     scale = float(np.max(np.abs(H)))
     if scale == 0.0:
         return {"zero_rows_pct": 100.0, "zero_entries_pct": 100.0}
-    zero = np.abs(H) < rel_tol * scale
+    zero = np.abs(H) < ZERO_REL_TOL * scale
     return {
         "zero_rows_pct": 100.0 * float(np.mean(zero.all(axis=1))),
         "zero_entries_pct": 100.0 * float(np.mean(zero)),

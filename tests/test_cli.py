@@ -50,6 +50,20 @@ def test_solve_zero_components_is_usage_error(tmp_path):
     assert rc == 1
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["bench", "--synth-n", "40", "--components", "0"], "--components"),
+    (["spectrum", "--n", "40", "--components", "0"], "--components"),
+    (["spectrum", "--n", "40", "--q", "-1"], "--q"),
+    (["robust", "--synth-n", "40", "--components", "0"], "--components"),
+    (["sparse", "--synth-n", "40", "--eps-grid", "0", "--components-grid", "2,0"],
+     "--components-grid"),
+])
+def test_count_flag_below_its_floor_is_usage_error(tmp_path, capsys, argv, flag):
+    rc = main(argv + ["--out", str(tmp_path / "out.csv")])
+    assert rc == 1
+    assert f"dckpca: error: {flag} must be >= " in capsys.readouterr().err
+
+
 def test_solve_missing_file_is_data_error(tmp_path):
     rc = main(["solve", "--data", str(tmp_path / "nope.csv"),
                "--components", "2", "--sigma", "1.0",

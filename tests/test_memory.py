@@ -1,6 +1,7 @@
 """Memory bounds of Gram assembly and of a fit, in units of one n x n float64
-buffer (8 n^2 bytes). tracemalloc sees numpy's buffers, so its peak and
-current sizes count every n^2 array the package allocates."""
+buffer (8 n^2 bytes), and of a query, in units of the n x d samples.
+tracemalloc sees numpy's buffers, so its peak and current sizes count every
+n^2 array the package allocates."""
 
 import tracemalloc
 
@@ -8,8 +9,9 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from dckpca import (Dataset, KernelSpec, ObjectiveSpec, gen_controlled_spectrum_gram,
-                    gen_synth_gaussian, gram)
+from dckpca import (CenteringStats, Dataset, KernelSpec, ObjectiveSpec,
+                    gen_controlled_spectrum_gram, gen_synth_gaussian, gram,
+                    kernel_rows)
 from dckpca import model
 from dckpca.objectives import parse_objective
 from dckpca.solvers import SolveConfig
@@ -66,22 +68,45 @@ def test_dense_square_fit_peak_is_one_gram(traced):
     assert tracemalloc.get_traced_memory()[1] <= 0.75 * 8 * n * n
 
 
+def _traced_peak(fn):
+    """fn()'s result and the peak it allocated above what was live before."""
+    tracemalloc.reset_peak()
+    before = tracemalloc.get_traced_memory()[0]
+    result = fn()
+    return result, tracemalloc.get_traced_memory()[1] - before
+
+
 def test_csr_fit_with_d_above_n_never_holds_the_sparse_product(traced):
     # every two rows of these samples share a column, so X X' is 99% dense
     # and its CSR form alone takes 1.49 float64 buffers; the fit builds the
-    # Gram from n x BLOCK products, and what it allocates peaks at 0.93
+    # Gram from n x BLOCK products, and what it allocates peaks at 0.93. A
+    # float64 gram runs the same strips: its buffer plus one strip's sparse
+    # and dense product peak at 1.43 (2.49 when X X' was formed whole)
     n = 1500
     X = sparse.random(n, 2 * n, density=0.04, format="csr",
                       random_state=np.random.default_rng(3))
     ds = Dataset(X)
-    tracemalloc.reset_peak()
-    before = tracemalloc.get_traced_memory()[0]
-    model.fit(ds, KernelSpec("gaussian", 4.0), ObjectiveSpec("square"), 3,
-              SolveConfig(seed=0))
-    peak = tracemalloc.get_traced_memory()[1] - before
+    spec = KernelSpec("gaussian", 4.0)
+    _, peak = _traced_peak(lambda: model.fit(
+        ds, spec, ObjectiveSpec("square"), 3, SolveConfig(seed=0)))
+    _, peak64 = _traced_peak(lambda: gram(ds, spec))
     tracemalloc.stop()
     product = X @ X.T
     assert peak < product.data.nbytes + product.indices.nbytes
+    assert peak64 <= 1.75 * 8 * n * n
+
+
+def test_csr_query_against_dense_samples_never_copies_them(traced):
+    # a CSR query is densified against dense samples; a CSR product with
+    # their transposed view copied the whole n x d matrix on every call
+    n, d = 2000, 100
+    ds = Dataset(np.random.default_rng(4).standard_normal((n, d)))
+    spec, stats = KernelSpec("gaussian", 2.0), CenteringStats(np.zeros(n), 0.0)
+    q = ds.values[:1].copy()
+    q[0, ::3] = 0.0
+    rows, peak = _traced_peak(lambda: kernel_rows(spec, ds, stats, sparse.csr_matrix(q)))
+    assert peak <= 0.1 * 8 * n * d
+    assert np.array_equal(rows, kernel_rows(spec, ds, stats, q))
 
 
 def test_csr_huber_fit_enters_both_solves_with_one_gram(traced, monkeypatch):

@@ -260,12 +260,15 @@ def test_fit_solver_is_auto_or_dca(small_fit):
 def _reference_projection(m, Q):
     """Projections recomputed from scratch on every call: the training rows'
     norms, the transposed product and A = H U' diag(lam)^(-1/2) U, with the
-    package's floating-point operations in its order."""
+    package's floating-point operations in its order, on the query in the
+    layout of the training samples."""
     from scipy import sparse
     Y = m.train_data.values
     X = np.atleast_2d(Q) if not sparse.issparse(Q) else Q.tocsr()
     if sparse.issparse(Y) and not sparse.issparse(X):
         X = sparse.csr_matrix(X)
+    elif sparse.issparse(X) and not sparse.issparse(Y):
+        X = X.toarray()
 
     def norms(M):
         if sparse.issparse(M):
