@@ -88,9 +88,11 @@ def _add_kernel_flags(p, kernel="gaussian", sigma=None):
                    help="kernel bandwidth: a positive value or 'auto'")
 
 
-def _check_count(flag, value, low=1):
+def _check_count(flag, value, low=1, high=None):
     if value < low:
         raise _Usage(f"{flag} must be >= {low}")
+    if high is not None and value > high:
+        raise _Usage(f"{flag} must be <= {high}")
 
 
 def _kernel_spec(args) -> kernels.KernelSpec:
@@ -123,19 +125,18 @@ def _cmd_solve(args):
         raise _Usage("solve requires --data")
     with _usage_phase():
         objective = parse_objective(args.objective)
-    _check_count("--components", args.components)
     cfg = SolveConfig(tol=args.tol, seed=args.seed, max_iters=args.max_iters)
     if args.format == "gram":
-        gm = kernels.load_gram_csv(args.data)
+        dataset, gm = None, kernels.load_gram_csv(args.data)
         spec = kernels.KernelSpec("precomputed")
-        fitted = model_mod.fit(None, spec, objective, args.components, cfg,
-                               solver=args.solver, gram_matrix=gm)
     else:
-        dataset = _load_dataset(args)
+        dataset, gm = _load_dataset(args), None
         with _usage_phase():
             spec = _kernel_spec(args)
-        fitted = model_mod.fit(dataset, spec, objective, args.components, cfg,
-                               solver=args.solver)
+    _check_count("--components", args.components,
+                 high=dataset.n if gm is None else gm.n)
+    fitted = model_mod.fit(dataset, spec, objective, args.components, cfg,
+                           gram_matrix=gm)
     model_mod.save_model(fitted, args.out)
     # a capped model still projects, so it is written and the exit code
     # stays 0; the cap is named on stderr (the report says "max_iters")
@@ -172,15 +173,16 @@ def _cmd_bench(args):
     if bad:
         raise _Usage(f"unknown solvers: {sorted(bad)}")
     _check_count("--repeats", args.repeats)
-    _check_count("--components", args.components)
     s = args.components
     if args.data is not None and args.format == "gram":
         gm = kernels.load_gram_csv(args.data)
+        _check_count("--components", s, high=gm.n)
         task = "gram"
     else:
         dataset = _load_dataset(args)
         with _usage_phase():
             spec = _kernel_spec(args)
+        _check_count("--components", s, high=dataset.n)
         spec = spec.resolve(dataset)
         gm = kernels.gram(dataset, spec)
         task = args.task
@@ -250,7 +252,8 @@ def _cmd_bench(args):
 # ---------------------------------------------------------------- spectrum
 
 def _cmd_spectrum(args):
-    _check_count("--components", args.components)
+    _check_count("--n", args.n)
+    _check_count("--components", args.components, high=args.n)
     _check_count("--q", args.q, low=0)
     rows = []
     for c in args.c_grid:
@@ -310,7 +313,8 @@ def _split_indices(n, test_frac, labels, rng):
 
 
 def _cmd_robust(args):
-    _check_count("--components", args.components)
+    if not 0 < args.test_split < 1:
+        raise _Usage("--test-split must be in (0, 1)")
     with _usage_phase():
         objectives = [parse_objective(t) for t in args.objectives.split(",")]
     base = _load_dataset(args)
@@ -321,6 +325,10 @@ def _cmd_robust(args):
         base = data_io.Dataset(base.values * scales[None, :], base.labels)
     rng = np.random.default_rng(args.seed)
     train_idx, test_idx = _split_indices(base.n, args.test_split, base.labels, rng)
+    if not (train_idx.size and test_idx.size):
+        raise _Usage(f"--test-split leaves {train_idx.size} training and "
+                     f"{test_idx.size} test rows")
+    _check_count("--components", args.components, high=train_idx.size)
     train, test = base.take_rows(train_idx), base.take_rows(test_idx)
     with _usage_phase():
         spec = _kernel_spec(args)
@@ -351,9 +359,10 @@ def _cmd_robust(args):
 def _cmd_sparse(args):
     if args.objective not in ("eps2", "epsinf"):
         raise _Usage("--objective must be eps2 or epsinf")
-    _check_count("--components-grid", min(args.components_grid, default=1))
     kind = {"eps2": "eps_row2", "epsinf": "eps_linf"}[args.objective]
     dataset = _load_dataset(args)
+    for s in args.components_grid:
+        _check_count("--components-grid", s, high=dataset.n)
     with _usage_phase():
         spec = _kernel_spec(args)
     spec = spec.resolve(dataset)
@@ -431,9 +440,6 @@ def build_parser() -> _Parser:
                          "||H - prox(grad pi(H))|| / ||H|| has r^2 <= TOL")
     ps.add_argument("--max-iters", type=int, default=None)
     ps.add_argument("--seed", type=int, default=0)
-    ps.add_argument("--solver", choices=("auto", "dca"), default="auto",
-                    help="auto: exact subspace steps for the square loss, "
-                         "DCA otherwise; dca: DCA for every objective")
     ps.add_argument("--out", required=True, help="model file path")
     ps.add_argument("--report", help="write the solve report JSON here "
                                      "instead of stdout")

@@ -30,6 +30,10 @@ class SpectralDecomp:
         """The spectral function U' diag(fn(lam)) U."""
         return self.U.T @ (fn(self.lam)[:, None] * self.U)
 
+    def trace_sqrt(self) -> float:
+        """Tr sqrt(M), negative round-off eigenvalues clamped to zero."""
+        return float(np.sum(np.sqrt(np.maximum(self.lam, 0.0))))
+
 
 def sym_eig_small(M: np.ndarray) -> SpectralDecomp:
     """Deterministic symmetric eigendecomposition of a small s x s matrix."""
@@ -61,8 +65,7 @@ def pi(G, H) -> float:
     nuclear norm of G^(1/2) H whenever G is PSD. The product GH is the exact
     one (``gram_product(G, H, exact=True)``).
     """
-    _, dec = _small_eig(G, H, exact=True)
-    return float(np.sum(np.sqrt(np.maximum(dec.lam, 0.0))))
+    return _small_eig(G, H, exact=True)[1].trace_sqrt()
 
 
 SINGULARITY_FLOOR_SCALE = 1e-12

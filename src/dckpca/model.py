@@ -22,7 +22,7 @@ from scipy import sparse
 
 from . import kernels
 from .data_io import Dataset
-from .dual_core import SpectralDecomp, check_floor, sym_eig_small
+from .dual_core import SpectralDecomp, _small_eig, check_floor
 from .errors import (DataError, KpcaError, SingularMatrixError,
                      UnprojectableModelError)
 from .objectives import ObjectiveSpec, format_objective, kappa_max, parse_objective
@@ -111,21 +111,14 @@ def _gram_dtype(cfg: SolveConfig, spec: kernels.KernelSpec):
     return np.float32
 
 
-def _final_decomp(G, H) -> SpectralDecomp:
-    # the exact product: with a float32 Gram, the model's spectrum (and so
-    # its projections) keeps float64 accuracy on the stored entries
-    M = H.T @ kernels.gram_product(G, H, exact=True)
-    return sym_eig_small(0.5 * (M + M.T))
-
-
 def fit(dataset: Dataset | None, kernel_spec: kernels.KernelSpec,
         objective: ObjectiveSpec, s: int, config: SolveConfig | None = None,
-        solver: str = "auto",
         gram_matrix: kernels.GramMatrix | None = None) -> KpcaModel:
     """Fit KPCA by solving the dual problem.
 
-    The square objective goes to the subspace solver ``lbfgs_solve`` (or DCA
-    when ``solver='dca'``), every Moreau-envelope objective to DCA. An
+    The objective alone picks the solver: the square loss goes to the
+    subspace solver ``lbfgs_solve``, every Moreau-envelope objective to DCA
+    (``eps_row2`` or ``eps_linf`` at eps = 0 runs DCA on the square loss). An
     unresolved ``xmax`` radius triggers a square-loss pre-solve to measure
     kappa_max; its report nests in the model's report as ``presolve``.
     ``gram_matrix`` short-circuits kernel assembly for precomputed Grams
@@ -139,8 +132,6 @@ def fit(dataset: Dataset | None, kernel_spec: kernels.KernelSpec,
     product, stay in float64.
     """
     cfg = config or SolveConfig()
-    if solver not in ("auto", "dca"):
-        raise KpcaError(f"unknown solver {solver!r}")
     if gram_matrix is not None:
         if dataset is not None and gram_matrix.n != dataset.n:
             raise DataError("precomputed Gram size does not match dataset")
@@ -158,11 +149,14 @@ def fit(dataset: Dataset | None, kernel_spec: kernels.KernelSpec,
 
     kappa_max_value = presolve = None
     if not objective.resolved:
-        H_sq, presolve = _dispatch(ObjectiveSpec("square"), Gc, s, cfg, solver)
+        H_sq, presolve = lbfgs_solve(Gc, s, cfg)
         kappa_max_value = kappa_max(objective.kind, H_sq)
         objective = objective.resolve(kappa_max_value)
 
-    H, report = _dispatch(objective, Gc, s, cfg, solver)
+    if objective.kind == "square":
+        H, report = lbfgs_solve(Gc, s, cfg)
+    else:
+        H, report = dca_solve(Gc, s, objective, cfg)
     report = replace(report, presolve=presolve)
     return assemble_model(Gc, spec, objective, s, H, dataset,
                           fingerprint=fingerprint, report=report,
@@ -175,8 +169,11 @@ def assemble_model(Gc: kernels.GramMatrix, spec: kernels.KernelSpec,
                    report: SolveReport | None = None,
                    kappa_max_value: float | None = None) -> KpcaModel:
     """Wrap a solved dual variable into a projectable model (spectral factors
-    of H'GH, centering stats, fingerprint). Raises when H'GH is singular."""
-    dec = _final_decomp(Gc, H)
+    of H'GH, centering stats, fingerprint). Raises when H'GH is singular.
+    H'GH comes from the exact product: with a float32 Gram, the model's
+    spectrum (and so its projections) keeps float64 accuracy on the stored
+    entries."""
+    _, dec = _small_eig(Gc, H, exact=True)
     if fingerprint is None:
         fingerprint = dataset_fingerprint(dataset) if dataset is not None \
             else gram_fingerprint(Gc)
@@ -185,12 +182,6 @@ def assemble_model(Gc: kernels.GramMatrix, spec: kernels.KernelSpec,
     return KpcaModel(kernel_spec=spec, objective=objective, s=s, H=H, decomp=dec,
                      stats=stats, fingerprint=fingerprint, train_data=dataset,
                      report=report, kappa_max_value=kappa_max_value)
-
-
-def _dispatch(objective, Gc, s, cfg, solver):
-    if objective.kind == "square" and solver != "dca":
-        return lbfgs_solve(Gc, s, cfg)
-    return dca_solve(Gc, s, objective, cfg)
 
 
 def recover_primal_coefficients(model: KpcaModel) -> np.ndarray:

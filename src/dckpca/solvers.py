@@ -88,10 +88,6 @@ def _sym(M):
     return 0.5 * (M + M.T)
 
 
-def _pi_from(dec):
-    return float(np.sum(np.sqrt(np.maximum(dec.lam, 0.0))))
-
-
 class _Trace:
     """What ``_stop`` reads: the cost of every iterate (iterations =
     len(costs) - 1), eta in benchmark mode, and the run's tol and cap; and
@@ -158,8 +154,8 @@ def _solve(G, s, cfg, h0, default_max_iters, loop):
     if not isinstance(G, GramMatrix):
         G = np.asarray(G, dtype=float)
     n = G.shape[0]
-    if s < 1:
-        raise KpcaError("s must be >= 1")
+    if not 1 <= s <= n:
+        raise KpcaError(f"s must satisfy 1 <= s <= n, got s={s} for n={n}")
     if h0 is not None:
         h0 = np.array(h0, dtype=float)
         if h0.shape != (n, s):
@@ -224,7 +220,7 @@ def _subspace_loop(G, H, trace):
     GH = gram_product(G, H)
     trace.products += 1
     gpi, dec = grad_pi(G, H, gh=GH, singular_hint=_rank_hint(s))
-    cost = 0.5 * float(np.vdot(H, H)) - _pi_from(dec)
+    cost = 0.5 * float(np.vdot(H, H)) - dec.trace_sqrt()
     trace.record(cost, cost)
     termination = _stop(trace, float(np.linalg.norm(H - gpi) / np.linalg.norm(H)))
     X = GX = np.empty((H.shape[0], 0))
@@ -310,7 +306,7 @@ def dca_solve(G, s: int, objective: ObjectiveSpec, config: SolveConfig | None = 
 
     def evaluate(H, GH):
         dec = sym_eig_small(_sym(H.T @ GH))
-        square_cost = 0.5 * float(np.vdot(H, H)) - _pi_from(dec)
+        square_cost = 0.5 * float(np.vdot(H, H)) - dec.trace_sqrt()
         return dec, square_cost, square_cost + psi_star_value(objective, H)
 
     def loop(G, H, trace):

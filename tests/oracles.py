@@ -130,6 +130,8 @@ def prox_psi_independent(kind, Y, kappa=None, eps=None, iters=200):
     """prox of Psi itself (not Psi*), via closed forms with the clip/threshold
     roles swapped, or a 1-d KKT bisection for the max-row-norm case."""
     Y = np.asarray(Y, dtype=float)
+    if kind == "square":  # Psi* = 0, so Psi is the indicator of {0}
+        return np.zeros_like(Y)
     if kind == "huber_l1":  # Psi = kappa ||.||_1: entrywise soft threshold
         return np.sign(Y) * np.maximum(np.abs(Y) - kappa, 0.0)
     if kind == "eps_linf":  # Psi = indicator of sup-norm ball: clip

@@ -57,11 +57,41 @@ def test_solve_zero_components_is_usage_error(tmp_path):
     (["robust", "--synth-n", "40", "--components", "0"], "--components"),
     (["sparse", "--synth-n", "40", "--eps-grid", "0", "--components-grid", "2,0"],
      "--components-grid"),
+    (["spectrum", "--n", "0"], "--n"),
 ])
 def test_count_flag_below_its_floor_is_usage_error(tmp_path, capsys, argv, flag):
     rc = main(argv + ["--out", str(tmp_path / "out.csv")])
     assert rc == 1
     assert f"dckpca: error: {flag} must be >= " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, flag, n", [
+    (["solve", "--data", "{csv}", "--sigma", "1.0", "--components", "6"],
+     "--components", 4),
+    (["bench", "--synth-n", "30", "--components", "40", "--solvers", "eig"],
+     "--components", 30),
+    (["spectrum", "--n", "10", "--components", "20"], "--components", 10),
+    (["robust", "--synth-n", "20", "--components", "30"], "--components", 16),
+    (["sparse", "--synth-n", "10", "--eps-grid", "0", "--components-grid", "2,20"],
+     "--components-grid", 10),
+], ids=["solve", "bench", "spectrum", "robust", "sparse"])
+def test_count_flag_above_the_sample_count_is_usage_error(tmp_path, capsys, argv,
+                                                          flag, n):
+    # n is the rows the command fits on: robust's are its training rows
+    data = tmp_path / "t.csv"
+    write_csv_dataset(data, n=4)
+    rc = main([a.format(csv=data) for a in argv] + ["--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert f"dckpca: error: {flag} must be <= {n}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("split", ["1.5", "1", "0", "-0.5", "0.01"])
+def test_robust_test_split_outside_its_range_is_usage_error(tmp_path, capsys, split):
+    # 0.01 of 40 rows floors to an empty test side
+    rc = main(["robust", "--synth-n", "40", f"--test-split={split}",
+               "--out", str(tmp_path / "r.csv")])
+    assert rc == 1
+    assert "dckpca: error: --test-split " in capsys.readouterr().err
 
 
 def test_solve_missing_file_is_data_error(tmp_path):

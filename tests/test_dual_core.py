@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from dckpca import (KpcaError, ObjectiveSpec, SingularMatrixError,
                     check_critical_point, dual_residual, grad_pi,
@@ -101,6 +103,24 @@ def test_grad_pi_matches_finite_differences():
         assert dec.lam[-1] >= 1e-6 * dec.lam[0]
         fd = fd_grad(lambda X: pi(G, X), H)
         assert np.linalg.norm(fd - g) / np.linalg.norm(g) <= 1e-5
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 8), s=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1))
+def test_grad_pi_matches_finite_differences_everywhere(n, s, seed):
+    # central differences lose accuracy as H'GH nears singularity, where the
+    # gradient stops being Lipschitz: inputs keep cond(H'GH) <= 1e4
+    s = min(s, n)
+    rng = np.random.default_rng(seed)
+    B = rng.standard_normal((n, n)) * rng.uniform(0.1, 10.0)
+    G = B @ B.T + 0.1 * np.eye(n)
+    G = np.triu(G) + np.triu(G, 1).T
+    H = rng.standard_normal((n, s))
+    lam = np.linalg.eigvalsh(H.T @ G @ H)
+    assume(lam[0] >= 1e-4 * lam[-1])
+    g, _ = grad_pi(G, H)
+    fd = fd_grad(lambda X: pi(G, X), H)
+    assert np.linalg.norm(fd - g) <= 1e-5 * np.linalg.norm(g)
 
 
 def test_grad_pi_euler_identity():

@@ -129,8 +129,6 @@ def test_controlled_spectrum_peak_is_three_buffers(traced):
     # copies inside the QR steps are malloc'd and not traced: the process's
     # real peak is about one buffer more.
     n = 1000
-    tracemalloc.reset_peak()
-    gm = gen_controlled_spectrum_gram(n, 0.1, 0)
-    peak = tracemalloc.get_traced_memory()[1]
+    gm, peak = _traced_peak(lambda: gen_controlled_spectrum_gram(n, 0.1, 0))
     assert gm.n == n
     assert peak <= 3 * 8 * n * n + 8 * n

@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from dckpca import (DataError, Dataset, KernelSpec, ObjectiveSpec,
-                    UnprojectableModelError, attach_training_data, center_gram, fit,
-                    gen_synth_gaussian, gram, kpca_dense_eig, load_model, project,
-                    reconstruction_error, recover_primal_coefficients,
-                    save_model, sparsity_metrics)
-from dckpca.model import assemble_model
+from dckpca import (CenteringStats, DataError, Dataset, KernelSpec, ObjectiveSpec,
+                    UnprojectableModelError, attach_training_data, center_gram,
+                    dca_solve, fit, gen_synth_gaussian, gram, kpca_dense_eig,
+                    load_model, project, reconstruction_error,
+                    recover_primal_coefficients, save_model, sparsity_metrics)
+from dckpca.dual_core import SpectralDecomp
+from dckpca.model import KpcaModel, _gram_dtype, assemble_model
 from dckpca.solvers import SolveConfig
 
 from oracles import dense_top_eigs
@@ -167,6 +171,51 @@ def test_save_load_round_trip(tmp_path, small_fit):
     assert np.allclose(project(restored, ds.values), project(m, ds.values), atol=1e-12)
 
 
+# every finite float, subnormals and signed zeros included, whose products in
+# the model's coefficients A stay finite
+FINITE = st.floats(-1e50, 1e50)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_save_load_round_trips_every_array_bit_for_bit(tmp_path_factory, data):
+    n = data.draw(st.integers(1, 6))
+    s = data.draw(st.integers(1, min(n, 3)))
+    lam = data.draw(hnp.arrays(np.float64, s, elements=st.floats(1e-3, 1e3)))
+    m = KpcaModel(
+        kernel_spec=KernelSpec("gaussian", data.draw(st.floats(0.01, 100.0))),
+        objective=data.draw(st.sampled_from([
+            ObjectiveSpec("square"), ObjectiveSpec("huber_row2", kappa=0.7),
+            ObjectiveSpec("eps_linf", eps=0.3)])),
+        s=s, H=data.draw(hnp.arrays(np.float64, (n, s), elements=FINITE)),
+        decomp=SpectralDecomp(data.draw(hnp.arrays(np.float64, (s, s), elements=FINITE)),
+                              -np.sort(-lam)),
+        stats=CenteringStats(data.draw(hnp.arrays(np.float64, n, elements=FINITE)),
+                             data.draw(FINITE)),
+        fingerprint="0" * 64)
+    path = tmp_path_factory.mktemp("round_trip") / "model.dk"
+    save_model(m, path)
+    loaded = load_model(path)
+    for got, want in ((loaded.H, m.H), (loaded.decomp.lam, m.decomp.lam),
+                      (loaded.decomp.U, m.decomp.U),
+                      (loaded.stats.col_means, m.stats.col_means),
+                      (loaded.stats.grand_mean, m.stats.grand_mean)):
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    assert loaded.kernel_spec == m.kernel_spec and loaded.objective == m.objective
+
+
+@pytest.mark.parametrize("kind", ["eps_row2", "eps_linf"])
+def test_eps_zero_fit_is_dca_on_the_square_loss(small_fit, kind):
+    # the square loss is the eps-insensitive loss at eps = 0: such a fit runs
+    # DCA on it and returns the H that dca_solve gives on the square loss
+    ds, spec, _ = small_fit
+    cfg = SolveConfig(seed=2)
+    m = fit(ds, spec, ObjectiveSpec(kind, eps=0.0), 3, cfg)
+    Gc = center_gram(gram(ds, spec, dtype=_gram_dtype(cfg, spec)), overwrite=True)
+    H, _ = dca_solve(Gc, 3, ObjectiveSpec("square"), cfg)
+    assert m.H.tobytes() == H.tobytes()
+
+
 def test_attach_training_data_fingerprint_mismatch(tmp_path, small_fit):
     ds, spec, m = small_fit
     other = gen_synth_gaussian(80, 5, 99)
@@ -248,13 +297,6 @@ def test_fit_keeps_the_presolve_report():
     assert m.report.to_dict()["presolve"]["termination"] == "tolerance"
     sq = fit(ds, spec, ObjectiveSpec("square"), 2, SolveConfig(seed=1))
     assert sq.report.presolve is None and "presolve" not in sq.report.to_dict()
-
-
-def test_fit_solver_is_auto_or_dca(small_fit):
-    from dckpca import KpcaError
-    ds, spec, _ = small_fit
-    with pytest.raises(KpcaError, match="unknown solver"):
-        fit(ds, spec, ObjectiveSpec("square"), 2, solver="lbfgs")
 
 
 def _reference_projection(m, Q):

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from dckpca import (KpcaError, ObjectiveSpec, format_objective, kappa_max,
                     parse_objective, project_l1_ball, prox_psi_star,
                     psi_star_value)
+from dckpca.objectives import HUBER_KINDS, KINDS
 
 from oracles import project_l1_kkt, prox_psi_independent
 
@@ -129,6 +133,34 @@ def test_moreau_decomposition_all_kinds():
             via_star = prox_psi_star(spec, Y)
             via_psi = prox_psi_independent(kind, Y, **params)
             assert np.max(np.abs(via_psi + via_star - Y)) <= 1e-12
+
+
+ENTRIES = st.floats(-50.0, 50.0, allow_subnormal=False)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(kind=st.sampled_from(KINDS), radius=st.floats(0.01, 10.0),
+       Y=hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=8),
+                    elements=ENTRIES))
+def test_prox_psi_star_satisfies_the_moreau_identity(kind, radius, Y):
+    # prox_Psi(Y) + prox_Psi*(Y) = Y, prox_Psi from the oracle's own formulas
+    params = {} if kind == "square" else \
+        {"kappa" if kind in HUBER_KINDS else "eps": radius}
+    via_star = prox_psi_star(ObjectiveSpec(kind, **params), Y)
+    via_psi = prox_psi_independent(kind, Y, **params)
+    scale = max(1.0, float(np.max(np.abs(Y))))
+    assert np.max(np.abs(via_psi + via_star - Y)) <= 1e-12 * scale
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(v=hnp.arrays(np.float64, st.integers(1, 12), elements=ENTRIES),
+       r=st.floats(0.01, 20.0))
+def test_project_l1_ball_matches_the_kkt_oracle_and_stays_feasible(v, r):
+    out = project_l1_ball(v, r)
+    scale = max(1.0, float(np.max(np.abs(v))))
+    assert np.max(np.abs(out - project_l1_kkt(v, r))) <= 1e-12 * scale
+    assert np.abs(out).sum() <= r + 1e-12 * scale
+    assert np.all(out * v >= 0.0)
 
 
 def test_prox_nonexpansiveness():

@@ -259,6 +259,19 @@ def test_lbfgs_reseed_error_names_both_inits():
     assert isinstance(info.value.__cause__, SingularMatrixError)
 
 
+@pytest.mark.parametrize("solve", [
+    lambda G, s: lbfgs_solve(G, s),
+    lambda G, s: dca_solve(G, s, ObjectiveSpec("square")),
+], ids=["lbfgs", "dca"])
+def test_s_above_n_is_rejected_naming_both(solve):
+    from dckpca import KpcaError
+    G = np.diag([3.0, 2.0, 1.0])
+    with pytest.raises(KpcaError, match=r"s=4 for n=3"):
+        solve(G, 4)
+    H, _ = solve(G, 3)
+    assert H.shape == (3, 3)
+
+
 def test_h0_checked_at_shared_entry():
     from dckpca import KpcaError
     G = np.diag([4.0, 1.0])
