@@ -95,6 +95,11 @@ def _check_count(flag, value, low=1, high=None):
         raise _Usage(f"{flag} must be <= {high}")
 
 
+def _check_positive(flag, value):
+    if not value > 0:  # NaN fails too
+        raise _Usage(f"{flag} must be positive")
+
+
 def _kernel_spec(args) -> kernels.KernelSpec:
     if args.kernel in ("gaussian", "laplace"):
         sigma = args.sigma if args.sigma is not None else "auto"
@@ -112,7 +117,12 @@ def _load_dataset(args, seed=None):
             with open(args.data) as fh:
                 return data_io.parse_libsvm(fh)
         if args.format == "csv":
-            return data_io.load_csv(args.data, label_col=args.label_col)
+            try:
+                return data_io.load_csv(args.data, label_col=args.label_col)
+            except DataError:
+                raise
+            except KpcaError as exc:  # the label column is outside the file
+                raise _Usage(f"--label-col: {exc}") from exc
         raise KpcaError("precomputed Gram input is not valid for this command")
     return data_io.gen_synth_gaussian(args.synth_n, args.synth_d,
                                       args.seed if seed is None else seed)
@@ -125,6 +135,9 @@ def _cmd_solve(args):
         raise _Usage("solve requires --data")
     with _usage_phase():
         objective = parse_objective(args.objective)
+    _check_positive("--tol", args.tol)
+    if args.max_iters is not None:
+        _check_count("--max-iters", args.max_iters)
     cfg = SolveConfig(tol=args.tol, seed=args.seed, max_iters=args.max_iters)
     if args.format == "gram":
         dataset, gm = None, kernels.load_gram_csv(args.data)
@@ -255,6 +268,7 @@ def _cmd_spectrum(args):
     _check_count("--n", args.n)
     _check_count("--components", args.components, high=args.n)
     _check_count("--q", args.q, low=0)
+    _check_positive("--delta", args.delta)
     rows = []
     for c in args.c_grid:
         G = data_io.gen_controlled_spectrum_gram(args.n, c, args.seed).entries
@@ -315,6 +329,10 @@ def _split_indices(n, test_frac, labels, rng):
 def _cmd_robust(args):
     if not 0 < args.test_split < 1:
         raise _Usage("--test-split must be in (0, 1)")
+    if not 0 <= args.omega <= 1:
+        raise _Usage("--omega must be in [0, 1]")
+    _check_positive("--tol", args.tol)
+    _check_count("--jobs", args.jobs)
     with _usage_phase():
         objectives = [parse_objective(t) for t in args.objectives.split(",")]
     base = _load_dataset(args)
@@ -360,6 +378,9 @@ def _cmd_sparse(args):
     if args.objective not in ("eps2", "epsinf"):
         raise _Usage("--objective must be eps2 or epsinf")
     kind = {"eps2": "eps_row2", "epsinf": "eps_linf"}[args.objective]
+    if not all(eps >= 0 for eps in args.eps_grid):
+        raise _Usage("--eps-grid values must be >= 0")
+    _check_count("--jobs", args.jobs)
     dataset = _load_dataset(args)
     for s in args.components_grid:
         _check_count("--components-grid", s, high=dataset.n)

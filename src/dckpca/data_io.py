@@ -13,12 +13,13 @@ duplicates).
 import csv
 import io
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
 
-from .errors import DataError
+from .errors import DataError, KpcaError
 
 
 def row_sq_norms(X) -> np.ndarray:
@@ -229,9 +230,34 @@ def serialize_libsvm(dataset: Dataset) -> str:
 def load_csv(path, label_col: int | None = None) -> Dataset:
     """Load a rectangular numeric CSV ('.' decimal, ',' separator) of finite
     values as a dense Dataset. ``label_col`` flags one column as the per-row
-    label."""
+    label; one outside the file's columns raises KpcaError (a bad argument,
+    not bad data).
+
+    numpy's C parser reads the file first; its values are bit-identical to
+    Python's ``float``. Input it rejects (quoted cells, ``1_0``, a ragged or
+    malformed row), or that holds a non-finite value or no row, is read
+    again line by line (``_parse_csv``), which names the failing line."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+            values = np.loadtxt(path, delimiter=",", comments=None, ndmin=2,
+                                dtype=float)
+    except ValueError:
+        values = None
+    if values is None or not values.size or not np.isfinite(values).all():
+        values = _parse_csv(path)
+    if label_col is None:
+        return Dataset(values)
+    width = values.shape[1]
+    if not -width <= label_col < width:
+        raise KpcaError(f"label column {label_col} is outside the {width} "
+                        f"columns of {path}")
+    return Dataset(np.delete(values, label_col, axis=1), values[:, label_col].copy())
+
+
+def _parse_csv(path) -> np.ndarray:
+    """``load_csv``'s rows, read one line and one ``float`` at a time."""
     rows = []
-    labels = []
     width = None
     with open(path, newline="") as fh:
         for lineno, rec in enumerate(csv.reader(fh), start=1):
@@ -247,13 +273,10 @@ def load_csv(path, label_col: int | None = None) -> Dataset:
                 raise DataError(f"line {lineno}: non-numeric cell") from None
             if not all(map(math.isfinite, vals)):
                 raise DataError(f"line {lineno}: non-finite cell")
-            if label_col is not None:
-                labels.append(vals.pop(label_col))
             rows.append(vals)
     if not rows:
         raise DataError("empty dataset")
-    values = np.asarray(rows, dtype=float)
-    return Dataset(values, np.asarray(labels) if label_col is not None else None)
+    return np.asarray(rows, dtype=float)
 
 
 def gen_synth_gaussian(n: int, d: int, seed: int) -> Dataset:

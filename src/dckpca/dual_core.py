@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import KpcaError, SingularMatrixError
-from .kernels import gram_product
+from .kernels import gram_product, product_rounding
 
 
 @dataclass(frozen=True)
@@ -71,7 +71,7 @@ def pi(G, H) -> float:
 SINGULARITY_FLOOR_SCALE = 1e-12
 
 
-def check_floor(lam, singular_hint: str | None = None) -> None:
+def check_floor(lam, singular_hint: str | None = None, rounding: float = 0.0) -> None:
     """Raise SingularMatrixError unless every eigenvalue of H'GH (``lam``,
     decreasing) sits above the floor 1e-12 * lam_max.
 
@@ -79,17 +79,21 @@ def check_floor(lam, singular_hint: str | None = None) -> None:
     scale c > 0. An H'GH with no positive eigenvalue (all-zero rows of H, for
     one) has a floor of zero or below and always fails.
 
-    An eigenvalue below -floor is beyond round-off of a PSD product: H'GH is
-    then indefinite, so G is not positive semidefinite on the span of H and
-    Tr sqrt(H'GH) is outside the domain the dual is defined on. Otherwise
-    H'GH is near-singular; ``singular_hint`` (a likely cause) is appended to
-    that message only.
+    An eigenvalue below -max(floor, rounding * lam_max) is beyond round-off
+    of a PSD product: H'GH is then indefinite, so G is not positive
+    semidefinite on the span of H and Tr sqrt(H'GH) is outside the domain
+    the dual is defined on. ``rounding`` is the relative rounding of the
+    products H'GH was formed from (``kernels.product_rounding``): on a
+    float32 Gram it exceeds 1e-12, and a negative eigenvalue within it is
+    rounding noise around zero. Otherwise H'GH is near-singular;
+    ``singular_hint`` (a likely cause) is appended to that message only.
     """
     floor = SINGULARITY_FLOOR_SCALE * float(lam[0])
+    bound = max(floor, rounding * float(lam[0]))
     lam_min = float(lam[-1])
-    if lam_min < -floor:
+    if lam_min < -bound:
         raise SingularMatrixError(
-            f"H'GH is indefinite: eigenvalue {lam_min:.6e} <= floor {floor:.6e}; "
+            f"H'GH is indefinite: eigenvalue {lam_min:.6e} <= floor {bound:.6e}; "
             "G is not positive semidefinite on the span of H"
         )
     if lam_min <= floor:
@@ -102,14 +106,14 @@ def grad_pi(G, H, gh=None, singular_hint: str | None = None):
     """Gradient of pi at H together with the decomposition of H'GH.
 
     grad = GH U' diag(1/sqrt(lam)) U (GH by ``gram_product``: in single
-    precision on a float32 Gram), which requires every eigenvalue of
-    H'GH to sit above the floor (``check_floor``, which appends
-    ``singular_hint`` to a near-singular report). Below the floor the call
-    fails loudly: the gradient is not Lipschitz near singularity, and a
-    silent clamp would corrupt the solve.
+    precision on a float32 Gram), which requires every eigenvalue of H'GH
+    to sit above the floor (``check_floor`` at the rounding of that product,
+    which appends ``singular_hint`` to a near-singular report). Below the
+    floor the call fails loudly: the gradient is not Lipschitz near
+    singularity, and a silent clamp would corrupt the solve.
     """
     GH, dec = _small_eig(G, H, gh)
-    check_floor(dec.lam, singular_hint)
+    check_floor(dec.lam, singular_hint, product_rounding(G))
     grad = GH @ dec.apply(lambda lam: 1.0 / np.sqrt(lam))
     return grad, dec
 

@@ -153,6 +153,16 @@ def gram_product(G, Q, exact: bool = False) -> np.ndarray:
     return out
 
 
+def product_rounding(G) -> float:
+    """Relative rounding of ``gram_product`` (not ``exact``): the machine
+    epsilon of the precision it runs in times sqrt(n), the typical growth of
+    rounding over a length-n sum. An s x s matrix H'GH formed from it is
+    known only to within about this fraction of its largest eigenvalue."""
+    E = G.entries if isinstance(G, GramMatrix) else np.asarray(G)
+    dtype = np.float32 if E.dtype == np.float32 else np.float64
+    return float(np.finfo(dtype).eps) * float(np.sqrt(E.shape[0]))
+
+
 def _tiles(n):
     """(rows, cols) slices of the BLOCK x BLOCK tiles on and above the
     diagonal of an n x n matrix; each tile's mirror is [cols, rows]."""

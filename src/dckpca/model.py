@@ -101,10 +101,8 @@ def _gram_dtype(cfg: SolveConfig, spec: kernels.KernelSpec):
     the fit is in benchmark mode (eta is defined against the eigenvalues of
     the float64 G, which a float32 Gram's differ from at its rounding), asks
     for tol < FLOAT32_MIN_TOL, or uses the linear kernel. A linear Gram has
-    rank at most d, and s > rank is a user error that must be reported as
-    such: rounded to float32, its null space fills with eigenvalues of
-    either sign at the rounding level, so the solve would report an
-    indefinite H'GH instead."""
+    rank at most d: rounded to float32, its null space fills with
+    eigenvalues of either sign at the rounding level."""
     if (cfg.benchmark_eigs is not None or cfg.tol < FLOAT32_MIN_TOL
             or spec.family == "linear"):
         return np.float64
@@ -255,8 +253,8 @@ def save_model(model: KpcaModel, path) -> None:
     }
     with open(path, "w") as fh:
         fh.write(json.dumps(header) + "\n")
-        for row in model.H:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+        for row in model.H:  # row by row: a whole H.tolist() holds 32 B a value
+            fh.write(",".join(map(repr, row.tolist())) + "\n")
 
 
 def load_model(path) -> KpcaModel:

@@ -94,6 +94,42 @@ def test_robust_test_split_outside_its_range_is_usage_error(tmp_path, capsys, sp
     assert "dckpca: error: --test-split " in capsys.readouterr().err
 
 
+SOLVE = ["solve", "--data", "{csv}", "--sigma", "1.0", "--components", "2"]
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (SOLVE + ["--tol", "0"], "--tol"),
+    (SOLVE + ["--tol", "nan"], "--tol"),
+    (["robust", "--synth-n", "40", "--tol", "0"], "--tol"),
+    (["spectrum", "--n", "30", "--components", "2", "--delta", "0"], "--delta"),
+    (["sparse", "--synth-n", "40", "--eps-grid", "0,-1", "--components-grid", "2"],
+     "--eps-grid"),
+    (["robust", "--synth-n", "40", "--omega", "2"], "--omega"),
+    (["robust", "--synth-n", "40", "--jobs", "0"], "--jobs"),
+    (["sparse", "--synth-n", "40", "--eps-grid", "0", "--components-grid", "2",
+      "--jobs", "0"], "--jobs"),
+    (SOLVE + ["--max-iters", "0"], "--max-iters"),
+], ids=["solve-tol", "solve-tol-nan", "robust-tol", "spectrum-delta", "sparse-eps-grid",
+        "robust-omega", "robust-jobs", "sparse-jobs", "solve-max-iters"])
+def test_flag_value_out_of_its_range_is_usage_error(tmp_path, capsys, argv, flag):
+    data = tmp_path / "t.csv"
+    write_csv_dataset(data)
+    rc = main([a.format(csv=data) for a in argv] + ["--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert f"dckpca: error: {flag} " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("col", ["3", "-4"])
+def test_label_col_naming_no_column_is_usage_error(tmp_path, capsys, col):
+    data = tmp_path / "t.csv"
+    write_csv_dataset(data, d=3)
+    rc = main(["solve", "--data", str(data), f"--label-col={col}", "--sigma", "1.0",
+               "--components", "1", "--out", str(tmp_path / "m.dk")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "dckpca: error: --label-col" in err and "the 3 columns" in err
+
+
 def test_solve_missing_file_is_data_error(tmp_path):
     rc = main(["solve", "--data", str(tmp_path / "nope.csv"),
                "--components", "2", "--sigma", "1.0",

@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from dckpca import (DataError, contaminate, gen_controlled_spectrum_gram,
+from dckpca import (DataError, KpcaError, contaminate, gen_controlled_spectrum_gram,
                     gen_synth_gaussian, load_csv, parse_libsvm, serialize_libsvm)
+from dckpca import data_io
 from dckpca.data_io import Dataset
 
 
@@ -207,6 +210,51 @@ def test_load_csv_non_finite_is_data_error(tmp_path, bad):
     p.write_text(f"1,2\n3,{bad}\n")
     with pytest.raises(DataError, match="line 2: non-finite"):
         load_csv(p)
+
+
+def test_load_csv_values_are_bit_identical_to_the_line_loop(tmp_path, monkeypatch):
+    # numpy's parser reads these; the line-by-line loop (float()) is the reference
+    rng = np.random.default_rng(3)
+    n = 4000
+    exps = rng.integers(-330, 308, n)
+    literals = [repr(float(v)) for v in rng.standard_normal(n) * 10.0 ** rng.integers(-30, 30, n)]
+    literals += [f"{m:.{p}f}e{e}" for m, p, e in zip(rng.uniform(-10, 10, n),
+                                                      rng.integers(0, 25, n), exps)]
+    literals += [f"{v:.{p}g}" for v, p in zip(rng.uniform(-1e6, 1e6, n), rng.integers(1, 21, n))]
+    literals += ["5e-324", "-0.0", "+.5", "1.", "00012", "2.4703282292062328e-324",
+                 "1.7976931348623157e308", "9007199254740993", "0.1000000000000000055511151231257827"]
+    literals = literals[:len(literals) // 4 * 4]
+    p = tmp_path / "t.csv"
+    p.write_text("\n".join(",".join(literals[i:i + 4]) for i in range(0, len(literals), 4)) + "\n")
+    want = data_io._parse_csv(p)
+    monkeypatch.setattr(data_io, "_parse_csv", None)  # load_csv must not fall back
+    got = load_csv(p).values
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_load_csv_reads_what_only_float_accepts(tmp_path):
+    # quoted cells and digit separators go to the line loop
+    p = tmp_path / "t.csv"
+    p.write_text('"1.5",1_0\n2,3\n')
+    assert np.array_equal(load_csv(p).values, [[1.5, 10.0], [2.0, 3.0]])
+
+
+def test_load_csv_empty_file_warns_nothing(tmp_path):
+    p = tmp_path / "t.csv"
+    p.write_text("")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match="empty dataset"):
+            load_csv(p)
+
+
+@pytest.mark.parametrize("col", [3, -4])
+def test_load_csv_label_col_outside_the_columns(tmp_path, col):
+    p = tmp_path / "t.csv"
+    p.write_text("1,2,0\n3,4,1\n")
+    with pytest.raises(KpcaError, match=f"label column {col} is outside the 3 columns") as info:
+        load_csv(p, label_col=col)
+    assert not isinstance(info.value, DataError)
 
 
 @pytest.mark.parametrize("bad", ["nan", "-inf"])

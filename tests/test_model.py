@@ -204,6 +204,20 @@ def test_save_load_round_trips_every_array_bit_for_bit(tmp_path_factory, data):
     assert loaded.kernel_spec == m.kernel_spec and loaded.objective == m.objective
 
 
+def test_save_model_payload_is_each_value_repr(tmp_path):
+    # the payload is H's rows of per-value repr(float(v)), whatever the values
+    H = np.array([[5e-324, -0.0, 0.1 + 0.2],
+                  [2.2250738585072009e-308, 1.2345678901234567e-5, -1.7976931348623157e308],
+                  [0.0, -4.9406564584124654e-324, 123456789.01234567]])
+    m = KpcaModel(kernel_spec=KernelSpec("gaussian", 1.0), objective=ObjectiveSpec("square"),
+                  s=3, H=H, decomp=SpectralDecomp(np.eye(3), np.array([3.0, 2.0, 1.0])),
+                  stats=CenteringStats(np.zeros(3), 0.0), fingerprint="0" * 64)
+    path = tmp_path / "model.dk"
+    save_model(m, path)
+    payload = path.read_text().split("\n", 1)[1]
+    assert payload == "".join(",".join(repr(float(v)) for v in row) + "\n" for row in H)
+
+
 @pytest.mark.parametrize("kind", ["eps_row2", "eps_linf"])
 def test_eps_zero_fit_is_dca_on_the_square_loss(small_fit, kind):
     # the square loss is the eps-insensitive loss at eps = 0: such a fit runs

@@ -4,9 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dckpca import (KernelSpec, ObjectiveSpec, SingularMatrixError,
-                    center_gram, check_critical_point, dca_solve,
+                    center_gram, check_critical_point, dca_solve, fit,
                     gen_synth_gaussian, gram, kappa_max, lbfgs_solve,
-                    parse_objective)
+                    parse_objective, solvers)
+from dckpca.kernels import gram_product
 from dckpca.solvers import SolveConfig
 
 from oracles import dense_top_eigs, dual_cost, plain_dca, prox_psi_independent
@@ -189,6 +190,38 @@ def test_s_above_numerical_rank_named():
             solve()
         assert str(info.value).count("s=3 likely exceeds the numerical rank of G") == 2
         assert "kappa" not in str(info.value)
+
+
+@pytest.mark.parametrize("tol", [1e-13, 1e-6], ids=["float64", "float32"])
+def test_s_above_the_numerical_rank_of_a_gaussian_gram_is_named(tol):
+    # sigma=50 on d=2 leaves about 5 eigenvalues above rounding. On the
+    # float64 Gram (tol < 1e-12) the Ritz step finds H'GH near-singular; on
+    # the float32 one the init finds a negative eigenvalue within the
+    # products' rounding, which is not evidence of an indefinite G
+    with pytest.raises(SingularMatrixError) as info:
+        fit(gen_synth_gaussian(500, 2, 4), KernelSpec("gaussian", 50.0),
+            ObjectiveSpec("square"), 8, SolveConfig(tol=tol))
+    message = str(info.value)
+    assert message.count("s=8 likely exceeds the numerical rank of G") == 2
+    assert "indefinite" not in message
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_every_product_applies_g_to_at_most_s_columns(monkeypatch, dtype):
+    Gc = center_gram(gram(gen_synth_gaussian(300, 6, 8), KernelSpec("gaussian", 2.0),
+                          dtype=dtype), overwrite=True)
+    columns = []
+
+    def counted(G, Q, exact=False):
+        columns.append(Q.shape[1])
+        return gram_product(G, Q, exact)
+
+    monkeypatch.setattr(solvers, "gram_product", counted)
+    s = 6
+    _, rep = lbfgs_solve(Gc, s, SolveConfig(tol=1e-10, seed=4))
+    assert rep.iterations >= 4   # later steps carry a P block
+    assert len(columns) == rep.products
+    assert max(columns) <= s
 
 
 def test_lbfgs_warm_start():
