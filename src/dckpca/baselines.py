@@ -50,8 +50,9 @@ def rsvd(G, s: int, p: int = 10, q: int = 2, seed=0) -> EigPairs:
     """Randomized range finder for the top-s eigenpairs of symmetric G.
 
     Sketches with an n x (s+p) seeded Gaussian test matrix, runs q symmetric
-    power iterations with re-orthonormalization, then solves the small
-    eigenproblem in the sketched basis.
+    power iterations with re-orthonormalization, then returns the top-s Ritz
+    pairs on the sketched basis Q: the eigenpairs of Q'GQ, values
+    decreasing, vectors lifted back by Q (one more product with G).
     """
     if p < 0 or q < 0:
         raise ValueError("oversamples and power iterations must be >= 0")
@@ -62,13 +63,6 @@ def rsvd(G, s: int, p: int = 10, q: int = 2, seed=0) -> EigPairs:
     Q, _ = np.linalg.qr(gram_product(G, Omega))
     for _ in range(q):
         Q, _ = np.linalg.qr(gram_product(G, Q))
-    return rayleigh_ritz(G, Q, s)
-
-
-def rayleigh_ritz(G, Q, s: int) -> EigPairs:
-    """Top-s Ritz pairs of symmetric G on the span of Q (orthonormal columns):
-    the eigenpairs of Q'GQ, values decreasing, vectors lifted back by Q.
-    Costs one product of G with Q."""
     B = Q.T @ gram_product(G, Q)
     w, W = np.linalg.eigh(0.5 * (B + B.T))
     order = np.argsort(-w, kind="stable")[:s]

@@ -20,7 +20,7 @@ from . import baselines, data_io, kernels, model as model_mod
 from .dual_core import dual_residual
 from .errors import (DataError, KpcaError, SingularMatrixError,
                      ToleranceUnreachableError, UnprojectableModelError)
-from .objectives import ObjectiveSpec, format_objective, parse_objective
+from .objectives import KIND_OF, ObjectiveSpec, format_objective, parse_objective
 from .solvers import SolveConfig, dca_solve, lbfgs_solve
 
 USAGE_EXIT, DATA_EXIT, NUMERIC_EXIT = 1, 2, 3
@@ -185,6 +185,9 @@ def _cmd_bench(args):
     bad = set(solvers) - known
     if bad:
         raise _Usage(f"unknown solvers: {sorted(bad)}")
+    if {"lbfgs", "dca"} & set(solvers):
+        # an rsvd row alone takes any delta: at 0 it is marked unconverged
+        _check_positive("--delta", args.delta)
     _check_count("--repeats", args.repeats)
     s = args.components
     if args.data is not None and args.format == "gram":
@@ -360,11 +363,8 @@ def _cmd_robust(args):
         return err, kappa, fitted.report.iterations, fitted.report.termination
 
     cells = [(tau, obj) for tau in args.tau_grid for obj in objectives]
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            outcomes = list(pool.map(lambda c: cell(*c), cells))
-    else:
-        outcomes = [cell(*c) for c in cells]
+    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+        outcomes = list(pool.map(lambda c: cell(*c), cells))
     rows = [[tau, format_objective(obj), *outcome]
             for (tau, obj), outcome in zip(cells, outcomes)]
     _write_csv(args.out, ["tau", "objective", "reconstruction_error", "kappa",
@@ -377,7 +377,7 @@ def _cmd_robust(args):
 def _cmd_sparse(args):
     if args.objective not in ("eps2", "epsinf"):
         raise _Usage("--objective must be eps2 or epsinf")
-    kind = {"eps2": "eps_row2", "epsinf": "eps_linf"}[args.objective]
+    kind = KIND_OF[args.objective]
     if not all(eps >= 0 for eps in args.eps_grid):
         raise _Usage("--eps-grid values must be >= 0")
     _check_count("--jobs", args.jobs)
@@ -389,42 +389,39 @@ def _cmd_sparse(args):
     spec = spec.resolve(dataset)
     Gc = kernels.center_gram(kernels.gram(dataset, spec), overwrite=True)
 
-    def baseline(s):
-        cfg = SolveConfig(seed=args.seed)
-        H, _ = dca_solve(Gc, s, ObjectiveSpec("square"), cfg)
-        fitted = model_mod.assemble_model(Gc, spec, ObjectiveSpec("square"), s,
-                                          H, dataset)
-        return model_mod.reconstruction_error(fitted, dataset)
-
-    def cell(s, eps, base_err):
+    def solve(s, eps):
+        # at eps = 0 the solve is DCA on the square loss: the baseline of
+        # its s, so a failure there ends the command
         objective = ObjectiveSpec(kind, eps=eps)
-        cfg = SolveConfig(seed=args.seed)
         try:
-            H, rep = dca_solve(Gc, s, objective, cfg)
+            H, rep = dca_solve(Gc, s, objective, SolveConfig(seed=args.seed))
         except SingularMatrixError:
-            # eps large enough to collapse the iterates entirely
-            return None, None, None, None, None
-        metrics = model_mod.sparsity_metrics(H)
+            if eps == 0:
+                raise
+            return None, None, None, None  # eps collapsed the iterates entirely
         try:
             fitted = model_mod.assemble_model(Gc, spec, objective, s, H, dataset)
             err = model_mod.reconstruction_error(fitted, dataset)
-            ratio = err / base_err if base_err > 0 else None
         except UnprojectableModelError:
-            err, ratio = None, None
-        return metrics, err, ratio, rep.iterations, rep.termination
+            if eps == 0:
+                raise
+            err = None
+        return model_mod.sparsity_metrics(H), err, rep.iterations, rep.termination
 
-    base_errs = {s: baseline(s) for s in args.components_grid}
-    cells = [(s, eps) for s in args.components_grid for eps in args.eps_grid]
-    run = lambda c: cell(c[0], c[1], base_errs[c[0]])
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            outcomes = list(pool.map(run, cells))
-    else:
-        outcomes = [run(c) for c in cells]
-    rows = [[eps, s,
-             None if m is None else m["zero_rows_pct"],
-             None if m is None else m["zero_entries_pct"], *rest]
-            for (s, eps), (m, *rest) in zip(cells, outcomes)]
+    # the baselines first, so the first failing one is the error reported
+    solves = dict.fromkeys([(s, 0.0) for s in args.components_grid] +
+                           [(s, eps) for s in args.components_grid
+                            for eps in args.eps_grid])
+    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+        done = dict(zip(solves, pool.map(lambda c: solve(*c), solves)))
+    rows = []
+    for s in args.components_grid:
+        base_err = done[s, 0.0][1]
+        for eps in args.eps_grid:
+            m, err, *rest = done[s, eps]
+            ratio = err / base_err if err is not None and base_err > 0 else None
+            rows.append([eps, s, None if m is None else m["zero_rows_pct"],
+                         None if m is None else m["zero_entries_pct"], err, ratio, *rest])
     _write_csv(args.out, ["epsilon", "s", "zero_rows_pct", "zero_entries_pct",
                           "reconstruction_error", "error_ratio", "iterations",
                           "termination"], rows)

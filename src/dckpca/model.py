@@ -99,12 +99,11 @@ FLOAT32_MIN_TOL = 1e-12
 def _gram_dtype(cfg: SolveConfig, spec: kernels.KernelSpec):
     """The precision of a fit's Gram storage, decided once: float32, unless
     the fit is in benchmark mode (eta is defined against the eigenvalues of
-    the float64 G, which a float32 Gram's differ from at its rounding), asks
-    for tol < FLOAT32_MIN_TOL, or uses the linear kernel. A linear Gram has
-    rank at most d: rounded to float32, its null space fills with
-    eigenvalues of either sign at the rounding level."""
-    if (cfg.benchmark_eigs is not None or cfg.tol < FLOAT32_MIN_TOL
-            or spec.family == "linear"):
+    the float64 G, which a float32 Gram's differ from at its rounding) or
+    asks for tol < FLOAT32_MIN_TOL. Every kernel ``spec`` is treated alike:
+    a linear Gram has rank at most d, and the rounding-aware floor check
+    (``check_floor``) names that rank on a float32 Gram too."""
+    if cfg.benchmark_eigs is not None or cfg.tol < FLOAT32_MIN_TOL:
         return np.float64
     return np.float32
 
@@ -122,9 +121,9 @@ def fit(dataset: Dataset | None, kernel_spec: kernels.KernelSpec,
     ``gram_matrix`` short-circuits kernel assembly for precomputed Grams
     (``dataset`` may then be None); it is solved in its own precision.
 
-    From data the Gram is stored in float32 (4n^2 bytes), except in
-    benchmark mode, at tol < FLOAT32_MIN_TOL or for the linear kernel,
-    where it is float64 (``_gram_dtype``). On a float32 Gram the solvers'
+    From data the Gram is stored in float32 (4n^2 bytes), whatever the
+    kernel, except in benchmark mode or at tol < FLOAT32_MIN_TOL, where it
+    is float64 (``_gram_dtype``). On a float32 Gram the solvers'
     products run in single precision; the s x s algebra, the costs and the
     final decomposition of H'GH, taken from the exact float64-accumulated
     product, stay in float64.

@@ -20,7 +20,11 @@ import numpy as np
 
 from .errors import KpcaError
 
-KINDS = ("square", "huber_l1", "huber_row2", "eps_linf", "eps_row2")
+# The one name table: each kind's name in CLI strings and model files.
+NAMES = {"square": "square", "huber_l1": "huber1", "huber_row2": "huber2",
+         "eps_linf": "epsinf", "eps_row2": "eps2"}
+KINDS = tuple(NAMES)
+KIND_OF = {name: kind for kind, name in NAMES.items()}
 
 HUBER_KINDS = ("huber_l1", "huber_row2")
 EPS_KINDS = ("eps_linf", "eps_row2")
@@ -77,16 +81,13 @@ def parse_objective(text: str) -> ObjectiveSpec:
     """Parse CLI strings: square, huber1:K, huber2:K, epsinf:E, eps2:E.
     K admits the suffix form xmax:FRAC meaning FRAC * kappa_max."""
     parts = text.strip().split(":")
-    name = parts[0]
-    if name == "square":
+    kind = KIND_OF.get(parts[0])
+    if kind is None:
+        raise KpcaError(f"unknown objective {text!r}")
+    if kind == "square":
         if len(parts) != 1:
             raise KpcaError(f"square takes no parameter: {text!r}")
         return ObjectiveSpec("square")
-    table = {"huber1": "huber_l1", "huber2": "huber_row2",
-             "epsinf": "eps_linf", "eps2": "eps_row2"}
-    if name not in table:
-        raise KpcaError(f"unknown objective {text!r}")
-    kind = table[name]
     try:
         if kind in HUBER_KINDS:
             if len(parts) == 3 and parts[1] == "xmax":
@@ -101,9 +102,7 @@ def parse_objective(text: str) -> ObjectiveSpec:
 
 
 def format_objective(spec: ObjectiveSpec) -> str:
-    names = {"square": "square", "huber_l1": "huber1", "huber_row2": "huber2",
-             "eps_linf": "epsinf", "eps_row2": "eps2"}
-    name = names[spec.kind]
+    name = NAMES[spec.kind]
     if spec.kind == "square":
         return name
     if spec.kind in HUBER_KINDS:

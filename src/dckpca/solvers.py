@@ -327,14 +327,17 @@ def dca_solve(G, s: int, objective: ObjectiveSpec, config: SolveConfig | None = 
     successive T (at most ANDERSON_DEPTH of each; the init never enters them)
     give the candidate H_a = T - dT gamma, gamma the least-squares solution of
     min ||g - dR gamma||. Huber candidates are projected onto the ball. H_a is
-    the next iterate only if H_a'G H_a passes the floor check and its cost is
-    at most F(H) - 0.5 ||g||^2, the decrease a plain DCA step guarantees;
-    otherwise the next iterate is T and the differences are dropped. The cost
-    never increases. An accepted step costs one product with G and a rejected
-    one two; the report counts both.
+    the next iterate only if its cost is at most F(H) - 0.5 ||g||^2, the
+    decrease a plain DCA step guarantees, and H_a'G H_a passes the floor
+    check; otherwise the next iterate is T and the differences are dropped.
+    The cost never increases. Every H the loop multiplies by G, init, plain
+    step or candidate, is evaluated once (``at``): one product, one
+    decomposition of H'GH and one rounding-aware ``check_floor``. An accepted
+    step costs one product with G and a rejected one two; the report counts
+    both.
 
     A singular H'GH names the rank at the init, and for Huber objectives kappa
-    after it. Returns (H, report).
+    at a plain step; at a candidate it only rejects it. Returns (H, report).
     """
     if not objective.resolved:
         raise KpcaError("resolve the kappa_max fraction before solving")
@@ -344,21 +347,22 @@ def dca_solve(G, s: int, objective: ObjectiveSpec, config: SolveConfig | None = 
         hint = (f"kappa={objective.kappa:g} is likely too small "
                 "(the prox collapses iterates toward rank deficiency)")
 
-    def evaluate(H, GH):
-        dec = sym_eig_small(_sym(H.T @ GH))
-        square_cost = 0.5 * float(np.vdot(H, H)) - dec.trace_sqrt()
-        return dec, square_cost, square_cost + psi_star_value(objective, H)
-
     def loop(G, H, trace):
-        GH = gram_product(G, H)
-        trace.products += 1
-        dec, square_cost, cost = evaluate(H, GH)
+        rounding = product_rounding(G)
+
+        def at(H, hint):
+            GH = gram_product(G, H)
+            trace.products += 1
+            dec = sym_eig_small(_sym(H.T @ GH))
+            check_floor(dec.lam, hint, rounding)
+            square_cost = 0.5 * float(np.vdot(H, H)) - dec.trace_sqrt()
+            return GH, dec, square_cost, square_cost + psi_star_value(objective, H)
+
+        GH, dec, square_cost, cost = at(H, _rank_hint(s))
         dR, dT = deque(maxlen=ANDERSON_DEPTH), deque(maxlen=ANDERSON_DEPTH)
         last = None
         while True:
             trace.record(cost, square_cost)
-            init = len(trace.costs) == 1
-            check_floor(dec.lam, _rank_hint(s) if init else hint, product_rounding(G))
             T = prox_psi_star(objective, GH @ dec.apply(lambda lam: 1.0 / np.sqrt(lam)))
             g = T - H
             g_sq = float(np.vdot(g, g))
@@ -368,24 +372,25 @@ def dca_solve(G, s: int, objective: ObjectiveSpec, config: SolveConfig | None = 
             if last is not None:
                 dR.append(g - last[0])
                 dT.append(T - last[1])
-            last = None if init else (g, T)
+            last = (g, T) if len(trace.costs) > 1 else None
             if dR:
                 H_a = _anderson_candidate(dR, dT, g, T)
                 if huber:
                     H_a = prox_psi_star(objective, H_a)
-                GH_a = gram_product(G, H_a)
-                trace.products += 1
-                dec_a, square_a, cost_a = evaluate(H_a, GH_a)
-                if _above_floor(dec_a.lam) and cost_a <= cost - 0.5 * g_sq:
+                try:
+                    GH_a, dec_a, square_a, cost_a = at(H_a, None)
+                    accept = cost_a <= cost - 0.5 * g_sq
+                except SingularMatrixError:
+                    accept = False
+                if accept:
                     H, GH, dec, square_cost, cost = H_a, GH_a, dec_a, square_a, cost_a
                     continue
                 trace.rejected += 1
                 dR.clear()
                 dT.clear()
                 last = None
-            H, GH = T, gram_product(G, T)
-            trace.products += 1
-            dec, square_cost, cost = evaluate(H, GH)
+            H = T
+            GH, dec, square_cost, cost = at(H, hint)
 
     return _solve(G, s, config or SolveConfig(), h0, DCA_DEFAULT_MAX_ITERS, loop)
 
@@ -399,11 +404,3 @@ def _anderson_candidate(dR, dT, g, T):
     for c, d in zip(gamma, dT):
         H -= c * d
     return H
-
-
-def _above_floor(lam):
-    try:
-        check_floor(lam)
-    except SingularMatrixError:
-        return False
-    return True

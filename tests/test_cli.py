@@ -109,8 +109,10 @@ SOLVE = ["solve", "--data", "{csv}", "--sigma", "1.0", "--components", "2"]
     (["sparse", "--synth-n", "40", "--eps-grid", "0", "--components-grid", "2",
       "--jobs", "0"], "--jobs"),
     (SOLVE + ["--max-iters", "0"], "--max-iters"),
+    (["bench", "--synth-n", "40", "--components", "2", "--solvers", "rsvd,dca",
+      "--delta", "0"], "--delta"),
 ], ids=["solve-tol", "solve-tol-nan", "robust-tol", "spectrum-delta", "sparse-eps-grid",
-        "robust-omega", "robust-jobs", "sparse-jobs", "solve-max-iters"])
+        "robust-omega", "robust-jobs", "sparse-jobs", "solve-max-iters", "bench-delta"])
 def test_flag_value_out_of_its_range_is_usage_error(tmp_path, capsys, argv, flag):
     data = tmp_path / "t.csv"
     write_csv_dataset(data)
@@ -331,6 +333,59 @@ def test_sparse_eps_zero_ratio_one(tmp_path, capsys):
     assert float(zero_row["epsilon"]) == 0.0
     assert abs(float(zero_row["error_ratio"]) - 1.0) <= 1e-6
     assert float(zero_row["zero_rows_pct"]) == 0.0
+
+
+def test_sparse_eps_zero_solve_is_the_baseline_of_its_s(tmp_path, capsys, monkeypatch):
+    # the eps = 0 cell is DCA on the square loss, so it is not solved twice
+    import dckpca.cli as cli
+    calls = []
+    solve = cli.dca_solve
+    monkeypatch.setattr(cli, "dca_solve",
+                        lambda *a, **k: calls.append(a[1]) or solve(*a, **k))
+    out = tmp_path / "sparse.csv"
+    assert main(["sparse", "--synth-n", "80", "--synth-d", "5", "--sigma", "2.0",
+                 "--eps-grid", "0,0.1,0.3", "--components-grid", "2,3",
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert sorted(calls) == [2, 2, 2, 3, 3, 3]
+    ratios = [r["error_ratio"] for r in read_rows(out) if float(r["epsilon"]) == 0.0]
+    assert ratios == ["1.0", "1.0"]
+
+
+def test_sparse_failing_baseline_solve_is_numeric_failure(tmp_path, capsys):
+    # sigma=50 on d=2 leaves about 5 eigenvalues above rounding: the eps = 0
+    # solve at s=8 collapses, with 0 on the grid or not
+    for grid in ("0,0.1", "0.1"):
+        rc = main(["sparse", "--synth-n", "60", "--synth-d", "2", "--sigma", "50",
+                   "--eps-grid", grid, "--components-grid", "2,8",
+                   "--out", str(tmp_path / "s.csv")])
+        assert rc == 3
+        assert "H'GH is near-singular" in capsys.readouterr().err
+
+
+def test_sparse_failure_cancels_the_solves_not_started(tmp_path, capsys, monkeypatch):
+    # baselines run first; once the s=8 one fails, the pool's map cancels
+    # the solves not yet started: at most the one already running finishes
+    import time
+    import dckpca.cli as cli
+    from dckpca import SingularMatrixError
+    calls = []
+
+    def slow_solve(G, s, objective, cfg):
+        calls.append((s, objective.eps))
+        if s == 8:
+            raise SingularMatrixError("collapsed")
+        time.sleep(0.2)
+        return solve(G, s, objective, cfg)
+
+    solve = cli.dca_solve
+    monkeypatch.setattr(cli, "dca_solve", slow_solve)
+    rc = main(["sparse", "--synth-n", "60", "--synth-d", "2", "--sigma", "2.0",
+               "--eps-grid", "0,0.1,0.2,0.3", "--components-grid", "2,8",
+               "--out", str(tmp_path / "s.csv")])
+    assert rc == 3
+    assert "collapsed" in capsys.readouterr().err
+    assert calls[:2] == [(2, 0.0), (8, 0.0)] and len(calls) <= 3
 
 
 def test_sparse_and_robust_csvs_reproducible(tmp_path, capsys):

@@ -1,5 +1,5 @@
-"""A fit from data stores its Gram in float32 unless its config asks for more
-(benchmark mode, tol < 1e-12) or the kernel is linear. These tests hold the
+"""A fit from data stores its Gram in float32, whatever its kernel, unless its
+config asks for more (benchmark mode, tol < 1e-12). These tests hold the
 float32 fits to float64 oracles that share no code with the package: the
 Gram and query rows from scipy's cdist, spectra from dense eigh."""
 
@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from dckpca import (Dataset, KernelSpec, ObjectiveSpec, center_gram, fit, gram,
-                    lbfgs_solve, parse_objective, project, save_model)
+from dckpca import (Dataset, KernelSpec, ObjectiveSpec, SingularMatrixError,
+                    center_gram, fit, gram, lbfgs_solve, parse_objective, project,
+                    save_model)
 from dckpca import kernels
 from dckpca.model import assemble_model
 from dckpca.solvers import SolveConfig
@@ -114,7 +115,11 @@ def test_fits_that_ask_for_float64_solve_the_float64_gram(layout, cfg, gram_dtyp
     assert (tmp_path / "fit.dk").read_bytes() == (tmp_path / "direct.dk").read_bytes()
 
 
-def test_linear_kernel_fits_solve_the_float64_gram(gram_dtypes):
+def test_linear_kernel_fits_store_a_float32_gram(gram_dtypes):
+    # as every other kernel; s above the rank d = 20 is still named, since
+    # the floor check counts eigenvalues within the products' rounding
     _, _, ds, _, _ = _case("dense", n=100)
     fit(ds, KernelSpec("linear"), ObjectiveSpec("square"), 3, SolveConfig(seed=0))
-    assert gram_dtypes == [np.float64]
+    with pytest.raises(SingularMatrixError, match="s=21 likely exceeds the numerical rank"):
+        fit(ds, KernelSpec("linear"), ObjectiveSpec("square"), 21, SolveConfig(seed=0))
+    assert gram_dtypes == [np.float32, np.float32]

@@ -372,6 +372,22 @@ def test_dca_descent_all_kinds():
             assert np.all(np.diff(costs) <= 1e-10)
 
 
+@pytest.mark.parametrize("spec", [
+    ObjectiveSpec("square"), ObjectiveSpec("huber_l1", kappa=0.5),
+    ObjectiveSpec("huber_row2", kappa=4.0), ObjectiveSpec("eps_linf", eps=0.02),
+    ObjectiveSpec("eps_row2", eps=0.1)], ids=lambda spec: spec.kind)
+def test_dca_checks_the_floor_once_per_product(monkeypatch, spec):
+    # init, plain steps and Anderson candidates: each H multiplied by G gets
+    # exactly one floor check, an accepted candidate too
+    calls = []
+    check = solvers.check_floor
+    monkeypatch.setattr(solvers, "check_floor",
+                        lambda *a, **k: calls.append(1) or check(*a, **k))
+    _, rep = dca_solve(centered_gram(n=60, d=4, seed=10), 3, spec, SolveConfig(seed=0))
+    assert rep.iterations > 2
+    assert len(calls) == rep.products
+
+
 def test_dca_huber_iterates_feasible_after_first_step():
     Gc = centered_gram(n=50, d=4, seed=11)
     cfg = SolveConfig(seed=3, max_iters=5)
