@@ -69,9 +69,11 @@ def _int_list(text):
         raise argparse.ArgumentTypeError(f"bad integer list {text!r}")
 
 
-def _add_data_flags(p, synth_n=None, synth_d=None):
+def _add_data_flags(p, synth_n=None, synth_d=None, gram=False):
+    """The input flags; ``--format gram`` only where the command reads a Gram."""
     p.add_argument("--data", help="input file (see --format)")
-    p.add_argument("--format", choices=("libsvm", "csv", "gram"), default="csv")
+    p.add_argument("--format", default="csv",
+                   choices=("libsvm", "csv", "gram") if gram else ("libsvm", "csv"))
     p.add_argument("--label-col", type=int, default=None,
                    help="CSV column holding per-row labels")
     if synth_n is not None:
@@ -81,11 +83,24 @@ def _add_data_flags(p, synth_n=None, synth_d=None):
                        help="columns of the synthetic dataset")
 
 
-def _add_kernel_flags(p, kernel="gaussian", sigma=None):
+def _sigma(text):
+    """The one reader of --sigma: 'auto' or a positive finite float."""
+    if text == "auto":
+        return text
+    with contextlib.suppress(ValueError):
+        if 0 < float(text) < np.inf:
+            return float(text)
+    raise argparse.ArgumentTypeError(f"{text!r} is not 'auto' or a positive finite bandwidth")
+
+
+def _add_kernel_flags(p, kernel="gaussian", sigma="auto"):
+    """``sigma``: the gaussian/laplace bandwidth without --sigma."""
     p.add_argument("--kernel", choices=("linear", "gaussian", "laplace"),
                    default=kernel)
-    p.add_argument("--sigma", default=sigma,
-                   help="kernel bandwidth: a positive value or 'auto'")
+    p.add_argument("--sigma", type=_sigma, default=None,
+                   help=f"gaussian/laplace bandwidth: a positive value or "
+                        f"'auto' (default {sigma})")
+    p.set_defaults(default_sigma=sigma)
 
 
 def _check_count(flag, value, low=1, high=None):
@@ -101,31 +116,26 @@ def _check_positive(flag, value):
 
 
 def _kernel_spec(args) -> kernels.KernelSpec:
-    if args.kernel in ("gaussian", "laplace"):
-        sigma = args.sigma if args.sigma is not None else "auto"
-        if sigma != "auto":
-            sigma = float(sigma)
-        return kernels.KernelSpec(args.kernel, sigma)
-    if args.sigma is not None:
-        raise KpcaError(f"--sigma does not apply to the {args.kernel} kernel")
-    return kernels.KernelSpec(args.kernel)
+    if args.kernel == "linear":
+        if args.sigma is not None:
+            raise _Usage("--sigma does not apply to the linear kernel")
+        return kernels.KernelSpec("linear")
+    sigma = args.default_sigma if args.sigma is None else args.sigma
+    return kernels.KernelSpec(args.kernel, sigma)
 
 
-def _load_dataset(args, seed=None):
-    if args.data is not None:
-        if args.format == "libsvm":
-            with open(args.data) as fh:
-                return data_io.parse_libsvm(fh)
-        if args.format == "csv":
-            try:
-                return data_io.load_csv(args.data, label_col=args.label_col)
-            except DataError:
-                raise
-            except KpcaError as exc:  # the label column is outside the file
-                raise _Usage(f"--label-col: {exc}") from exc
-        raise KpcaError("precomputed Gram input is not valid for this command")
-    return data_io.gen_synth_gaussian(args.synth_n, args.synth_d,
-                                      args.seed if seed is None else seed)
+def _load_dataset(args):
+    if args.data is None:
+        return data_io.gen_synth_gaussian(args.synth_n, args.synth_d, args.seed)
+    if args.format == "libsvm":
+        with open(args.data) as fh:
+            return data_io.parse_libsvm(fh)
+    try:
+        return data_io.load_csv(args.data, label_col=args.label_col)
+    except DataError:
+        raise
+    except KpcaError as exc:  # the label column is outside the file
+        raise _Usage(f"--label-col: {exc}") from exc
 
 
 # ---------------------------------------------------------------- solve
@@ -144,8 +154,7 @@ def _cmd_solve(args):
         spec = kernels.KernelSpec("precomputed")
     else:
         dataset, gm = _load_dataset(args), None
-        with _usage_phase():
-            spec = _kernel_spec(args)
+        spec = _kernel_spec(args)
     _check_count("--components", args.components,
                  high=dataset.n if gm is None else gm.n)
     fitted = model_mod.fit(dataset, spec, objective, args.components, cfg,
@@ -181,27 +190,26 @@ def _bench_timed(fn, repeats):
 
 def _cmd_bench(args):
     solvers = [s.strip() for s in args.solvers.split(",") if s.strip()]
-    known = {"eig", "rsvd", "lbfgs", "dca"}
-    bad = set(solvers) - known
+    # the benchmark-mode rows: each solves G on the square loss to eta < delta
+    row_solves = {"lbfgs": lbfgs_solve,
+                  "dca": lambda G, s, cfg: dca_solve(G, s, ObjectiveSpec("square"), cfg)}
+    bad = set(solvers) - {"eig", "rsvd", *row_solves}
     if bad:
         raise _Usage(f"unknown solvers: {sorted(bad)}")
-    if {"lbfgs", "dca"} & set(solvers):
+    if set(row_solves) & set(solvers):
         # an rsvd row alone takes any delta: at 0 it is marked unconverged
         _check_positive("--delta", args.delta)
     _check_count("--repeats", args.repeats)
     s = args.components
-    if args.data is not None and args.format == "gram":
+    task = "synth" if args.data is None else args.format
+    if task == "gram":
         gm = kernels.load_gram_csv(args.data)
         _check_count("--components", s, high=gm.n)
-        task = "gram"
     else:
         dataset = _load_dataset(args)
-        with _usage_phase():
-            spec = _kernel_spec(args)
+        spec = _kernel_spec(args)
         _check_count("--components", s, high=dataset.n)
-        spec = spec.resolve(dataset)
-        gm = kernels.gram(dataset, spec)
-        task = args.task
+        gm = kernels.gram(dataset, spec.resolve(dataset))
     Gc = kernels.center_gram(gm, overwrite=True)
     G = Gc.entries
     n = Gc.n
@@ -233,18 +241,12 @@ def _cmd_bench(args):
         eta = dual_residual(G, h_r, top) if h_r is not None else \
             (trace[-1][1] if trace else np.inf)
         results["rsvd"] = {"wall": samples, "iters": p_used, "eta": eta, "H": h_r}
-    if "lbfgs" in solvers:
-        cfg = SolveConfig(tol=args.delta, seed=args.seed, benchmark_eigs=top)
-        (H, rep), samples = _bench_timed(lambda: lbfgs_solve(G, s, cfg),
-                                         args.repeats)
-        results["lbfgs"] = {"wall": samples, "iters": rep.iterations,
-                            "eta": rep.eta_trace[-1], "H": H}
-    if "dca" in solvers:
-        cfg = SolveConfig(tol=args.delta, seed=args.seed, benchmark_eigs=top)
-        (H, rep), samples = _bench_timed(
-            lambda: dca_solve(G, s, ObjectiveSpec("square"), cfg), args.repeats)
-        results["dca"] = {"wall": samples, "iters": rep.iterations,
-                          "eta": rep.eta_trace[-1], "H": H}
+    for name, solve in row_solves.items():
+        if name in solvers:
+            cfg = SolveConfig(tol=args.delta, seed=args.seed, benchmark_eigs=top)
+            (H, rep), samples = _bench_timed(lambda: solve(G, s, cfg), args.repeats)
+            results[name] = {"wall": samples, "iters": rep.iterations,
+                             "eta": rep.eta_trace[-1], "H": H}
 
     means = {k: float(np.mean(v["wall"])) for k, v in results.items()}
     for name in solvers:
@@ -339,11 +341,6 @@ def _cmd_robust(args):
     with _usage_phase():
         objectives = [parse_objective(t) for t in args.objectives.split(",")]
     base = _load_dataset(args)
-    if args.synth_scales is not None and args.data is None:
-        scales = np.asarray(args.synth_scales, dtype=float)
-        if scales.shape != (base.d,):
-            raise _Usage(f"--synth-scales needs {base.d} values")
-        base = data_io.Dataset(base.values * scales[None, :], base.labels)
     rng = np.random.default_rng(args.seed)
     train_idx, test_idx = _split_indices(base.n, args.test_split, base.labels, rng)
     if not (train_idx.size and test_idx.size):
@@ -351,8 +348,7 @@ def _cmd_robust(args):
                      f"{test_idx.size} test rows")
     _check_count("--components", args.components, high=train_idx.size)
     train, test = base.take_rows(train_idx), base.take_rows(test_idx)
-    with _usage_phase():
-        spec = _kernel_spec(args)
+    spec = _kernel_spec(args)
 
     def cell(tau, objective):
         noisy = data_io.contaminate(train, args.omega, tau, args.seed)
@@ -384,9 +380,7 @@ def _cmd_sparse(args):
     dataset = _load_dataset(args)
     for s in args.components_grid:
         _check_count("--components-grid", s, high=dataset.n)
-    with _usage_phase():
-        spec = _kernel_spec(args)
-    spec = spec.resolve(dataset)
+    spec = _kernel_spec(args).resolve(dataset)
     Gc = kernels.center_gram(kernels.gram(dataset, spec), overwrite=True)
 
     def solve(s, eps):
@@ -449,7 +443,7 @@ def build_parser() -> _Parser:
     sub = p.add_subparsers(dest="command", required=True)
 
     ps = sub.add_parser("solve", help="fit a model and write it to disk")
-    _add_data_flags(ps)
+    _add_data_flags(ps, gram=True)
     _add_kernel_flags(ps)
     ps.add_argument("--components", type=int, required=True)
     ps.add_argument("--objective", default="square")
@@ -464,14 +458,13 @@ def build_parser() -> _Parser:
     ps.set_defaults(func=_cmd_solve)
 
     pb = sub.add_parser("bench", help="timed solver comparison on one task")
-    _add_data_flags(pb, synth_n=2000, synth_d=20)
-    _add_kernel_flags(pb, kernel="laplace", sigma="auto")
+    _add_data_flags(pb, synth_n=2000, synth_d=20, gram=True)
+    _add_kernel_flags(pb, kernel="laplace")
     pb.add_argument("--components", type=int, default=20)
     pb.add_argument("--solvers", default="eig,rsvd,lbfgs")
     pb.add_argument("--delta", type=float, default=1e-2)
     pb.add_argument("--repeats", type=int, default=1)
     pb.add_argument("--seed", type=int, default=0)
-    pb.add_argument("--task", default="synth")
     pb.add_argument("--dump-dir", help="directory for per-solver H dumps")
     pb.add_argument("--out", help="CSV path (default stdout)")
     pb.set_defaults(func=_cmd_bench)
@@ -488,9 +481,7 @@ def build_parser() -> _Parser:
 
     pr = sub.add_parser("robust", help="outlier-contamination study")
     _add_data_flags(pr, synth_n=150, synth_d=4)
-    pr.add_argument("--synth-scales", type=_float_list, default=None,
-                    help="per-column scaling for the synthetic dataset")
-    _add_kernel_flags(pr, kernel="gaussian", sigma="1.0")
+    _add_kernel_flags(pr, sigma=1.0)
     pr.add_argument("--components", type=int, default=2)
     pr.add_argument("--objectives",
                     default="square,huber1:xmax:0.6,huber2:xmax:0.8")
@@ -506,7 +497,7 @@ def build_parser() -> _Parser:
 
     pp = sub.add_parser("sparse", help="sparsity-accuracy tradeoff study")
     _add_data_flags(pp, synth_n=1000, synth_d=20)
-    _add_kernel_flags(pp, kernel="gaussian", sigma="auto")
+    _add_kernel_flags(pp)
     pp.add_argument("--objective", default="eps2", help="eps2 or epsinf")
     pp.add_argument("--eps-grid", type=_float_list, required=True)
     pp.add_argument("--components-grid", type=_int_list, required=True)

@@ -49,8 +49,8 @@ BLOCK = 256
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Kernel family plus bandwidth. ``bandwidth`` is a positive float or the
-    string ``"auto"`` (resolved by :func:`sigma_rule` at fit time); the linear
+    """Kernel family plus bandwidth. ``bandwidth`` is a positive finite float
+    or the string ``"auto"`` (resolved by :func:`sigma_rule` at fit time); the linear
     and precomputed families carry no bandwidth."""
 
     family: str
@@ -62,8 +62,9 @@ class KernelSpec:
         if self.family in ("gaussian", "laplace"):
             if self.bandwidth is None:
                 raise KpcaError(f"{self.family} kernel requires a bandwidth")
-            if self.bandwidth != "auto" and not float(self.bandwidth) > 0:
-                raise KpcaError(f"bandwidth must be positive, got {self.bandwidth}")
+            if self.bandwidth != "auto" and not 0 < float(self.bandwidth) < np.inf:
+                raise KpcaError(f"bandwidth must be positive and finite, "
+                                f"got {self.bandwidth}")
         elif self.bandwidth is not None:
             raise KpcaError(f"{self.family} kernel carries no bandwidth")
 

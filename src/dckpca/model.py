@@ -96,12 +96,12 @@ def gram_fingerprint(gm: kernels.GramMatrix) -> str:
 FLOAT32_MIN_TOL = 1e-12
 
 
-def _gram_dtype(cfg: SolveConfig, spec: kernels.KernelSpec):
+def _gram_dtype(cfg: SolveConfig):
     """The precision of a fit's Gram storage, decided once: float32, unless
     the fit is in benchmark mode (eta is defined against the eigenvalues of
     the float64 G, which a float32 Gram's differ from at its rounding) or
-    asks for tol < FLOAT32_MIN_TOL. Every kernel ``spec`` is treated alike:
-    a linear Gram has rank at most d, and the rounding-aware floor check
+    asks for tol < FLOAT32_MIN_TOL. Every kernel is treated alike: a linear
+    Gram has rank at most d, and the rounding-aware floor check
     (``check_floor``) names that rank on a float32 Gram too."""
     if cfg.benchmark_eigs is not None or cfg.tol < FLOAT32_MIN_TOL:
         return np.float64
@@ -141,7 +141,7 @@ def fit(dataset: Dataset | None, kernel_spec: kernels.KernelSpec,
         spec = kernel_spec.resolve(dataset)
         fingerprint = dataset_fingerprint(dataset)
         # centered in the buffer it was built in: one n x n buffer per fit
-        gm = kernels.gram(dataset, spec, dtype=_gram_dtype(cfg, spec))
+        gm = kernels.gram(dataset, spec, dtype=_gram_dtype(cfg))
         Gc = kernels.center_gram(gm, overwrite=True)
 
     kappa_max_value = presolve = None

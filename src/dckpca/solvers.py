@@ -142,11 +142,11 @@ def _solve(G, s, cfg, h0, default_max_iters, loop):
     runs ``loop(G, H0, trace) -> (H, termination)`` and returns (H, report).
 
     H0 is ``h0`` when given (e.g. a warm start), else i.i.d. standard normal
-    entries drawn from the config seed. A random init that fails the floor
-    check is redrawn once from seed + 1: for positive semidefinite G a
-    singular H'GH at a Gaussian init is a measure-zero event. For indefinite
-    G, H'GH can be indefinite on a set of positive measure; the reseed then
-    fails too, and its error carries both inits' messages.
+    entries drawn from the config seed. A random-init solve that fails the
+    floor check at any step is rerun once from seed + 1. The reseed fails
+    too for indefinite G or a collapse the init does not decide (s above the
+    rank, a prox that zeroes H). Each failure is prefixed by its init (h0,
+    seed or reseed) and the iteration that failed (0 is the init).
 
     ``G`` is a GramMatrix, whose products run in its own precision
     (``gram_product``), or an array, taken as float64.
@@ -172,26 +172,27 @@ def _solve(G, s, cfg, h0, default_max_iters, loop):
             raise KpcaError("degenerate Gram: optimal dual cost is zero")
     max_iters = cfg.max_iters if cfg.max_iters is not None else default_max_iters
 
-    def attempt(H):
+    def attempt(H, label):
         t0 = time.perf_counter()
         trace = _Trace(cfg.tol, max_iters, d_opt)
-        H, termination = loop(G, H, trace)
+        try:
+            H, termination = loop(G, H, trace)
+        except SingularMatrixError as exc:
+            raise SingularMatrixError(f"{label}, iteration {len(trace.costs)}: {exc}") from exc
         return H, SolveReport(len(trace.costs) - 1, trace.costs, trace.etas,
                               time.perf_counter() - t0, termination,
                               trace.products, trace.rejected)
 
     if h0 is not None:
-        return attempt(h0)
+        return attempt(h0, "h0")
     draw = lambda seed: np.random.default_rng(seed).standard_normal((n, s))
     try:
-        return attempt(draw(cfg.seed))
+        return attempt(draw(cfg.seed), f"seed {cfg.seed}")
     except SingularMatrixError as first:
         try:
-            return attempt(draw(cfg.seed + 1))
+            return attempt(draw(cfg.seed + 1), f"reseed {cfg.seed + 1}")
         except SingularMatrixError as second:
-            raise SingularMatrixError(
-                f"init from seed {cfg.seed}: {first}; "
-                f"reseed {cfg.seed + 1}: {second}") from first
+            raise SingularMatrixError(f"{first}; {second}") from first
 
 
 def lbfgs_solve(G, s: int, config: SolveConfig | None = None, h0=None):
@@ -336,16 +337,19 @@ def dca_solve(G, s: int, objective: ObjectiveSpec, config: SolveConfig | None = 
     step costs one product with G and a rejected one two; the report counts
     both.
 
-    A singular H'GH names the rank at the init, and for Huber objectives kappa
-    at a plain step; at a candidate it only rejects it. Returns (H, report).
+    A singular H'GH names the rank at the init; at a plain step kappa for
+    Huber objectives, else the rank (or eps > 0). At a candidate it only
+    rejects it. Returns (H, report).
     """
     if not objective.resolved:
         raise KpcaError("resolve the kappa_max fraction before solving")
     huber = objective.kind in HUBER_KINDS
-    hint = None
+    hint = _rank_hint(s)
     if huber:
         hint = (f"kappa={objective.kappa:g} is likely too small "
                 "(the prox collapses iterates toward rank deficiency)")
+    elif objective.eps:
+        hint += f", or eps={objective.eps:g} is large enough to zero rows of H"
 
     def loop(G, H, trace):
         rounding = product_rounding(G)

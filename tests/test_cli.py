@@ -558,3 +558,70 @@ def test_solve_non_finite_input_is_data_error(tmp_path, capsys, fmt, bad):
                "--out", str(tmp_path / "m.dk")])
     assert rc == 2
     assert ("row 2" if fmt == "gram" else "line 2") in capsys.readouterr().err
+
+
+# each command that takes a kernel, on small inputs
+KERNEL_COMMANDS = {
+    "solve": ["solve", "--data", "{csv}", "--components", "2"],
+    "bench": ["bench", "--synth-n", "40", "--synth-d", "3", "--components", "2"],
+    "robust": ["robust", "--synth-n", "40", "--synth-d", "3", "--tau-grid", "10"],
+    "sparse": ["sparse", "--synth-n", "40", "--synth-d", "3", "--eps-grid", "0,0.1",
+               "--components-grid", "2"],
+}
+
+
+def _kernel_command(tmp_path, command, *extra):
+    data = tmp_path / "t.csv"
+    write_csv_dataset(data, d=3)
+    return main([a.format(csv=data) for a in KERNEL_COMMANDS[command]] +
+                list(extra) + ["--out", str(tmp_path / "out")])
+
+
+@pytest.mark.parametrize("command", KERNEL_COMMANDS)
+def test_linear_kernel_runs_without_sigma_in_every_command(tmp_path, capsys, command):
+    # --sigma is the gaussian/laplace bandwidth: the command's default
+    # applies to those alone, and a --sigma with the linear kernel is refused
+    assert _kernel_command(tmp_path, command, "--kernel", "linear") == 0
+    capsys.readouterr()
+    assert _kernel_command(tmp_path, command, "--kernel", "linear", "--sigma", "1") == 1
+    assert "--sigma does not apply to the linear kernel" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sigma", ["abc", "inf", "0", "nan"])
+@pytest.mark.parametrize("command", KERNEL_COMMANDS)
+def test_bad_sigma_is_usage_error_naming_it(tmp_path, capsys, command, sigma):
+    with pytest.raises(SystemExit) as info:
+        _kernel_command(tmp_path, command, "--sigma", sigma)
+    assert info.value.code == 1
+    assert "argument --sigma: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["robust", "sparse"])
+def test_gram_format_is_usage_error_where_no_gram_is_read(tmp_path, capsys, command):
+    with pytest.raises(SystemExit) as info:
+        _kernel_command(tmp_path, command, "--format", "gram")
+    assert info.value.code == 1
+    assert "argument --format: " in capsys.readouterr().err
+
+
+def test_bench_task_cell_names_the_input(tmp_path, capsys):
+    data = tmp_path / "t.csv"
+    write_csv_dataset(data, d=3)
+    out = tmp_path / "b.csv"
+    for argv, task in ((["--synth-n", "40"], "synth"), (["--data", str(data)], "csv")):
+        assert main(["bench", *argv, "--components", "2", "--solvers", "eig",
+                     "--out", str(out)]) == 0
+        assert [r["task"] for r in read_rows(out)] == [task]
+
+
+def test_singular_step_after_the_init_names_its_seed_iteration_and_cause(tmp_path, capsys):
+    # the eps = 0 solve at s=8 collapses at its first plain step, not at the
+    # init: s is above the Gram's numerical rank (about 5)
+    rc = main(["sparse", "--synth-n", "60", "--synth-d", "2", "--sigma", "50",
+               "--eps-grid", "0.1", "--components-grid", "2,8",
+               "--out", str(tmp_path / "s.csv")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "seed 0, iteration 1: " in err and "reseed 1, iteration 1: " in err
+    assert err.count("s=8 likely exceeds the numerical rank") == 2
+    assert "init" not in err

@@ -56,6 +56,8 @@ def test_kernel_spec_validation():
     with pytest.raises(KpcaError):
         KernelSpec("gaussian", -1.0)
     with pytest.raises(KpcaError):
+        KernelSpec("gaussian", float("inf"))
+    with pytest.raises(KpcaError):
         KernelSpec("linear", 2.0)
     with pytest.raises(KpcaError):
         KernelSpec("unknown_family")

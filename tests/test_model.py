@@ -225,7 +225,7 @@ def test_eps_zero_fit_is_dca_on_the_square_loss(small_fit, kind):
     ds, spec, _ = small_fit
     cfg = SolveConfig(seed=2)
     m = fit(ds, spec, ObjectiveSpec(kind, eps=0.0), 3, cfg)
-    Gc = center_gram(gram(ds, spec, dtype=_gram_dtype(cfg, spec)), overwrite=True)
+    Gc = center_gram(gram(ds, spec, dtype=_gram_dtype(cfg)), overwrite=True)
     H, _ = dca_solve(Gc, 3, ObjectiveSpec("square"), cfg)
     assert m.H.tobytes() == H.tobytes()
 
