@@ -69,20 +69,6 @@ def _int_list(text):
         raise argparse.ArgumentTypeError(f"bad integer list {text!r}")
 
 
-def _add_data_flags(p, synth_n=None, synth_d=None, gram=False):
-    """The input flags; ``--format gram`` only where the command reads a Gram."""
-    p.add_argument("--data", help="input file (see --format)")
-    p.add_argument("--format", default="csv",
-                   choices=("libsvm", "csv", "gram") if gram else ("libsvm", "csv"))
-    p.add_argument("--label-col", type=int, default=None,
-                   help="CSV column holding per-row labels")
-    if synth_n is not None:
-        p.add_argument("--synth-n", type=int, default=synth_n,
-                       help="rows of the synthetic standard-normal dataset")
-        p.add_argument("--synth-d", type=int, default=synth_d,
-                       help="columns of the synthetic dataset")
-
-
 def _sigma(text):
     """The one reader of --sigma: 'auto' or a positive finite float."""
     if text == "auto":
@@ -93,14 +79,28 @@ def _sigma(text):
     raise argparse.ArgumentTypeError(f"{text!r} is not 'auto' or a positive finite bandwidth")
 
 
-def _add_kernel_flags(p, kernel="gaussian", sigma="auto"):
-    """``sigma``: the gaussian/laplace bandwidth without --sigma."""
+def _add_input_flags(p, formats=("libsvm", "csv"), synth=None, kernel="gaussian",
+                     sigma="auto"):
+    """The input and kernel flags, each read or refused by ``_read_input``.
+
+    All default to None, so a given flag is told from an absent one; the
+    command's defaults are set_defaults attributes. ``synth``: the (n, d) of
+    the synthetic dataset drawn without --data, or None where --data is
+    required."""
+    p.add_argument("--data", required=synth is None, help="input file (see --format)")
+    p.add_argument("--format", choices=formats, help="format of --data (default csv)")
+    p.add_argument("--label-col", type=int, help="CSV column holding per-row labels")
+    if synth is not None:
+        p.add_argument("--synth-n", type=int, help="rows of the synthetic "
+                       f"standard-normal dataset drawn without --data (default {synth[0]})")
+        p.add_argument("--synth-d", type=int,
+                       help=f"columns of the synthetic dataset (default {synth[1]})")
     p.add_argument("--kernel", choices=("linear", "gaussian", "laplace"),
-                   default=kernel)
-    p.add_argument("--sigma", type=_sigma, default=None,
+                   help=f"kernel family (default {kernel})")
+    p.add_argument("--sigma", type=_sigma,
                    help=f"gaussian/laplace bandwidth: a positive value or "
                         f"'auto' (default {sigma})")
-    p.set_defaults(default_sigma=sigma)
+    p.set_defaults(default_synth=synth, default_kernel=kernel, default_sigma=sigma)
 
 
 def _check_count(flag, value, low=1, high=None):
@@ -115,23 +115,44 @@ def _check_positive(flag, value):
         raise _Usage(f"{flag} must be positive")
 
 
-def _kernel_spec(args) -> kernels.KernelSpec:
-    if args.kernel == "linear":
-        if args.sigma is not None:
-            raise _Usage("--sigma does not apply to the linear kernel")
-        return kernels.KernelSpec("linear")
-    sigma = args.default_sigma if args.sigma is None else args.sigma
-    return kernels.KernelSpec(args.kernel, sigma)
+def _read_input(args):
+    """The one reader of the input and kernel flags: (dataset, kernel spec,
+    None) for samples, (None, KernelSpec("precomputed"), Gram) for
+    --format gram. A given flag that the input does not read is a usage
+    error naming it. The input's name, "synth" or its format, is left in
+    ``args.task``."""
+    def refuse(flag, reason):
+        if getattr(args, flag[2:].replace("-", "_"), None) is not None:
+            raise _Usage(f"{flag} {reason}")
 
-
-def _load_dataset(args):
     if args.data is None:
-        return data_io.gen_synth_gaussian(args.synth_n, args.synth_d, args.seed)
-    if args.format == "libsvm":
+        refuse("--format", "applies to --data only")
+        args.task = "synth"
+    else:
+        for flag in ("--synth-n", "--synth-d"):
+            refuse(flag, "does not apply to --data")
+        args.task = args.format or "csv"
+    if args.task != "csv":
+        refuse("--label-col", "applies to CSV --data only")
+    if args.task == "gram":
+        for flag in ("--kernel", "--sigma"):
+            refuse(flag, "does not apply to --format gram")
+        return None, kernels.KernelSpec("precomputed"), kernels.load_gram_csv(args.data)
+    kernel = args.kernel or args.default_kernel
+    if kernel == "linear":
+        refuse("--sigma", "does not apply to the linear kernel")
+    sigma = args.default_sigma if args.sigma is None else args.sigma
+    spec = kernels.KernelSpec(kernel, None if kernel == "linear" else sigma)
+    if args.task == "synth":
+        n, d = args.default_synth
+        n = n if args.synth_n is None else args.synth_n
+        d = d if args.synth_d is None else args.synth_d
+        return data_io.gen_synth_gaussian(n, d, args.seed), spec, None
+    if args.task == "libsvm":
         with open(args.data) as fh:
-            return data_io.parse_libsvm(fh)
+            return data_io.parse_libsvm(fh), spec, None
     try:
-        return data_io.load_csv(args.data, label_col=args.label_col)
+        return data_io.load_csv(args.data, label_col=args.label_col), spec, None
     except DataError:
         raise
     except KpcaError as exc:  # the label column is outside the file
@@ -141,20 +162,13 @@ def _load_dataset(args):
 # ---------------------------------------------------------------- solve
 
 def _cmd_solve(args):
-    if args.data is None:
-        raise _Usage("solve requires --data")
     with _usage_phase():
         objective = parse_objective(args.objective)
     _check_positive("--tol", args.tol)
     if args.max_iters is not None:
         _check_count("--max-iters", args.max_iters)
     cfg = SolveConfig(tol=args.tol, seed=args.seed, max_iters=args.max_iters)
-    if args.format == "gram":
-        dataset, gm = None, kernels.load_gram_csv(args.data)
-        spec = kernels.KernelSpec("precomputed")
-    else:
-        dataset, gm = _load_dataset(args), None
-        spec = _kernel_spec(args)
+    dataset, spec, gm = _read_input(args)
     _check_count("--components", args.components,
                  high=dataset.n if gm is None else gm.n)
     fitted = model_mod.fit(dataset, spec, objective, args.components, cfg,
@@ -195,24 +209,19 @@ def _cmd_bench(args):
                   "dca": lambda G, s, cfg: dca_solve(G, s, ObjectiveSpec("square"), cfg)}
     bad = set(solvers) - {"eig", "rsvd", *row_solves}
     if bad:
-        raise _Usage(f"unknown solvers: {sorted(bad)}")
+        raise _Usage(f"--solvers names unknown solvers {sorted(bad)}")
+    if not solvers or len(set(solvers)) < len(solvers):
+        raise _Usage(f"--solvers must name each solver once, got {args.solvers!r}")
     if set(row_solves) & set(solvers):
         # an rsvd row alone takes any delta: at 0 it is marked unconverged
         _check_positive("--delta", args.delta)
     _check_count("--repeats", args.repeats)
     s = args.components
-    task = "synth" if args.data is None else args.format
-    if task == "gram":
-        gm = kernels.load_gram_csv(args.data)
-        _check_count("--components", s, high=gm.n)
-    else:
-        dataset = _load_dataset(args)
-        spec = _kernel_spec(args)
-        _check_count("--components", s, high=dataset.n)
+    dataset, spec, gm = _read_input(args)
+    _check_count("--components", s, high=dataset.n if gm is None else gm.n)
+    if gm is None:
         gm = kernels.gram(dataset, spec.resolve(dataset))
-    Gc = kernels.center_gram(gm, overwrite=True)
-    G = Gc.entries
-    n = Gc.n
+    G = kernels.center_gram(gm, overwrite=True)
 
     # Dense eigendecomposition doubles as the eta oracle; run it once,
     # timed only when requested as a solver row.
@@ -254,7 +263,7 @@ def _cmd_bench(args):
         speedup = None
         if name == "lbfgs" and "rsvd" in means and means["lbfgs"] > 0:
             speedup = means["rsvd"] / means["lbfgs"]
-        rows.append([task, n, name, args.delta, means[name],
+        rows.append([args.task, G.n, name, args.delta, means[name],
                      ";".join(repr(t) for t in r["wall"]), r["iters"], r["eta"],
                      r["eta"] < args.delta, speedup])
         if args.dump_dir and r["H"] is not None:
@@ -276,7 +285,7 @@ def _cmd_spectrum(args):
     _check_positive("--delta", args.delta)
     rows = []
     for c in args.c_grid:
-        G = data_io.gen_controlled_spectrum_gram(args.n, c, args.seed).entries
+        G = data_io.gen_controlled_spectrum_gram(args.n, c, args.seed)
         top = baselines.top_eigenvalues(G, args.components)
         lbfgs_iters, lbfgs_status = None, "ok"
         try:
@@ -340,7 +349,7 @@ def _cmd_robust(args):
     _check_count("--jobs", args.jobs)
     with _usage_phase():
         objectives = [parse_objective(t) for t in args.objectives.split(",")]
-    base = _load_dataset(args)
+    base, spec, _ = _read_input(args)
     rng = np.random.default_rng(args.seed)
     train_idx, test_idx = _split_indices(base.n, args.test_split, base.labels, rng)
     if not (train_idx.size and test_idx.size):
@@ -348,12 +357,13 @@ def _cmd_robust(args):
                      f"{test_idx.size} test rows")
     _check_count("--components", args.components, high=train_idx.size)
     train, test = base.take_rows(train_idx), base.take_rows(test_idx)
-    spec = _kernel_spec(args)
+    # one contaminated training set per tau, shared by its objectives' cells
+    noisy = {tau: data_io.contaminate(train, args.omega, tau, args.seed)
+             for tau in args.tau_grid}
 
     def cell(tau, objective):
-        noisy = data_io.contaminate(train, args.omega, tau, args.seed)
         cfg = SolveConfig(tol=args.tol, seed=args.seed)
-        fitted = model_mod.fit(noisy, spec, objective, args.components, cfg)
+        fitted = model_mod.fit(noisy[tau], spec, objective, args.components, cfg)
         err = model_mod.reconstruction_error(fitted, test)
         kappa = fitted.objective.kappa if fitted.objective.kind != "square" else None
         return err, kappa, fitted.report.iterations, fitted.report.termination
@@ -377,10 +387,10 @@ def _cmd_sparse(args):
     if not all(eps >= 0 for eps in args.eps_grid):
         raise _Usage("--eps-grid values must be >= 0")
     _check_count("--jobs", args.jobs)
-    dataset = _load_dataset(args)
+    dataset, spec, _ = _read_input(args)
     for s in args.components_grid:
         _check_count("--components-grid", s, high=dataset.n)
-    spec = _kernel_spec(args).resolve(dataset)
+    spec = spec.resolve(dataset)
     Gc = kernels.center_gram(kernels.gram(dataset, spec), overwrite=True)
 
     def solve(s, eps):
@@ -443,8 +453,7 @@ def build_parser() -> _Parser:
     sub = p.add_subparsers(dest="command", required=True)
 
     ps = sub.add_parser("solve", help="fit a model and write it to disk")
-    _add_data_flags(ps, gram=True)
-    _add_kernel_flags(ps)
+    _add_input_flags(ps, formats=("libsvm", "csv", "gram"))
     ps.add_argument("--components", type=int, required=True)
     ps.add_argument("--objective", default="square")
     ps.add_argument("--tol", type=float, default=1e-6,
@@ -458,8 +467,8 @@ def build_parser() -> _Parser:
     ps.set_defaults(func=_cmd_solve)
 
     pb = sub.add_parser("bench", help="timed solver comparison on one task")
-    _add_data_flags(pb, synth_n=2000, synth_d=20, gram=True)
-    _add_kernel_flags(pb, kernel="laplace")
+    _add_input_flags(pb, formats=("libsvm", "csv", "gram"), synth=(2000, 20),
+                     kernel="laplace")
     pb.add_argument("--components", type=int, default=20)
     pb.add_argument("--solvers", default="eig,rsvd,lbfgs")
     pb.add_argument("--delta", type=float, default=1e-2)
@@ -480,8 +489,7 @@ def build_parser() -> _Parser:
     pc.set_defaults(func=_cmd_spectrum)
 
     pr = sub.add_parser("robust", help="outlier-contamination study")
-    _add_data_flags(pr, synth_n=150, synth_d=4)
-    _add_kernel_flags(pr, sigma=1.0)
+    _add_input_flags(pr, synth=(150, 4), sigma=1.0)
     pr.add_argument("--components", type=int, default=2)
     pr.add_argument("--objectives",
                     default="square,huber1:xmax:0.6,huber2:xmax:0.8")
@@ -496,8 +504,7 @@ def build_parser() -> _Parser:
     pr.set_defaults(func=_cmd_robust)
 
     pp = sub.add_parser("sparse", help="sparsity-accuracy tradeoff study")
-    _add_data_flags(pp, synth_n=1000, synth_d=20)
-    _add_kernel_flags(pp)
+    _add_input_flags(pp, synth=(1000, 20))
     pp.add_argument("--objective", default="eps2", help="eps2 or epsinf")
     pp.add_argument("--eps-grid", type=_float_list, required=True)
     pp.add_argument("--components-grid", type=_int_list, required=True)

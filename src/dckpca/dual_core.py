@@ -119,8 +119,12 @@ def grad_pi(G, H, gh=None, singular_hint: str | None = None):
 
 
 def optimal_dual_cost(top_eigs: np.ndarray) -> float:
-    """d_opt = -0.5 * sum of the top-s eigenvalues of G."""
-    return -0.5 * float(np.sum(top_eigs))
+    """d_opt = -0.5 * sum of the top-s eigenvalues of G; zero (a degenerate
+    Gram, which no relative residual can be taken against) raises KpcaError."""
+    d_opt = -0.5 * float(np.sum(top_eigs))
+    if d_opt == 0.0:
+        raise KpcaError("degenerate Gram: optimal dual cost is zero")
+    return d_opt
 
 
 def dual_residual(G, H, top_eigs) -> float:
@@ -130,8 +134,6 @@ def dual_residual(G, H, top_eigs) -> float:
     denominator keeps eta nonnegative (d_opt itself is negative).
     """
     d_opt = optimal_dual_cost(np.asarray(top_eigs, dtype=float))
-    if d_opt == 0.0:
-        raise KpcaError("degenerate Gram: optimal dual cost is zero")
     d = 0.5 * float(np.sum(H * H)) - pi(G, H)
     return abs(d - d_opt) / abs(d_opt)
 

@@ -168,8 +168,6 @@ def _solve(G, s, cfg, h0, default_max_iters, loop):
         if eigs.shape != (s,):
             raise KpcaError(f"benchmark_eigs must hold exactly s={s} values")
         d_opt = optimal_dual_cost(eigs)
-        if d_opt == 0.0:
-            raise KpcaError("degenerate Gram: optimal dual cost is zero")
     max_iters = cfg.max_iters if cfg.max_iters is not None else default_max_iters
 
     def attempt(H, label):

@@ -111,8 +111,14 @@ SOLVE = ["solve", "--data", "{csv}", "--sigma", "1.0", "--components", "2"]
     (SOLVE + ["--max-iters", "0"], "--max-iters"),
     (["bench", "--synth-n", "40", "--components", "2", "--solvers", "rsvd,dca",
       "--delta", "0"], "--delta"),
+    (["bench", "--synth-n", "40", "--components", "2", "--solvers", ","], "--solvers"),
+    (["bench", "--synth-n", "40", "--components", "2", "--solvers", "eig,eig"],
+     "--solvers"),
+    (["bench", "--synth-n", "40", "--components", "2", "--solvers", "eig,miracle"],
+     "--solvers"),
 ], ids=["solve-tol", "solve-tol-nan", "robust-tol", "spectrum-delta", "sparse-eps-grid",
-        "robust-omega", "robust-jobs", "sparse-jobs", "solve-max-iters", "bench-delta"])
+        "robust-omega", "robust-jobs", "sparse-jobs", "solve-max-iters", "bench-delta",
+        "bench-solvers-empty", "bench-solvers-repeated", "bench-solvers-unknown"])
 def test_flag_value_out_of_its_range_is_usage_error(tmp_path, capsys, argv, flag):
     data = tmp_path / "t.csv"
     write_csv_dataset(data)
@@ -625,3 +631,58 @@ def test_singular_step_after_the_init_names_its_seed_iteration_and_cause(tmp_pat
     assert "seed 0, iteration 1: " in err and "reseed 1, iteration 1: " in err
     assert err.count("s=8 likely exceeds the numerical rank") == 2
     assert "init" not in err
+
+
+# the inputs a command can be given, and each command's other flags
+CSV = ["--data", "{csv}"]
+LIBSVM = ["--data", "{libsvm}", "--format", "libsvm"]
+GRAM = ["--data", "{gram}", "--format", "gram"]
+SYNTH = ["--synth-n", "40", "--synth-d", "3"]
+COMMAND_FLAGS = {
+    "solve": ["--components", "2"],
+    "bench": ["--components", "2", "--solvers", "eig"],
+    "robust": ["--tau-grid", "10"],
+    "sparse": ["--eps-grid", "0", "--components-grid", "2"],
+}
+
+
+@pytest.mark.parametrize("command, argv, flag", [
+    ("bench", ["--format", "gram", "--synth-n", "40"], "--format"),
+    ("bench", ["--format", "libsvm", "--synth-n", "30"], "--format"),
+    ("robust", ["--format", "csv"], "--format"),
+    ("sparse", ["--format", "libsvm"], "--format"),
+    ("solve", LIBSVM + ["--label-col", "0"], "--label-col"),
+    ("solve", GRAM + ["--label-col", "7"], "--label-col"),
+    ("bench", SYNTH + ["--label-col", "5"], "--label-col"),
+    ("bench", GRAM + ["--label-col", "0"], "--label-col"),
+    ("robust", SYNTH + ["--label-col", "0"], "--label-col"),
+    ("sparse", LIBSVM + ["--label-col", "0"], "--label-col"),
+    ("bench", CSV + ["--synth-n", "99"], "--synth-n"),
+    ("bench", GRAM + ["--synth-d", "3"], "--synth-d"),
+    ("robust", CSV + ["--synth-n", "0"], "--synth-n"),
+    ("sparse", LIBSVM + ["--synth-d", "3"], "--synth-d"),
+    ("solve", GRAM + ["--kernel", "linear", "--sigma", "3"], "--kernel"),
+    ("solve", GRAM + ["--sigma", "auto"], "--sigma"),
+    ("bench", GRAM + ["--kernel", "gaussian"], "--kernel"),
+    ("bench", GRAM + ["--sigma", "2"], "--sigma"),
+])
+def test_input_flag_the_input_does_not_read_is_usage_error(tmp_path, capsys, command,
+                                                             argv, flag):
+    # a given flag counts even when its value is falsy (--synth-n 0,
+    # --label-col 0); the refusal comes before any output is written
+    from scipy import sparse
+    from dckpca import Dataset, serialize_libsvm
+    ds = write_csv_dataset(tmp_path / "t.csv", d=3)
+    X = sparse.random(40, 6, density=0.5, format="csr",
+                      random_state=np.random.default_rng(2))
+    (tmp_path / "t.libsvm").write_text(serialize_libsvm(Dataset(X)))
+    np.savetxt(tmp_path / "g.csv", ds.values @ ds.values.T + np.eye(40),
+               delimiter=",", fmt="%.17g")
+    out = tmp_path / "out"
+    paths = {"csv": tmp_path / "t.csv", "libsvm": tmp_path / "t.libsvm",
+             "gram": tmp_path / "g.csv"}
+    rc = main([command] + [a.format(**paths) for a in argv] + COMMAND_FLAGS[command] +
+              ["--out", str(out)])
+    assert rc == 1
+    assert f"dckpca: error: {flag} " in capsys.readouterr().err
+    assert not out.exists()
