@@ -55,18 +55,17 @@ def _write_csv(path, header, rows):
             out.close()
 
 
-def _float_list(text):
-    try:
-        return [float(t) for t in text.split(",") if t.strip() != ""]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad numeric list {text!r}")
-
-
-def _int_list(text):
-    try:
-        return [int(t) for t in text.split(",") if t.strip() != ""]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad integer list {text!r}")
+def _list_of(cast):
+    """An argparse type: a comma-separated list naming at least one ``cast`` value."""
+    def parse(text):
+        try:
+            values = [cast(t) for t in text.split(",") if t.strip() != ""]
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"bad {cast.__name__} list {text!r}") from None
+        if not values:
+            raise argparse.ArgumentTypeError(f"{text!r} names no value")
+        return values
+    return parse
 
 
 def _sigma(text):
@@ -192,87 +191,76 @@ def _cmd_solve(args):
 
 # ---------------------------------------------------------------- bench
 
-def _bench_timed(fn, repeats):
-    samples = []
-    result = None
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        result = fn()
-        samples.append(time.perf_counter() - t0)
-    return result, samples
-
-
 def _cmd_bench(args):
-    solvers = [s.strip() for s in args.solvers.split(",") if s.strip()]
-    # the benchmark-mode rows: each solves G on the square loss to eta < delta
-    row_solves = {"lbfgs": lbfgs_solve,
-                  "dca": lambda G, s, cfg: dca_solve(G, s, ObjectiveSpec("square"), cfg)}
-    bad = set(solvers) - {"eig", "rsvd", *row_solves}
+    s = args.components
+    top = None  # the eta oracle: the eig row's eigenvalues, else top_eigenvalues
+
+    # each row returns (H or None, iterations or oversamples, eta)
+    def eig():
+        nonlocal top
+        pairs, H = baselines.kpca_dense_eig(G, s)
+        top = pairs.values
+        return H, None, None  # eta: computed below, untimed
+
+    def rsvd():
+        attempts = []  # (p, eta) of each attempt: the row reads the last one
+        try:
+            pairs, _ = baselines.rsvd_adaptive(G, s, args.delta, seed=args.seed,
+                                               top_eigs=top, collect=attempts)
+            H = baselines.h_from_pairs(pairs)
+        except ToleranceUnreachableError:
+            H = None  # the row stays, marked unconverged
+        return (H, *attempts[-1])
+
+    def square(solve, *objective):  # a benchmark-mode solve of G to eta < delta
+        cfg = SolveConfig(tol=args.delta, seed=args.seed, benchmark_eigs=top)
+        H, rep = solve(G, s, *objective, cfg)
+        return H, rep.iterations, rep.eta_trace[-1]
+
+    # in this order, so that eig's eigenvalues and rsvd's time are known to
+    # the rows after them
+    table = {"eig": eig, "rsvd": rsvd, "lbfgs": lambda: square(lbfgs_solve),
+             "dca": lambda: square(dca_solve, ObjectiveSpec("square"))}
+    solvers = [name.strip() for name in args.solvers.split(",") if name.strip()]
+    bad = set(solvers) - set(table)
     if bad:
         raise _Usage(f"--solvers names unknown solvers {sorted(bad)}")
     if not solvers or len(set(solvers)) < len(solvers):
         raise _Usage(f"--solvers must name each solver once, got {args.solvers!r}")
-    if set(row_solves) & set(solvers):
+    if {"lbfgs", "dca"} & set(solvers):
         # an rsvd row alone takes any delta: at 0 it is marked unconverged
         _check_positive("--delta", args.delta)
     _check_count("--repeats", args.repeats)
-    s = args.components
     dataset, spec, gm = _read_input(args)
     _check_count("--components", s, high=dataset.n if gm is None else gm.n)
     if gm is None:
         gm = kernels.gram(dataset, spec.resolve(dataset))
     G = kernels.center_gram(gm, overwrite=True)
-
-    # Dense eigendecomposition doubles as the eta oracle; run it once,
-    # timed only when requested as a solver row.
-    rows = []
-    results = {}
-    if "eig" in solvers:
-        (pairs, h_svd), eig_samples = _bench_timed(
-            lambda: baselines.kpca_dense_eig(G, s), args.repeats)
-        top = pairs.values
-        eta = dual_residual(G, h_svd, top)
-        results["eig"] = {"wall": eig_samples, "iters": None, "eta": eta, "H": h_svd}
-    else:
+    if "eig" not in solvers:
         top = baselines.top_eigenvalues(G, s)
 
-    if "rsvd" in solvers:
-        def run_rsvd():
-            trace = []
-            try:
-                pairs, p_used = baselines.rsvd_adaptive(
-                    G, s, args.delta, seed=args.seed, top_eigs=top, collect=trace)
-                return baselines.h_from_pairs(pairs), p_used, trace
-            except ToleranceUnreachableError:
-                # row stays, marked unconverged with the last attempt's state
-                return None, trace[-1][0] if trace else None, trace
-        (h_r, p_used, trace), samples = _bench_timed(run_rsvd, args.repeats)
-        eta = dual_residual(G, h_r, top) if h_r is not None else \
-            (trace[-1][1] if trace else np.inf)
-        results["rsvd"] = {"wall": samples, "iters": p_used, "eta": eta, "H": h_r}
-    for name, solve in row_solves.items():
-        if name in solvers:
-            cfg = SolveConfig(tol=args.delta, seed=args.seed, benchmark_eigs=top)
-            (H, rep), samples = _bench_timed(lambda: solve(G, s, cfg), args.repeats)
-            results[name] = {"wall": samples, "iters": rep.iterations,
-                             "eta": rep.eta_trace[-1], "H": H}
-
-    means = {k: float(np.mean(v["wall"])) for k, v in results.items()}
-    for name in solvers:
-        r = results[name]
+    rows = {}
+    for name in [name for name in table if name in solvers]:
+        samples = []
+        for _ in range(args.repeats):
+            t0 = time.perf_counter()
+            H, iters, eta = table[name]()
+            samples.append(time.perf_counter() - t0)
+        if name == "eig":
+            eta = dual_residual(G, H, top)
+        mean = float(np.mean(samples))
         speedup = None
-        if name == "lbfgs" and "rsvd" in means and means["lbfgs"] > 0:
-            speedup = means["rsvd"] / means["lbfgs"]
-        rows.append([args.task, G.n, name, args.delta, means[name],
-                     ";".join(repr(t) for t in r["wall"]), r["iters"], r["eta"],
-                     r["eta"] < args.delta, speedup])
-        if args.dump_dir and r["H"] is not None:
+        if name == "lbfgs" and "rsvd" in rows and mean > 0:
+            speedup = rows["rsvd"][4] / mean  # rsvd's wall_seconds
+        rows[name] = [args.task, G.n, name, args.delta, mean,
+                      ";".join(map(repr, samples)), iters, eta, eta < args.delta, speedup]
+        if args.dump_dir and H is not None:
             with open(f"{args.dump_dir.rstrip('/')}/H_{name}.csv", "w") as fh:
-                for hrow in r["H"]:
+                for hrow in H:
                     fh.write(",".join(repr(float(v)) for v in hrow) + "\n")
     _write_csv(args.out, ["task", "n", "solver", "delta", "wall_seconds",
                           "wall_samples", "iters_or_oversamples", "eta",
-                          "converged", "speedup_vs_rsvd"], rows)
+                          "converged", "speedup_vs_rsvd"], [rows[name] for name in solvers])
     return 0
 
 
@@ -479,7 +467,7 @@ def build_parser() -> _Parser:
     pb.set_defaults(func=_cmd_bench)
 
     pc = sub.add_parser("spectrum", help="controlled-spectrum study")
-    pc.add_argument("--c-grid", type=_float_list, default=[0.01, 0.1, 0.5])
+    pc.add_argument("--c-grid", type=_list_of(float), default=[0.01, 0.1, 0.5])
     pc.add_argument("--n", type=int, default=500)
     pc.add_argument("--delta", type=float, default=1e-4)
     pc.add_argument("--components", type=int, default=20)
@@ -494,7 +482,7 @@ def build_parser() -> _Parser:
     pr.add_argument("--objectives",
                     default="square,huber1:xmax:0.6,huber2:xmax:0.8")
     pr.add_argument("--omega", type=float, default=0.08)
-    pr.add_argument("--tau-grid", type=_float_list, default=[10, 25, 50, 75, 100])
+    pr.add_argument("--tau-grid", type=_list_of(float), default=[10, 25, 50, 75, 100])
     pr.add_argument("--test-split", type=float, default=0.2)
     pr.add_argument("--tol", type=float, default=1e-6,
                     help="solver tolerance, as for solve")
@@ -506,8 +494,8 @@ def build_parser() -> _Parser:
     pp = sub.add_parser("sparse", help="sparsity-accuracy tradeoff study")
     _add_input_flags(pp, synth=(1000, 20))
     pp.add_argument("--objective", default="eps2", help="eps2 or epsinf")
-    pp.add_argument("--eps-grid", type=_float_list, required=True)
-    pp.add_argument("--components-grid", type=_int_list, required=True)
+    pp.add_argument("--eps-grid", type=_list_of(float), required=True)
+    pp.add_argument("--components-grid", type=_list_of(int), required=True)
     pp.add_argument("--seed", type=int, default=0)
     pp.add_argument("--jobs", type=int, default=1)
     pp.add_argument("--out", help="CSV path (default stdout)")

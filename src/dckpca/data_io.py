@@ -228,24 +228,11 @@ def serialize_libsvm(dataset: Dataset) -> str:
 
 
 def load_csv(path, label_col: int | None = None) -> Dataset:
-    """Load a rectangular numeric CSV ('.' decimal, ',' separator) of finite
-    values as a dense Dataset. ``label_col`` flags one column as the per-row
-    label; one outside the file's columns raises KpcaError (a bad argument,
-    not bad data).
-
-    numpy's C parser reads the file first; its values are bit-identical to
-    Python's ``float``. Input it rejects (quoted cells, ``1_0``, a ragged or
-    malformed row), or that holds a non-finite value or no row, is read
-    again line by line (``_parse_csv``), which names the failing line."""
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
-            values = np.loadtxt(path, delimiter=",", comments=None, ndmin=2,
-                                dtype=float)
-    except ValueError:
-        values = None
-    if values is None or not values.size or not np.isfinite(values).all():
-        values = _parse_csv(path)
+    """Load a rectangular numeric CSV of finite values (``read_csv``) as a
+    dense Dataset. ``label_col`` flags one column as the per-row label; one
+    outside the file's columns raises KpcaError (a bad argument, not bad
+    data)."""
+    values = read_csv(path)
     if label_col is None:
         return Dataset(values)
     width = values.shape[1]
@@ -255,12 +242,37 @@ def load_csv(path, label_col: int | None = None) -> Dataset:
     return Dataset(np.delete(values, label_col, axis=1), values[:, label_col].copy())
 
 
-def _parse_csv(path) -> np.ndarray:
-    """``load_csv``'s rows, read one line and one ``float`` at a time."""
+def read_csv(path, skip: int = 0, finite: bool = True) -> np.ndarray:
+    """The rows of a rectangular numeric CSV ('.' decimal, ',' separator, no
+    comments) after its first ``skip`` lines, as a 2-D float array: the one
+    parse path of samples, precomputed Grams and model payloads. With
+    ``finite`` a non-finite cell is a DataError too.
+
+    numpy's C parser reads the file first; its values are bit-identical to
+    Python's ``float``. Input it rejects (quoted cells, ``1_0``, a ragged or
+    malformed row), that holds no row, or that holds a non-finite value the
+    caller refuses, is read again line by line (``_parse_csv``), which
+    raises a DataError naming the failing line."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+            values = np.loadtxt(path, delimiter=",", comments=None, ndmin=2,
+                                dtype=float, skiprows=skip)
+    except ValueError:
+        values = None
+    if values is None or not values.size or (finite and not np.isfinite(values).all()):
+        values = _parse_csv(path, skip, finite)
+    return values
+
+
+def _parse_csv(path, skip: int = 0, finite: bool = True) -> np.ndarray:
+    """``read_csv``'s rows, read one line and one ``float`` at a time."""
     rows = []
     width = None
     with open(path, newline="") as fh:
-        for lineno, rec in enumerate(csv.reader(fh), start=1):
+        for _ in range(skip):
+            fh.readline()
+        for lineno, rec in enumerate(csv.reader(fh), start=skip + 1):
             if not rec or (len(rec) == 1 and not rec[0].strip()):
                 continue
             if width is None:
@@ -271,7 +283,7 @@ def _parse_csv(path) -> np.ndarray:
                 vals = [float(c) for c in rec]
             except ValueError:
                 raise DataError(f"line {lineno}: non-numeric cell") from None
-            if not all(map(math.isfinite, vals)):
+            if finite and not all(map(math.isfinite, vals)):
                 raise DataError(f"line {lineno}: non-finite cell")
             rows.append(vals)
     if not rows:

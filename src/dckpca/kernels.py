@@ -36,7 +36,7 @@ from dataclasses import InitVar, dataclass
 import numpy as np
 from scipy import sparse
 
-from .data_io import Dataset, row_sq_norms
+from .data_io import Dataset, read_csv, row_sq_norms
 from .errors import DataError, KpcaError
 
 FAMILIES = ("linear", "gaussian", "laplace", "precomputed")
@@ -380,10 +380,10 @@ def _center_rows(K, row_means, stats):
 
 
 def load_gram_csv(path) -> GramMatrix:
-    """Load a dense precomputed n x n Gram from CSV. Non-finite entries and
-    asymmetry beyond 1e-8 * max|entry| are rejected; within tolerance the
-    matrix is symmetrized."""
-    G = np.loadtxt(path, delimiter=",", ndmin=2, dtype=float)
+    """Load a dense precomputed n x n Gram from CSV (``data_io.read_csv``).
+    Non-finite entries and asymmetry beyond 1e-8 * max|entry| are rejected;
+    within tolerance the matrix is symmetrized."""
+    G = read_csv(path, finite=False)
     if G.shape[0] != G.shape[1]:
         raise DataError(f"precomputed Gram must be square, got {G.shape}")
     bad = np.argwhere(~np.isfinite(G))

@@ -21,7 +21,7 @@ import numpy as np
 from scipy import sparse
 
 from . import kernels
-from .data_io import Dataset
+from .data_io import Dataset, read_csv
 from .dual_core import SpectralDecomp, _small_eig, check_floor
 from .errors import (DataError, KpcaError, SingularMatrixError,
                      UnprojectableModelError)
@@ -258,14 +258,21 @@ def save_model(model: KpcaModel, path) -> None:
 
 def load_model(path) -> KpcaModel:
     """Inverse of save_model. The returned model has no training data attached;
-    use attach_training_data before projecting. Every array must have its
-    header-given shape and finite entries, and ``lam`` must be non-increasing
-    and above the singularity floor, or a model cannot project."""
+    use attach_training_data before projecting. The header line must be a
+    JSON object, every array must have its header-given shape and finite
+    entries, and ``lam`` must be non-increasing and above the singularity
+    floor, or a DataError is raised: such a model cannot project."""
     with open(path) as fh:
-        header = json.loads(fh.readline())
-        if header.get("format") != MODEL_FORMAT:
-            raise DataError(f"unrecognized model format {header.get('format')!r}")
-        H = np.loadtxt(fh, delimiter=",", ndmin=2, dtype=float)
+        line = fh.readline()
+    try:
+        header = json.loads(line)
+    except ValueError:
+        header = None
+    if not isinstance(header, dict):
+        raise DataError("model header (line 1) is not a JSON object")
+    if header.get("format") != MODEL_FORMAT:
+        raise DataError(f"unrecognized model format {header.get('format')!r}")
+    H = read_csv(path, skip=1, finite=False)
     missing = sorted({"kernel", "objective", "s", "n", "fingerprint", "lam", "U",
                       "col_means", "grand_mean"} - header.keys())
     if missing:

@@ -37,7 +37,7 @@ class SolveConfig:
     """Shared solver knobs. A solve stops at fixed-point residual r**2 <= tol,
     or at eta < tol given ``benchmark_eigs`` (exact top-s eigenvalues of G);
     see ``_stop``. ``max_iters`` of None picks the solver default (500 for
-    the square-loss subspace solver, 1000 for DCA)."""
+    the square-loss subspace solver, 1000 for DCA); a given one is >= 1."""
 
     tol: float = 1e-6
     max_iters: int | None = None
@@ -47,6 +47,8 @@ class SolveConfig:
     def __post_init__(self):
         if not self.tol > 0:
             raise KpcaError("tol must be positive")
+        if self.max_iters is not None and self.max_iters < 1:
+            raise KpcaError(f"max_iters must be >= 1, got {self.max_iters}")
 
 
 @dataclass

@@ -1,5 +1,6 @@
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -564,6 +565,44 @@ def test_solve_non_finite_input_is_data_error(tmp_path, capsys, fmt, bad):
                "--out", str(tmp_path / "m.dk")])
     assert rc == 2
     assert ("row 2" if fmt == "gram" else "line 2") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["solve", "bench"])
+@pytest.mark.parametrize("text, named", [
+    ("2,1,0\n1,x,0\n0,0,1\n", "line 2: non-numeric cell"),
+    ("2,1,0\n1,2\n0,0,1\n", "line 2: ragged row (2 != 3 cells)"),
+    ("", "empty dataset"),
+], ids=["non-numeric", "ragged", "empty"])
+def test_malformed_gram_is_data_error_naming_the_line(tmp_path, capsys, command, text,
+                                                       named):
+    data = tmp_path / "g.csv"
+    data.write_text(text)
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main([command, "--data", str(data), "--format", "gram", "--components", "1",
+                   "--out", str(out)] + (["--solvers", "eig"] if command == "bench" else []))
+    assert rc == 2
+    assert capsys.readouterr().err == f"dckpca: data error: {named}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["robust", "--synth-n", "40", "--tau-grid", ","], "--tau-grid"),
+    (["sparse", "--synth-n", "40", "--eps-grid", ",", "--components-grid", "2"],
+     "--eps-grid"),
+    (["sparse", "--synth-n", "40", "--eps-grid", "0", "--components-grid", ","],
+     "--components-grid"),
+    (["spectrum", "--n", "40", "--components", "2", "--c-grid", ","], "--c-grid"),
+], ids=["robust-tau-grid", "sparse-eps-grid", "sparse-components-grid",
+        "spectrum-c-grid"])
+def test_grid_list_naming_no_value_is_usage_error(tmp_path, capsys, argv, flag):
+    out = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as info:
+        main(argv + ["--out", str(out)])
+    assert info.value.code == 1
+    assert f"dckpca {argv[0]}: error: argument {flag}: " in capsys.readouterr().err
+    assert not out.exists()
 
 
 # each command that takes a kernel, on small inputs

@@ -256,6 +256,26 @@ def _rewrite_model(src, dst, header_edit=None, payload_edit=None):
     dst.write_text("\n".join([json.dumps(header)] + rows) + "\n")
 
 
+@pytest.mark.parametrize("header, payload, match", [
+    ("not json", None, "line 1"),
+    ("[1, 2]", None, "line 1"),
+    (None, lambda rows: rows[:2] + ["x" + rows[2]] + rows[3:], "line 4: non-numeric"),
+    (None, lambda rows: rows[:3] + [rows[3] + ",0.5"] + rows[4:], "line 5: ragged"),
+], ids=["header-not-json", "header-not-object", "payload-non-numeric",
+        "payload-ragged"])
+def test_load_model_malformed_is_data_error(tmp_path, small_fit, header, payload,
+                                            match):
+    _, _, m = small_fit
+    good = tmp_path / "good.dk"
+    save_model(m, good)
+    p = tmp_path / "bad.dk"
+    _rewrite_model(good, p, payload_edit=payload)
+    if header is not None:
+        p.write_text("\n".join([header] + p.read_text().splitlines()[1:]) + "\n")
+    with pytest.raises(DataError, match=match):
+        load_model(p)
+
+
 @pytest.mark.parametrize("bad", ["nan", "inf"])
 def test_load_model_non_finite_is_data_error(tmp_path, small_fit, bad):
     _, _, m = small_fit

@@ -282,6 +282,15 @@ def test_solve_config_validation():
         SolveConfig(tol=0.0)
 
 
+@pytest.mark.parametrize("max_iters", [0, -3])
+def test_solve_config_rejects_max_iters_below_one(max_iters):
+    # it would return the seeded init unchanged, terminated at "max_iters"
+    from dckpca import KpcaError
+    with pytest.raises(KpcaError, match="max_iters"):
+        dca_solve(centered_gram(n=30), 2, ObjectiveSpec("square"),
+                  SolveConfig(max_iters=max_iters))
+
+
 def test_lbfgs_reseed_error_names_both_inits():
     # G = -I makes H'GH negative at every init, so the reseed fails as well
     with pytest.raises(SingularMatrixError) as info:
