@@ -56,7 +56,8 @@ def _write_csv(path, header, rows):
 
 
 def _list_of(cast):
-    """An argparse type: a comma-separated list naming at least one ``cast`` value."""
+    """An argparse type: a comma-separated list naming at least one ``cast``
+    value, each finite."""
     def parse(text):
         try:
             values = [cast(t) for t in text.split(",") if t.strip() != ""]
@@ -64,6 +65,8 @@ def _list_of(cast):
             raise argparse.ArgumentTypeError(f"bad {cast.__name__} list {text!r}") from None
         if not values:
             raise argparse.ArgumentTypeError(f"{text!r} names no value")
+        if cast is float and not np.isfinite(values).all():
+            raise argparse.ArgumentTypeError(f"{text!r} holds a non-finite value")
         return values
     return parse
 

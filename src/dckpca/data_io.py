@@ -338,7 +338,7 @@ def gen_controlled_spectrum_gram(n: int, c: float, seed: int):
             G[rows, rows] = np.triu(D) + np.triu(D, 1).T
         else:
             G[cols, rows] = G[rows, cols].T
-    return GramMatrix(G, centered=False)
+    return GramMatrix(G, centered=False, _checked=True)
 
 
 def _sign_fixed_q(Z):
@@ -368,8 +368,8 @@ def contaminate(dataset: Dataset, omega: float, tau: float, seed: int) -> Datase
     replacement. All other rows are left bit-identical."""
     if not 0.0 <= omega <= 1.0:
         raise DataError(f"omega must be in [0, 1], got {omega}")
-    if tau <= 0:
-        raise DataError(f"tau must be > 0, got {tau}")
+    if not 0 < tau < math.inf:
+        raise DataError(f"tau must be positive and finite, got {tau}")
     k = int(np.floor(omega * dataset.n))
     rng = np.random.default_rng(seed)
     idx = rng.choice(dataset.n, size=k, replace=False)

@@ -2,7 +2,7 @@
 the one product with a Gram.
 
 Gram matrices are symmetric by construction, so ``entries == entries.T``
-holds exactly (``GramMatrix`` checks it, tile by tile, when it is built).
+holds exactly (``GramMatrix`` checks it, tile by tile, for caller entries).
 They are stored in float64, or in float32 for a fit from data (see
 ``gram``); ``gram_product`` multiplies either. Centering stats (column means
 of the uncentered matrix plus its grand mean) are stored for out-of-sample
@@ -105,8 +105,8 @@ class GramMatrix:
     uncentered float32 Gram from ``gram`` carries its own (its entries are
     shifted, see ``gram``).
 
-    Symmetry is checked once, here, tile by tile. ``center_gram`` keeps it
-    term by term, so its result (``_checked=True``) is not checked again."""
+    Symmetry is checked here, tile by tile, unless a package builder, which
+    makes its buffer exactly symmetric itself, passes ``_checked=True``."""
 
     entries: np.ndarray
     centered: bool = False
@@ -303,10 +303,8 @@ def gram(dataset: Dataset, spec: KernelSpec, dtype=np.float64) -> GramMatrix:
     for rows, cols in _tiles(n):
         if rows != cols:
             G[rows, cols] = G[cols, rows].T
-    if not shifted:
-        return GramMatrix(G, centered=False)
-    mu = sums / n
-    return GramMatrix(G, centered=False, stats=CenteringStats(mu, float(mu.mean())))
+    stats = CenteringStats(sums / n, float(np.mean(sums / n))) if shifted else None
+    return GramMatrix(G, centered=False, stats=stats, _checked=True)
 
 
 def center_gram(gm: GramMatrix, overwrite: bool = False) -> GramMatrix:
@@ -325,15 +323,19 @@ def center_gram(gm: GramMatrix, overwrite: bool = False) -> GramMatrix:
     result takes over (``gm`` then holds centered entries), as scipy's
     ``overwrite_a``; a buffer that cannot be made writable is a KpcaError.
     By default the entries are copied and ``gm`` is left unchanged. Both give
-    the same entries bit for bit."""
+    the same entries bit for bit. A non-finite column mean (a kernel that
+    overflowed on huge samples) is a DataError."""
     G = gm.entries
+    mu = G.mean(axis=0, dtype=np.float64)
+    if not np.isfinite(mu).all():
+        raise DataError("the Gram matrix holds a non-finite entry: the kernel "
+                        "overflowed on the samples' magnitudes")
     if overwrite:
         try:
             G.setflags(write=True)
         except ValueError as exc:
             raise KpcaError(f"cannot center the Gram in place: its buffer "
                             f"is read-only memory ({exc})") from exc
-    mu = G.mean(axis=0, dtype=np.float64)
     grand = float(mu.mean())
     stats = gm.stats if gm.stats is not None and not gm.centered else \
         CenteringStats(mu, grand)
@@ -401,4 +403,4 @@ def load_gram_csv(path) -> GramMatrix:
         G[c, r] = sym.T
     if asym > 1e-8 * max(scale, 1e-300):
         raise DataError(f"precomputed Gram asymmetry {asym:.3e} exceeds tolerance")
-    return GramMatrix(G, centered=False)
+    return GramMatrix(G, centered=False, _checked=True)

@@ -13,6 +13,7 @@ a one-line JSON header followed by a CSV payload of H; the training data
 itself is replaced by a fingerprint and must be re-supplied for projection.
 """
 
+import contextlib
 import hashlib
 import json
 from dataclasses import dataclass, field, replace
@@ -259,9 +260,11 @@ def save_model(model: KpcaModel, path) -> None:
 def load_model(path) -> KpcaModel:
     """Inverse of save_model. The returned model has no training data attached;
     use attach_training_data before projecting. The header line must be a
-    JSON object, every array must have its header-given shape and finite
-    entries, and ``lam`` must be non-increasing and above the singularity
-    floor, or a DataError is raised: such a model cannot project."""
+    JSON object whose fields have the types ``save_model`` writes and name a
+    valid kernel and objective, every array must have its header-given shape
+    and finite entries, and ``lam`` must be non-increasing and above the
+    singularity floor, or a DataError naming the field is raised: such a
+    model cannot project."""
     with open(path) as fh:
         line = fh.readline()
     try:
@@ -277,7 +280,11 @@ def load_model(path) -> KpcaModel:
                       "col_means", "grand_mean"} - header.keys())
     if missing:
         raise DataError(f"model header lacks field(s) {', '.join(missing)}")
-    n, s = int(header["n"]), int(header["s"])
+    for name, kind in (("n", int), ("s", int), ("kernel", dict), ("objective", str),
+                       ("fingerprint", str)):
+        if type(header[name]) is not kind:
+            raise DataError(f"model header field {name!r} is not {_JSON_TYPES[kind]}")
+    n, s = header["n"], header["s"]
     if H.shape != (n, s):
         raise DataError("model payload shape does not match header")
     bad = np.flatnonzero(~np.isfinite(H).all(axis=1))
@@ -286,24 +293,47 @@ def load_model(path) -> KpcaModel:
     fields = {}
     for name, shape in (("U", (s * s,)), ("lam", (s,)), ("col_means", (n,)),
                         ("grand_mean", ())):
-        value = np.asarray(header[name], dtype=float)
+        try:
+            value = np.asarray(header[name])
+        except ValueError:  # a ragged nested list
+            value = None
+        if value is None or value.dtype.kind not in "iuf":
+            raise DataError(f"model header field {name!r} is not numeric")
         if value.shape != shape:
             raise DataError(f"model header field {name!r} has shape {value.shape}, "
                             f"expected {shape}")
         if not np.all(np.isfinite(value)):
             raise DataError(f"model header field {name!r} is not finite")
-        fields[name] = value
-    fam = header["kernel"]["family"]
-    sigma = header["kernel"]["sigma"]
-    spec = kernels.KernelSpec(fam, sigma if fam in ("gaussian", "laplace") else None)
+        fields[name] = value.astype(float)
+    kernel = header["kernel"]
+    if not {"family", "sigma"} <= kernel.keys():
+        raise DataError("model header field 'kernel' lacks 'family' or 'sigma'")
+    fam, sigma = kernel["family"], kernel["sigma"]
+    bandwidth = sigma if fam in ("gaussian", "laplace") else None
+    if bandwidth is not None and type(bandwidth) not in (int, float):
+        raise DataError("model header field 'kernel' has a non-numeric sigma")
+    with _header_field("kernel"):
+        spec = kernels.KernelSpec(fam, bandwidth)
+    with _header_field("objective"):
+        objective = parse_objective(header["objective"])
     dec = SpectralDecomp(fields["U"].reshape(s, s), fields["lam"])
     stats = kernels.CenteringStats(fields["col_means"], float(fields["grand_mean"]))
+    with _header_field("lam"):
+        return KpcaModel(kernel_spec=spec, objective=objective, s=s, H=H, decomp=dec,
+                         stats=stats, fingerprint=header["fingerprint"])
+
+
+_JSON_TYPES = {int: "an integer", dict: "an object", str: "a string"}
+
+
+@contextlib.contextmanager
+def _header_field(name):
+    """Re-raise a KpcaError from reading a model header field as a DataError
+    naming it: the spec it names cannot be built from the file."""
     try:
-        return KpcaModel(
-            kernel_spec=spec, objective=parse_objective(header["objective"]),
-            s=s, H=H, decomp=dec, stats=stats, fingerprint=header["fingerprint"])
-    except UnprojectableModelError as exc:
-        raise DataError(f"model header field 'lam': {exc}") from exc
+        yield
+    except KpcaError as exc:
+        raise DataError(f"model header field {name!r}: {exc}") from exc
 
 
 def attach_training_data(model: KpcaModel, dataset: Dataset) -> KpcaModel:

@@ -53,15 +53,16 @@ class ObjectiveSpec:
                 raise KpcaError(f"{self.kind} takes kappa, not eps")
             if (self.kappa is None) == (self.kappa_frac is None):
                 raise KpcaError(f"{self.kind} needs exactly one of kappa or kappa_frac")
-            if self.kappa is not None and not self.kappa > 0:
-                raise KpcaError(f"kappa must be positive, got {self.kappa}")
-            if self.kappa_frac is not None and not self.kappa_frac > 0:
-                raise KpcaError(f"kappa_max fraction must be positive, got {self.kappa_frac}")
+            if self.kappa is not None and not 0 < self.kappa < np.inf:
+                raise KpcaError(f"kappa must be positive and finite, got {self.kappa}")
+            if self.kappa_frac is not None and not 0 < self.kappa_frac < np.inf:
+                raise KpcaError(f"kappa_max fraction must be positive and finite, "
+                                f"got {self.kappa_frac}")
         elif self.kind in EPS_KINDS:
             if self.kappa is not None or self.kappa_frac is not None:
                 raise KpcaError(f"{self.kind} takes eps, not kappa")
-            if self.eps is None or self.eps < 0:
-                raise KpcaError(f"eps must be >= 0, got {self.eps}")
+            if self.eps is None or not 0 <= self.eps < np.inf:
+                raise KpcaError(f"eps must be finite and >= 0, got {self.eps}")
         else:
             if any(p is not None for p in (self.kappa, self.eps, self.kappa_frac)):
                 raise KpcaError("square objective takes no parameters")

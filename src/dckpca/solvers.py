@@ -6,9 +6,9 @@ solution on it, so each step minimizes exactly over span[X, P, R] (current
 Ritz vectors, previous step, residual): one product of G with at most s
 columns, those of the residual, dominates an iteration.
 
-Both solvers share one entry (``_solve``: checks, init, one reseed, report)
-and one stopping rule (``_stop``, on the fixed-point residual of
-T(H) = prox_{Psi*}(grad pi(H))); they return ``(H, report)``.
+Both solvers share one entry (``_solve``: checks, init, one reseed, report),
+one evaluation of an iterate (``_evaluate``) and one stopping rule (``_stop``,
+on the fixed-point residual of T(H) = prox_{Psi*}(grad pi(H))).
 """
 
 import json
@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# grad_pi is not called here; perfbench's tracer wraps it under this module
 from .dual_core import check_floor, grad_pi, optimal_dual_cost, sym_eig_small
 from .errors import KpcaError, SingularMatrixError
 from .kernels import GramMatrix, gram_product, product_rounding
@@ -53,8 +54,9 @@ class SolveConfig:
 
 @dataclass
 class SolveReport:
-    """What a solve did: ``products`` counts products with G, ``rejected`` the
-    Anderson candidates DCA turned down (0 for the subspace solver)."""
+    """What a solve did: ``iterations`` after the init (``cost_trace[0]``),
+    ``products`` with G, and Anderson candidates DCA ``rejected`` (0 for the
+    subspace solver)."""
 
     iterations: int
     cost_trace: list
@@ -109,12 +111,16 @@ class _Trace:
         if self.etas is not None:
             self.etas.append(abs(square_cost - self.d_opt) / abs(self.d_opt))
 
-    def amend(self, cost):
-        """Overwrite the last (square-loss) cost: no iteration is counted."""
-        self.costs.pop()
-        if self.etas is not None:
-            self.etas.pop()
-        self.record(cost, cost)
+
+def _evaluate(G, H, hint, trace):
+    """(GH, decomposition of H'GH, square-loss cost 0.5 ||H||^2 - Tr sqrt(H'GH))
+    of an iterate: one product, counted in ``trace``, and ``check_floor`` at
+    its rounding, which appends ``hint`` to a near-singular report."""
+    GH = gram_product(G, H)
+    trace.products += 1
+    dec = sym_eig_small(_sym(H.T @ GH))
+    check_floor(dec.lam, hint, product_rounding(G))
+    return GH, dec, 0.5 * float(np.vdot(H, H)) - dec.trace_sqrt()
 
 
 def _stop(trace, residual):
@@ -207,10 +213,11 @@ def lbfgs_solve(G, s: int, config: SolveConfig | None = None, h0=None):
     the residual R = GX - X diag(theta). GX and GP are combined from the
     products already taken, so each step applies G to R alone
     (``_ritz_step``): one product with at most s columns, plus G H0 at the
-    init. Each basis contains the last X, so the cost -0.5 sum(theta) never
-    rises. Stops by ``_stop`` on the residual ||grad|| / ||H|| =
-    ||R diag(theta)^(-1/2)|| / sqrt(sum(theta)); every exit returns the Ritz
-    form (H'GH = diag(theta^2), theta decreasing).
+    init (iteration 0). Each basis contains the last X, so the cost
+    -0.5 sum(theta) never rises. Each Ritz iterate, never the init, is tested
+    by ``_stop`` on the residual ||grad|| / ||H|| = ||R diag(theta)^(-1/2)|| /
+    sqrt(sum(theta)); every exit returns the Ritz form (H'GH = diag(theta^2),
+    theta decreasing).
 
     H0 has i.i.d. standard normal entries drawn from the config seed (``h0``
     overrides, e.g. for warm starts). Returns (H, report).
@@ -221,24 +228,15 @@ def lbfgs_solve(G, s: int, config: SolveConfig | None = None, h0=None):
 
 def _subspace_loop(G, H, trace):
     s = H.shape[1]
-    GH = gram_product(G, H)
-    trace.products += 1
-    gpi, dec = grad_pi(G, H, gh=GH, singular_hint=_rank_hint(s))
-    cost = 0.5 * float(np.vdot(H, H)) - dec.trace_sqrt()
+    GH, _, cost = _evaluate(G, H, _rank_hint(s), trace)
     trace.record(cost, cost)
-    termination = _stop(trace, float(np.linalg.norm(H - gpi) / np.linalg.norm(H)))
     # span[H0, GH0] = span[X0, GX0] for H0 = X0 T, where G X0 = GH0 T^-1
     # takes no product. The first step keeps no P: the new X's part outside
     # the random X0 saved no steps when kept (247 against 243 steps over 30
     # float64 solves)
     X, T = np.linalg.qr(H)
     GX = np.linalg.solve(T.T, GH.T).T
-    X, GX, theta, P = _ritz_step(G, [(X, GX)], GX, s, keep_p=False)
-    trace.products += 1
-    if termination is not None:
-        # stopped at the init: return the Ritz form on span[H0, GH0] instead
-        trace.amend(-0.5 * float(np.sum(theta)))
-        return X * np.sqrt(theta), termination
+    X, GX, theta, P = _ritz_step(G, [(X, GX)], GX, s, trace, keep_p=False)
     while True:
         cost = -0.5 * float(np.sum(theta))
         trace.record(cost, cost)
@@ -247,26 +245,26 @@ def _subspace_loop(G, H, trace):
         termination = _stop(trace, residual)
         if termination is not None:
             return X * np.sqrt(theta), termination
-        X, GX, theta, P = _ritz_step(G, [(X, GX), *P], R, s)
-        trace.products += 1
+        X, GX, theta, P = _ritz_step(G, [(X, GX), *P], R, s, trace)
 
 
-def _ritz_step(G, basis, R, s, keep_p=True):
+def _ritz_step(G, basis, R, s, trace, keep_p=True):
     """Top-s Ritz pairs (theta, X) of G on span[basis, R]. ``basis`` holds
     pairs (V, GV) of orthonormal, mutually orthogonal blocks with their
     images: [(X, GX)] or [(X, GX), (P, GP)], X with s columns.
 
     R is orthonormalized against the basis (``_orthonormalize``) into Q, and
-    G is applied to Q alone: one product of n x (at most s) columns. Every
-    other block is combined from the images the basis carries, block by
-    block, with no n-row block stacked. Returns the new X and GX, theta
-    (checked by ``check_floor`` as the spectrum theta^2 of H'GH) and, with
-    ``keep_p``, [(P, GP)]: P is the new X's component outside the old X,
-    orthonormalized against the new X in the coordinates of the basis, so
-    it costs no product (else []).
+    G is applied to Q alone: one product of n x (at most s) columns, counted
+    in ``trace``. Every other block is combined from the images the basis
+    carries, block by block, with no n-row block stacked. Returns the new X
+    and GX, theta (checked by ``check_floor`` as the spectrum theta^2 of
+    H'GH) and, with ``keep_p``, [(P, GP)]: P is the new X's component outside
+    the old X, orthonormalized against the new X in the coordinates of the
+    basis, so it costs no product (else []).
     """
     Q = _orthonormalize(R, [V for V, _ in basis])
     basis = [*basis, (Q, gram_product(G, Q))]
+    trace.products += 1
     M = np.block([[V.T @ GW for _, GW in basis] for V, _ in basis])
     w, W = np.linalg.eigh(_sym(M))
     top = np.argsort(-w, kind="stable")[:s]
@@ -332,10 +330,8 @@ def dca_solve(G, s: int, objective: ObjectiveSpec, config: SolveConfig | None = 
     decrease a plain DCA step guarantees, and H_a'G H_a passes the floor
     check; otherwise the next iterate is T and the differences are dropped.
     The cost never increases. Every H the loop multiplies by G, init, plain
-    step or candidate, is evaluated once (``at``): one product, one
-    decomposition of H'GH and one rounding-aware ``check_floor``. An accepted
-    step costs one product with G and a rejected one two; the report counts
-    both.
+    step or candidate, is evaluated once (``_evaluate``). An accepted step
+    costs one product with G and a rejected one two; the report counts both.
 
     A singular H'GH names the rank at the init; at a plain step kappa for
     Huber objectives, else the rank (or eps > 0). At a candidate it only
@@ -352,14 +348,8 @@ def dca_solve(G, s: int, objective: ObjectiveSpec, config: SolveConfig | None = 
         hint += f", or eps={objective.eps:g} is large enough to zero rows of H"
 
     def loop(G, H, trace):
-        rounding = product_rounding(G)
-
         def at(H, hint):
-            GH = gram_product(G, H)
-            trace.products += 1
-            dec = sym_eig_small(_sym(H.T @ GH))
-            check_floor(dec.lam, hint, rounding)
-            square_cost = 0.5 * float(np.vdot(H, H)) - dec.trace_sqrt()
+            GH, dec, square_cost = _evaluate(G, H, hint, trace)
             return GH, dec, square_cost, square_cost + psi_star_value(objective, H)
 
         GH, dec, square_cost, cost = at(H, _rank_hint(s))

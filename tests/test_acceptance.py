@@ -257,6 +257,7 @@ def test_criterion_10_robustness_direction():
     assert report(10, ok, f"huber1@0.6 wins {w1}/5, huber2@0.8 wins {w2}/5 (each >=4/5)")
 
 
+@pytest.mark.slow
 def test_criterion_11_speed_direction():
     t0 = time.perf_counter()
     ds = dk.gen_synth_gaussian(8000, 20, 0)

@@ -605,6 +605,23 @@ def test_grid_list_naming_no_value_is_usage_error(tmp_path, capsys, argv, flag):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["robust", "--synth-n", "40", "--tau-grid", "inf"], "--tau-grid"),
+    (["robust", "--synth-n", "40", "--tau-grid", "10,nan"], "--tau-grid"),
+    (["sparse", "--synth-n", "40", "--eps-grid", "0,inf", "--components-grid", "2"],
+     "--eps-grid"),
+    (["spectrum", "--n", "40", "--components", "2", "--c-grid", "inf"], "--c-grid"),
+], ids=["robust-tau-inf", "robust-tau-nan", "sparse-eps-inf", "spectrum-c-inf"])
+def test_grid_list_non_finite_value_is_usage_error(tmp_path, capsys, argv, flag):
+    out = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as info:
+        main(argv + ["--out", str(out)])
+    assert info.value.code == 1
+    err = capsys.readouterr().err
+    assert f"dckpca {argv[0]}: error: argument {flag}: " in err and "non-finite" in err
+    assert not out.exists()
+
+
 # each command that takes a kernel, on small inputs
 KERNEL_COMMANDS = {
     "solve": ["solve", "--data", "{csv}", "--components", "2"],

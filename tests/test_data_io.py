@@ -180,6 +180,9 @@ def test_contaminate_validation():
         contaminate(ds, 1.5, 1.0, 0)
     with pytest.raises(DataError):
         contaminate(ds, 0.5, 0.0, 0)
+    for tau in (np.inf, np.nan):
+        with pytest.raises(DataError, match="positive and finite"):
+            contaminate(ds, 0.5, tau, 0)
 
 
 def test_contaminate_sparse_rows():

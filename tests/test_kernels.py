@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 from dckpca import (DataError, Dataset, KernelSpec, KpcaError, center_gram,
-                    gen_synth_gaussian, gram, load_gram_csv, sigma_rule)
+                    gen_controlled_spectrum_gram, gen_synth_gaussian, gram,
+                    load_gram_csv, sigma_rule)
 from dckpca.data_io import row_sq_norms
 from dckpca.kernels import (BLOCK, GramMatrix, kernel_cross, kernel_rows,
                             kernel_rows_with_self)
@@ -423,6 +424,40 @@ def test_kernels_across_panel_boundaries(n, m, family, layout, seed):
             entries[i, j] = np.nextafter(entries[i, j], np.inf)
             with pytest.raises(KpcaError, match="not exactly symmetric"):
                 GramMatrix(entries)
+
+
+def test_builders_compare_no_tiles(tmp_path, monkeypatch):
+    # gram, load_gram_csv and gen_controlled_spectrum_gram make their buffer
+    # exactly symmetric themselves, so GramMatrix checks none of their tiles
+    n = BLOCK + 45
+    ds = gen_synth_gaussian(n, 4, 0)
+    p = tmp_path / "g.csv"
+    np.savetxt(p, gram(ds, KernelSpec("linear")).entries, delimiter=",", fmt="%.17g")
+
+    def compare(*args, **kwargs):
+        raise AssertionError("a tile comparison ran")
+    monkeypatch.setattr(np, "array_equal", compare)
+    built = [gram(ds, KernelSpec("gaussian", 1.5)),
+             gram(ds, KernelSpec("laplace", 0.9), dtype=np.float32),
+             load_gram_csv(p), gen_controlled_spectrum_gram(n, 0.1, 0)]
+    monkeypatch.undo()
+    for gm in built:
+        assert np.array_equal(gm.entries, gm.entries.T)
+
+
+@pytest.mark.parametrize("spec, scale", [(KernelSpec("gaussian", 1.0), 1e200),
+                                         (KernelSpec("linear"), 1e25)],
+                         ids=["gaussian-nan", "linear-inf"])
+def test_center_gram_refuses_a_kernel_that_overflowed(spec, scale):
+    # finite samples whose float32 Gram is not: a squared norm past float64's
+    # range gives a NaN self-distance in the shift, a linear kernel past
+    # float32's range inf
+    X = np.random.default_rng(0).standard_normal((20, 3))
+    X[3] *= scale
+    with np.errstate(over="ignore", invalid="ignore"):
+        gm = gram(Dataset(X), spec, dtype=np.float32)
+        with pytest.raises(DataError, match="non-finite entry"):
+            center_gram(gm, overwrite=True)
 
 
 def _draw_csr(kind, n, rng):

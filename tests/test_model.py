@@ -312,6 +312,36 @@ def test_load_model_checks_header_fields_and_shapes(tmp_path, small_fit):
         load_model(p)
 
 
+@pytest.mark.parametrize("field, value, match", [
+    ("n", "abc", "'n' is not an integer"),
+    ("s", 2.5, "'s' is not an integer"),
+    ("lam", "x", "'lam' is not numeric"),
+    ("grand_mean", "x", "'grand_mean' is not numeric"),
+    ("col_means", [[1.0], [1.0, 2.0]], "'col_means' is not numeric"),
+    ("kernel", [1], "'kernel' is not an object"),
+    ("kernel", {"family": "gaussian"}, "'kernel' lacks 'family' or 'sigma'"),
+    ("kernel", {"sigma": 1.8}, "'kernel' lacks 'family' or 'sigma'"),
+    ("kernel", {"family": "nope", "sigma": None}, "'kernel': unknown kernel family"),
+    ("kernel", {"family": "gaussian", "sigma": -1}, "'kernel': bandwidth must be"),
+    ("kernel", {"family": "gaussian", "sigma": "auto"}, "'kernel' has a non-numeric"),
+    ("objective", "bogus", "'objective': unknown objective"),
+    ("objective", 3, "'objective' is not a string"),
+    ("fingerprint", None, "'fingerprint' is not a string"),
+], ids=["n-string", "s-fraction", "lam-string", "grand-mean-string", "ragged",
+        "kernel-list", "kernel-no-sigma", "kernel-no-family", "unknown-family",
+        "negative-sigma", "auto-sigma", "unknown-objective", "objective-number",
+        "fingerprint-null"])
+def test_load_model_malformed_header_field_is_data_error_naming_it(
+        tmp_path, small_fit, field, value, match):
+    _, _, m = small_fit
+    good = tmp_path / "good.dk"
+    save_model(m, good)
+    p = tmp_path / "bad.dk"
+    _rewrite_model(good, p, header_edit=lambda h: h.__setitem__(field, value))
+    with pytest.raises(DataError, match=f"model header field {match}"):
+        load_model(p)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_project_non_finite_query_is_data_error(small_fit, bad):
     from scipy import sparse

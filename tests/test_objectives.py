@@ -54,6 +54,16 @@ def test_spec_validation():
         ObjectiveSpec("eps_linf", kappa=1.0)
     with pytest.raises(KpcaError):
         ObjectiveSpec("square", eps=0.5)
+    # non-finite parameters, and the CLI strings that carry them
+    for bad in (np.inf, np.nan):
+        for kwargs in ({"kappa": bad}, {"kappa_frac": bad}):
+            with pytest.raises(KpcaError, match="positive and finite"):
+                ObjectiveSpec("huber_row2", **kwargs)
+        with pytest.raises(KpcaError, match="finite and >= 0"):
+            ObjectiveSpec("eps_row2", eps=bad)
+    for text in ("eps2:nan", "huber1:inf", "huber2:xmax:inf"):
+        with pytest.raises(KpcaError, match="finite"):
+            parse_objective(text)
 
 
 def test_prox_eps_linf_soft_threshold():

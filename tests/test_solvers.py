@@ -99,12 +99,12 @@ def test_lbfgs_ritz_form_at_every_exit():
     assert rep.termination == "max_iters"
     assert_ritz_form(G, H)
     # a rotated optimum is a critical point that is not in Ritz form: the
-    # solve stops at the init and still returns the Ritz form
+    # solve stops at its first Ritz step and returns the Ritz form
     w, V = np.linalg.eigh(G)
     h_opt = V[:, -4:] * np.sqrt(w[-4:])
     Q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((4, 4)))
     H, rep = lbfgs_solve(Gc, 4, SolveConfig(tol=1e-12), h0=h_opt @ Q)
-    assert rep.iterations == 0 and rep.termination == "tolerance"
+    assert rep.iterations == 1 and rep.products == 2 and rep.termination == "tolerance"
     assert_ritz_form(G, H)
     assert rep.cost_trace[-1] == pytest.approx(-0.5 * w[-4:].sum(), rel=1e-12)
 
@@ -230,6 +230,21 @@ def test_lbfgs_warm_start():
     H, rep = lbfgs_solve(G, 1, SolveConfig(tol=1e-12, seed=0), h0=h0)
     assert rep.cost_trace[0] == pytest.approx(dual_cost(G, h0, ObjectiveSpec("square")))
     assert rep.cost_trace[-1] == pytest.approx(-2.0, abs=1e-9)
+
+
+def test_lbfgs_init_is_evaluated_without_a_gradient(monkeypatch):
+    # H0 is iteration 0: its cost is recorded and no stop test reads its
+    # gradient, for a random init and for an h0 alike
+    def no_gradient(*args, **kwargs):
+        raise AssertionError("grad_pi called")
+    monkeypatch.setattr(solvers, "grad_pi", no_gradient)
+    Gc = centered_gram(n=60, d=4, seed=6)
+    for seed, h0 in ((1, None), (0, np.random.default_rng(5).standard_normal((60, 2)))):
+        _, rep = lbfgs_solve(Gc, 2, SolveConfig(tol=1e-10, seed=seed), h0=h0)
+        H0 = np.random.default_rng(seed).standard_normal((60, 2)) if h0 is None else h0
+        assert rep.termination == "tolerance" and rep.iterations >= 1
+        assert rep.cost_trace[0] == pytest.approx(
+            dual_cost(Gc.entries, H0, ObjectiveSpec("square")), rel=1e-12)
 
 
 def test_lbfgs_returns_ritz_form():
