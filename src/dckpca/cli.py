@@ -117,6 +117,11 @@ def _check_positive(flag, value):
         raise _Usage(f"{flag} must be positive")
 
 
+def _check_grid(flag, values, positive=False):
+    if not all(v > 0 if positive else v >= 0 for v in values):
+        raise _Usage(f"{flag} values must be {'positive' if positive else '>= 0'}")
+
+
 def _read_input(args):
     """The one reader of the input and kernel flags: (dataset, kernel spec,
     None) for samples, (None, KernelSpec("precomputed"), Gram) for
@@ -274,6 +279,7 @@ def _cmd_spectrum(args):
     _check_count("--components", args.components, high=args.n)
     _check_count("--q", args.q, low=0)
     _check_positive("--delta", args.delta)
+    _check_grid("--c-grid", args.c_grid)
     rows = []
     for c in args.c_grid:
         G = data_io.gen_controlled_spectrum_gram(args.n, c, args.seed)
@@ -337,6 +343,7 @@ def _cmd_robust(args):
     if not 0 <= args.omega <= 1:
         raise _Usage("--omega must be in [0, 1]")
     _check_positive("--tol", args.tol)
+    _check_grid("--tau-grid", args.tau_grid, positive=True)
     _check_count("--jobs", args.jobs)
     with _usage_phase():
         objectives = [parse_objective(t) for t in args.objectives.split(",")]
@@ -375,8 +382,7 @@ def _cmd_sparse(args):
     if args.objective not in ("eps2", "epsinf"):
         raise _Usage("--objective must be eps2 or epsinf")
     kind = KIND_OF[args.objective]
-    if not all(eps >= 0 for eps in args.eps_grid):
-        raise _Usage("--eps-grid values must be >= 0")
+    _check_grid("--eps-grid", args.eps_grid)
     _check_count("--jobs", args.jobs)
     dataset, spec, _ = _read_input(args)
     for s in args.components_grid:

@@ -302,64 +302,24 @@ def gen_synth_gaussian(n: int, d: int, seed: int) -> Dataset:
 def gen_controlled_spectrum_gram(n: int, c: float, seed: int):
     """Synthetic symmetric matrix G = 0.01 (X + X') + U diag(exp(-c i)) U'.
 
-    X is standard normal n x n, U a random orthogonal matrix (sign-fixed QR),
-    and i runs over 1..n, so ``c`` controls how quickly the planted spectrum
-    decays. Exactly symmetric by upper-triangle mirroring.
-
-    The seed draws X, then the matrix whose QR gives U. X is not held while
-    U is formed: its draws are skipped a panel at a time and redrawn once
-    U diag(exp(-c i)) U' is built. At most three n x n buffers are live as
-    Python allocates them (the two factors and the output of that product);
-    LAPACK's work copies inside the QR steps come on top, about one more.
+    X is standard normal n x n, U a random orthogonal matrix (the sign-fixed
+    Q of a standard normal matrix's QR), and i runs over 1..n, so ``c``
+    controls how quickly the planted spectrum decays. The seed draws X, then
+    the matrix whose QR gives U. Exactly symmetric by upper-triangle
+    mirroring.
     """
-    from .kernels import BLOCK, GramMatrix, _panels, _tiles
+    from .kernels import GramMatrix
 
     if n < 1:
         raise DataError("n must be >= 1")
-    if c < 0:
+    if not c >= 0:  # NaN fails too
         raise DataError("c must be >= 0")
     rng = np.random.default_rng(seed)
-    for i in range(0, n, BLOCK):
-        rng.standard_normal((min(BLOCK, n - i), n))  # X's draws
-    Z = rng.standard_normal((n, n))
-    Q = _sign_fixed_q(Z)
-    G = np.multiply(Q, np.exp(-c * np.arange(1, n + 1)), out=Z) @ Q.T
-    del Q, Z
-    X = np.random.default_rng(seed).standard_normal((n, n))
-    for rows in _panels(n):
-        S = X[rows] + X[:, rows].T
-        S *= 0.01
-        G[rows] += S
-        del S  # one panel live at a time
-    del X
-    for rows, cols in _tiles(n):
-        if rows == cols:
-            D = G[rows, rows]
-            G[rows, rows] = np.triu(D) + np.triu(D, 1).T
-        else:
-            G[cols, rows] = G[rows, cols].T
-    return GramMatrix(G, centered=False, _checked=True)
-
-
-def _sign_fixed_q(Z):
-    """Q diag(sign(diag R)) for Z = QR, by the two LAPACK steps np.linalg.qr
-    runs in reduced mode (geqrf, then orgqr), so Q is bit-identical to its Q.
-    The Householder factorization overwrites Z in place; neither a copy of Z
-    nor R is formed. numpy exposes these steps only through the private
-    gufuncs of ``numpy.linalg`` (in this form from numpy 2.1 on), and, like
-    np.linalg.qr, a LAPACK argument error raises LinAlgError."""
-    from numpy.linalg import LinAlgError, _umath_linalg
-
-    def fail(err, flag):
-        raise LinAlgError("Incorrect argument found while performing QR factorization")
-
-    with np.errstate(call=fail, invalid="call", over="ignore", divide="ignore",
-                     under="ignore"):
-        tau = _umath_linalg.qr_r_raw(Z, signature="d->d")
-        signs = np.sign(np.diag(Z))
-        Q = _umath_linalg.qr_reduced(Z, tau, signature="dd->d")
-    Q *= signs
-    return Q
+    X = rng.standard_normal((n, n))
+    Q, R = np.linalg.qr(rng.standard_normal((n, n)))
+    Q *= np.sign(np.diag(R))
+    G = 0.01 * (X + X.T) + (Q * np.exp(-c * np.arange(1, n + 1))) @ Q.T
+    return GramMatrix(np.triu(G) + np.triu(G, 1).T, centered=False, _checked=True)
 
 
 def contaminate(dataset: Dataset, omega: float, tau: float, seed: int) -> Dataset:

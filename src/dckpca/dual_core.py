@@ -52,8 +52,8 @@ def sym_eig_small(M: np.ndarray) -> SpectralDecomp:
     return SpectralDecomp(U, w)
 
 
-def _small_eig(G, H, gh=None, exact=False):
-    GH = gram_product(G, H, exact) if gh is None else gh
+def _small_eig(G, H, exact=False):
+    GH = gram_product(G, H, exact)
     M = H.T @ GH
     return GH, sym_eig_small(0.5 * (M + M.T))
 
@@ -73,7 +73,7 @@ SINGULARITY_FLOOR_SCALE = 1e-12
 
 def check_floor(lam, singular_hint: str | None = None, rounding: float = 0.0) -> None:
     """Raise SingularMatrixError unless every eigenvalue of H'GH (``lam``,
-    decreasing) sits above the floor 1e-12 * lam_max.
+    decreasing) is finite and sits above the floor 1e-12 * lam_max.
 
     The floor is relative, so the check is the same for G and c G at any
     scale c > 0. An H'GH with no positive eigenvalue (all-zero rows of H, for
@@ -88,6 +88,9 @@ def check_floor(lam, singular_hint: str | None = None, rounding: float = 0.0) ->
     rounding noise around zero. Otherwise H'GH is near-singular;
     ``singular_hint`` (a likely cause) is appended to that message only.
     """
+    if not np.isfinite(lam).all():  # NaN would pass every comparison below
+        raise SingularMatrixError(
+            f"H'GH has a non-finite eigenvalue {lam[~np.isfinite(lam)][0]}")
     floor = SINGULARITY_FLOOR_SCALE * float(lam[0])
     bound = max(floor, rounding * float(lam[0]))
     lam_min = float(lam[-1])
@@ -102,18 +105,17 @@ def check_floor(lam, singular_hint: str | None = None, rounding: float = 0.0) ->
             message if singular_hint is None else f"{message}; {singular_hint}")
 
 
-def grad_pi(G, H, gh=None, singular_hint: str | None = None):
+def grad_pi(G, H):
     """Gradient of pi at H together with the decomposition of H'GH.
 
     grad = GH U' diag(1/sqrt(lam)) U (GH by ``gram_product``: in single
     precision on a float32 Gram), which requires every eigenvalue of H'GH
-    to sit above the floor (``check_floor`` at the rounding of that product,
-    which appends ``singular_hint`` to a near-singular report). Below the
-    floor the call fails loudly: the gradient is not Lipschitz near
-    singularity, and a silent clamp would corrupt the solve.
+    to sit above the floor (``check_floor`` at the rounding of that
+    product). Below the floor the call fails loudly: the gradient is not
+    Lipschitz near singularity, and a silent clamp would corrupt the solve.
     """
-    GH, dec = _small_eig(G, H, gh)
-    check_floor(dec.lam, singular_hint, product_rounding(G))
+    GH, dec = _small_eig(G, H)
+    check_floor(dec.lam, rounding=product_rounding(G))
     grad = GH @ dec.apply(lambda lam: 1.0 / np.sqrt(lam))
     return grad, dec
 

@@ -120,7 +120,8 @@ def fit(dataset: Dataset | None, kernel_spec: kernels.KernelSpec,
     unresolved ``xmax`` radius triggers a square-loss pre-solve to measure
     kappa_max; its report nests in the model's report as ``presolve``.
     ``gram_matrix`` short-circuits kernel assembly for precomputed Grams
-    (``dataset`` may then be None); it is solved in its own precision.
+    (``dataset`` may then be None); it is solved in its own precision, and a
+    given dataset still sets the model's bandwidth and fingerprint.
 
     From data the Gram is stored in float32 (4n^2 bytes), whatever the
     kernel, except in benchmark mode or at tol < FLOAT32_MIN_TOL, where it
@@ -130,17 +131,17 @@ def fit(dataset: Dataset | None, kernel_spec: kernels.KernelSpec,
     product, stay in float64.
     """
     cfg = config or SolveConfig()
-    if gram_matrix is not None:
-        if dataset is not None and gram_matrix.n != dataset.n:
+    if dataset is None:
+        if gram_matrix is None:
+            raise DataError("fit needs a dataset or a precomputed Gram")
+        spec, fingerprint = kernel_spec, gram_fingerprint(gram_matrix)
+    else:
+        if gram_matrix is not None and gram_matrix.n != dataset.n:
             raise DataError("precomputed Gram size does not match dataset")
-        spec = kernel_spec
-        fingerprint = gram_fingerprint(gram_matrix)
+        spec, fingerprint = kernel_spec.resolve(dataset), dataset_fingerprint(dataset)
+    if gram_matrix is not None:
         Gc = gram_matrix if gram_matrix.centered else kernels.center_gram(gram_matrix)
     else:
-        if dataset is None:
-            raise DataError("fit needs a dataset or a precomputed Gram")
-        spec = kernel_spec.resolve(dataset)
-        fingerprint = dataset_fingerprint(dataset)
         # centered in the buffer it was built in: one n x n buffer per fit
         gm = kernels.gram(dataset, spec, dtype=_gram_dtype(cfg))
         Gc = kernels.center_gram(gm, overwrite=True)

@@ -105,6 +105,9 @@ SOLVE = ["solve", "--data", "{csv}", "--sigma", "1.0", "--components", "2"]
     (["spectrum", "--n", "30", "--components", "2", "--delta", "0"], "--delta"),
     (["sparse", "--synth-n", "40", "--eps-grid", "0,-1", "--components-grid", "2"],
      "--eps-grid"),
+    (["robust", "--synth-n", "40", "--tau-grid", "10,-5"], "--tau-grid"),
+    (["robust", "--synth-n", "40", "--tau-grid", "0"], "--tau-grid"),
+    (["spectrum", "--n", "40", "--components", "2", "--c-grid", "0.1,-1"], "--c-grid"),
     (["robust", "--synth-n", "40", "--omega", "2"], "--omega"),
     (["robust", "--synth-n", "40", "--jobs", "0"], "--jobs"),
     (["sparse", "--synth-n", "40", "--eps-grid", "0", "--components-grid", "2",
@@ -118,8 +121,9 @@ SOLVE = ["solve", "--data", "{csv}", "--sigma", "1.0", "--components", "2"]
     (["bench", "--synth-n", "40", "--components", "2", "--solvers", "eig,miracle"],
      "--solvers"),
 ], ids=["solve-tol", "solve-tol-nan", "robust-tol", "spectrum-delta", "sparse-eps-grid",
-        "robust-omega", "robust-jobs", "sparse-jobs", "solve-max-iters", "bench-delta",
-        "bench-solvers-empty", "bench-solvers-repeated", "bench-solvers-unknown"])
+        "robust-tau-grid", "robust-tau-grid-zero", "spectrum-c-grid", "robust-omega",
+        "robust-jobs", "sparse-jobs", "solve-max-iters", "bench-delta", "bench-solvers-empty",
+        "bench-solvers-repeated", "bench-solvers-unknown"])
 def test_flag_value_out_of_its_range_is_usage_error(tmp_path, capsys, argv, flag):
     data = tmp_path / "t.csv"
     write_csv_dataset(data)

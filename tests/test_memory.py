@@ -10,8 +10,7 @@ import pytest
 from scipy import sparse
 
 from dckpca import (CenteringStats, Dataset, KernelSpec, ObjectiveSpec,
-                    gen_controlled_spectrum_gram, gen_synth_gaussian, gram,
-                    kernel_rows)
+                    gen_synth_gaussian, gram, kernel_rows)
 from dckpca import model
 from dckpca.objectives import parse_objective
 from dckpca.solvers import SolveConfig
@@ -121,14 +120,3 @@ def test_csr_huber_fit_enters_both_solves_with_one_gram(traced, monkeypatch):
               SolveConfig(seed=0))
     assert len(sizes) == 2  # the xmax pre-solve, then the main solve
     assert max(sizes) <= 1.1 * 8 * n * n
-
-
-def test_controlled_spectrum_peak_is_three_buffers(traced):
-    # U diag(exp(-c i)) U' needs its two factors and its output; nothing else
-    # of size n x n that Python allocates is live beside them. LAPACK's work
-    # copies inside the QR steps are malloc'd and not traced: the process's
-    # real peak is about one buffer more.
-    n = 1000
-    gm, peak = _traced_peak(lambda: gen_controlled_spectrum_gram(n, 0.1, 0))
-    assert gm.n == n
-    assert peak <= 3 * 8 * n * n + 8 * n

@@ -237,6 +237,20 @@ def test_attach_training_data_fingerprint_mismatch(tmp_path, small_fit):
         attach_training_data(m, other)
 
 
+@pytest.mark.parametrize("bandwidth", ["auto", 1.5])
+def test_fit_with_a_dataset_and_a_gram_projects_and_reattaches(tmp_path, bandwidth):
+    # the model takes the dataset's bandwidth and fingerprint, not the Gram's
+    ds = gen_synth_gaussian(40, 3, 4)
+    spec = KernelSpec("gaussian", bandwidth)
+    resolved = spec.resolve(ds)
+    m = fit(ds, spec, ObjectiveSpec("square"), 2,
+            gram_matrix=gram(ds, resolved))
+    assert m.kernel_spec == resolved
+    save_model(m, tmp_path / "m.dk")
+    again = attach_training_data(load_model(tmp_path / "m.dk"), ds)
+    assert np.array_equal(project(again, ds.values[:3]), project(m, ds.values[:3]))
+
+
 def test_load_model_rejects_unknown_format(tmp_path):
     p = tmp_path / "bad.dk"
     p.write_text('{"format": "other/9"}\n')

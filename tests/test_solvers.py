@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dckpca import (KernelSpec, ObjectiveSpec, SingularMatrixError,
+from dckpca import (GramMatrix, KernelSpec, ObjectiveSpec, SingularMatrixError,
                     center_gram, check_critical_point, dca_solve, fit,
                     gen_synth_gaussian, gram, kappa_max, lbfgs_solve,
                     parse_objective, solvers)
@@ -314,6 +314,28 @@ def test_lbfgs_reseed_error_names_both_inits():
     assert "seed 0" in message and "reseed 1" in message
     assert message.count("indefinite") == 2
     assert isinstance(info.value.__cause__, SingularMatrixError)
+
+
+def _nan_pair():
+    A = np.eye(5)
+    A[0, 1] = A[1, 0] = np.nan
+    return A
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("make", [
+    _nan_pair,
+    lambda: GramMatrix(np.where(np.eye(5) > 0, np.inf, 0.0)),
+], ids=["nan-array", "inf-gram"])
+@pytest.mark.parametrize("solve", [
+    lambda G, s: lbfgs_solve(G, s),
+    lambda G, s: dca_solve(G, s, ObjectiveSpec("square")),
+], ids=["lbfgs", "dca"])
+def test_non_finite_gram_fails_the_floor_check(solve, make):
+    # a NaN eigenvalue of H'GH would pass every comparison with the floor
+    with pytest.raises(SingularMatrixError, match="non-finite eigenvalue") as info:
+        solve(make(), 2)
+    assert str(info.value).count("iteration 0: H'GH has a non-finite") == 2
 
 
 @pytest.mark.parametrize("solve", [
