@@ -7,7 +7,7 @@ import numpy as np
 
 from .dual_core import dual_residual
 from .errors import ToleranceUnreachableError
-from .kernels import GramMatrix, gram_product
+from .kernels import GramMatrix, _panels, gram_product
 
 
 @dataclass(frozen=True)
@@ -25,9 +25,22 @@ def h_from_pairs(pairs: EigPairs) -> np.ndarray:
 
 
 def _dense(G) -> np.ndarray:
-    """The matrix a full eigendecomposition runs on, in float64: a float32
-    Gram's entries are upcast (a copy, beside the one LAPACK makes)."""
-    return np.asarray(G.entries if isinstance(G, GramMatrix) else G, dtype=float)
+    """The matrix a full eigendecomposition runs on, in float64, and the one
+    place a Gram's rank-2 term is materialized: entry (i, j) is
+    (E_ij - (m_i + m_j)) + g, one BLOCK-row panel at a time. A Gram with no
+    term gives its entries, a float32 one upcast; either way the matrix is
+    beside the copy LAPACK makes."""
+    if not isinstance(G, GramMatrix):
+        return np.asarray(G, dtype=float)
+    if G.m is None:
+        return np.asarray(G.entries, dtype=float)
+    out = np.empty(G.shape)
+    for rows in _panels(G.n):
+        P = out[rows]
+        np.add.outer(G.m[rows], G.m, out=P)
+        np.subtract(G.entries[rows], P, out=P)
+        P += G.g
+    return out
 
 
 def kpca_dense_eig(G, s: int):

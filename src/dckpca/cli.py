@@ -243,7 +243,7 @@ def _cmd_bench(args):
     _check_count("--components", s, high=dataset.n if gm is None else gm.n)
     if gm is None:
         gm = kernels.gram(dataset, spec.resolve(dataset))
-    G = kernels.center_gram(gm, overwrite=True)
+    G = kernels.center_gram(gm)
     if "eig" not in solvers:
         top = baselines.top_eigenvalues(G, s)
 
@@ -388,7 +388,7 @@ def _cmd_sparse(args):
     for s in args.components_grid:
         _check_count("--components-grid", s, high=dataset.n)
     spec = spec.resolve(dataset)
-    Gc = kernels.center_gram(kernels.gram(dataset, spec), overwrite=True)
+    Gc = kernels.center_gram(kernels.gram(dataset, spec))
 
     def solve(s, eps):
         # at eps = 0 the solve is DCA on the square loss: the baseline of

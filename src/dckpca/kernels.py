@@ -4,9 +4,9 @@ the one product with a Gram.
 Gram matrices are symmetric by construction, so ``entries == entries.T``
 holds exactly (``GramMatrix`` checks it, tile by tile, for caller entries).
 They are stored in float64, or in float32 for a fit from data (see
-``gram``); ``gram_product`` multiplies either. Centering stats (column means
-of the uncentered matrix plus its grand mean) are stored for out-of-sample
-use.
+``gram``), plus a rank-2 term that ``gram_product`` applies in O(ns).
+Centering stats (column means of the uncentered matrix plus its grand mean)
+are stored for out-of-sample use.
 
 Every kernel matrix is built inside its one output buffer. The inner
 products X Y' fill it, then the distance, bandwidth and exponential steps
@@ -18,11 +18,10 @@ transpose (CSR samples with d > n) the sparse product X Y' is densified
 into it, so it is live beside it until then. Query rows are centered in
 place as well. A Gram, float64 or float32, is built a strip of BLOCK
 columns at a time on and below the diagonal, so no n x n product of the
-samples is formed.
-``center_gram(gm, overwrite=True)`` centers panel by panel in ``gm``'s own
-buffer, so a fit from data holds one n x n buffer from the kernel to the
-final decomposition; the default copies first and leaves ``gm`` as it was,
-for a Gram the caller owns.
+samples is formed. ``center_gram`` writes no entry: the centered Gram
+shares its parent's buffer and holds the centering as its rank-2 term, so
+a fit holds one n x n buffer, the Gram it was given or built, from the
+kernel to the final decomposition.
 
 The training side of a kernel evaluation comes from the Dataset, which
 computes it once: the rows' squared norms and the transposed sample matrix
@@ -41,9 +40,9 @@ from .errors import DataError, KpcaError
 
 FAMILIES = ("linear", "gaussian", "laplace", "precomputed")
 
-# Rows per panel of the in-place kernel and centering passes, and the side
-# of the tiles of the symmetry checks: a 256-row panel of an n=3000 matrix
-# is 6 MB, a 256 x 256 tile 512 KB.
+# Rows per panel of the in-place kernel passes and of a materialized Gram,
+# and the side of the tiles of the symmetry checks: a 256-row panel of an
+# n=3000 matrix is 6 MB, a 256 x 256 tile 512 KB.
 BLOCK = 256
 
 
@@ -99,11 +98,13 @@ class CenteringStats:
 
 @dataclass(frozen=True)
 class GramMatrix:
-    """n x n exactly-symmetric kernel matrix, float64 or float32, with
-    centering state. ``stats`` holds the column means of the uncentered
-    Gram: for a centered one those of the Gram it was centered from; an
-    uncentered float32 Gram from ``gram`` carries its own (its entries are
-    shifted, see ``gram``).
+    """n x n exactly-symmetric kernel matrix E - m 1' - 1 m' + g 11': the
+    stored ``entries`` E, float64 or float32, and a rank-2 term of float64
+    ``m`` (None for none) and ``g``, which products apply in O(ns)
+    (``gram_product``) and only ``baselines._dense`` materializes.
+    ``stats`` holds the column means of the uncentered Gram: for a centered
+    one those of the Gram it was centered from. An uncentered Gram with a
+    term (float32, from ``gram``: m = -t) carries its own.
 
     Symmetry is checked here, tile by tile, unless a package builder, which
     makes its buffer exactly symmetric itself, passes ``_checked=True``."""
@@ -111,6 +112,8 @@ class GramMatrix:
     entries: np.ndarray
     centered: bool = False
     stats: CenteringStats | None = None
+    m: np.ndarray | None = None
+    g: float = 0.0
     _checked: InitVar[bool] = False
 
     def __post_init__(self, _checked):
@@ -119,6 +122,8 @@ class GramMatrix:
             raise KpcaError("Gram matrix must be square")
         if e.dtype not in (np.float32, np.float64):
             raise KpcaError(f"Gram entries must be float32 or float64, got {e.dtype}")
+        if self.m is not None and self.stats is None and not self.centered:
+            raise KpcaError("an uncentered Gram with a rank-2 term needs its stats")
         if not _checked and not all(np.array_equal(e[r, c], e[c, r].T)
                                     for r, c in _tiles(e.shape[0])):
             raise KpcaError("Gram matrix is not exactly symmetric")
@@ -142,15 +147,21 @@ def gram_product(G, Q, exact: bool = False) -> np.ndarray:
     With ``exact`` it accumulates in float64 instead, over upcast BLOCK-row
     panels of the stored entries: the product a model's spectrum and the
     checks (``pi``, ``dual_residual``, ``check_critical_point``) read. A
-    float64 Gram gives ``G @ Q`` either way."""
+    float64 Gram gives ``E @ Q`` either way. The rank-2 term is then applied
+    in float64: G Q = E Q - m (1'Q) - 1 (m'Q - g 1'Q)."""
     E = G.entries if isinstance(G, GramMatrix) else np.asarray(G, dtype=float)
     if E.dtype == np.float64:
-        return E @ Q
-    if not exact:
-        return (E @ Q.astype(np.float32)).astype(np.float64)
-    out = np.empty((E.shape[0], Q.shape[1]))
-    for rows in _panels(E.shape[0]):
-        np.matmul(E[rows].astype(np.float64), Q, out=out[rows])
+        out = E @ Q
+    elif not exact:
+        out = (E @ Q.astype(np.float32)).astype(np.float64)
+    else:
+        out = np.empty((E.shape[0], Q.shape[1]))
+        for rows in _panels(E.shape[0]):
+            np.matmul(E[rows].astype(np.float64), Q, out=out[rows])
+    if isinstance(G, GramMatrix) and G.m is not None:
+        col_sums = Q.sum(axis=0)
+        out -= np.multiply.outer(G.m, col_sums)
+        out -= G.m @ Q - G.g * col_sums
     return out
 
 
@@ -261,14 +272,14 @@ def gram(dataset: Dataset, spec: KernelSpec, dtype=np.float64) -> GramMatrix:
     over its upper one, K is stored, and each tile above the diagonal is then
     copied from its mirror, so the buffer is exactly symmetric.
 
-    float64 stores G. float32 (4n^2 bytes) stores G - (t 1' + 1 t'), rounded
-    once, with G's column means as ``stats``, summed in float64 from K's
-    column and row sums; only ``center_gram``, which removes the shift,
-    should read it. t = mu~ - mean(mu~) / 2, mu~ being the column means of
-    the kernel against every ceil(n / BLOCK)-th sample, so G_ij - t_i - t_j
-    is about the centered entry: rounding G itself would cost the centered
-    entries their accuracy where they are much smaller than G's (the
-    robust-libsvm Gram: rms 0.83 against 0.017)."""
+    float64 stores G. float32 (4n^2 bytes) stores E = G - (t 1' + 1 t'),
+    each entry rounded once as it is written, and holds m = -t as its rank-2
+    term, so the Gram is G to E's rounding; its ``stats`` are G's column
+    means, summed in float64 from K's column and row sums. t = mu~ -
+    mean(mu~) / 2, mu~ being the column means of the kernel against every
+    ceil(n / BLOCK)-th sample, so E_ij is about the centered entry: rounding
+    G itself would cost the centered entries their accuracy where they are
+    much smaller than G's (the robust-libsvm Gram: rms 0.83 against 0.017)."""
     if spec.family == "precomputed":
         raise KpcaError("use load_gram_csv for precomputed Gram matrices")
     if not spec.resolved:
@@ -283,71 +294,59 @@ def gram(dataset: Dataset, spec: KernelSpec, dtype=np.float64) -> GramMatrix:
         means = kernel_cross(spec, dataset, V[::(n + BLOCK - 1) // BLOCK]).mean(axis=0)
         t = means - 0.5 * means.mean()
         sums = np.zeros(n)
+    above = ~np.tri(BLOCK, dtype=bool)  # a tile's entries above its diagonal
     G = np.empty((n, n), dtype=dtype)
     for cols in _panels(n):
         i = cols.start
         b = min(BLOCK, n - i)
         K = _kernel_block(spec, V[i:] @ T[:, cols], norms[i:], norms[cols])
         D = K[:b]
-        upper = np.triu_indices(b, 1)
-        D[upper] = D.T[upper]
+        np.copyto(D, D.T, where=above[:b, :b])
         if spec.family in ("gaussian", "laplace"):
             np.fill_diagonal(D, 1.0)
         if shifted:
             sums[cols] += K.sum(axis=0)
             sums[i + b:] += K[b:].sum(axis=1)
             for rows in _panels(K.shape[0]):
-                K[rows] -= np.add.outer(t[i:][rows], t[cols])
-        G[i:, cols] = K
+                np.subtract(K[rows], np.add.outer(t[i:][rows], t[cols]),
+                            out=G[i:, cols][rows], casting="same_kind")
+        else:
+            G[i:, cols] = K
         del K, D  # one strip live at a time
     for rows, cols in _tiles(n):
         if rows != cols:
             G[rows, cols] = G[cols, rows].T
     stats = CenteringStats(sums / n, float(np.mean(sums / n))) if shifted else None
-    return GramMatrix(G, centered=False, stats=stats, _checked=True)
+    return GramMatrix(G, stats=stats, m=-t if shifted else None, _checked=True)
 
 
-def center_gram(gm: GramMatrix, overwrite: bool = False) -> GramMatrix:
-    """Double centering G_c = J G J with J = I - 11'/n, so new points can be
-    centered consistently. With mu the column means of the stored entries
-    (summed in float64) and grand their mean, entry (i, j) is
-    (G_ij - (mu_i + mu_j)) + grand in float64, symmetric in i and j term by
-    term, so the result is not checked for symmetry again; a float32 entry
-    is rounded once into the buffer, one BLOCK-row panel at a time.
+def center_gram(gm: GramMatrix) -> GramMatrix:
+    """Double centering G_c = J G J with J = I - 11'/n, writing no entry: J
+    removes any rank-2 term, so G_c is the stored entries E with the term
+    m = mu, g = grand (E's column means, in float64, and their mean), and it
+    shares ``gm``'s buffer. ``baselines._dense`` materializes entry (i, j)
+    as (E_ij - (mu_i + mu_j)) + grand. A centered Gram is returned as it is.
 
-    The recorded stats are mu and grand, or the uncentered Gram's own
-    ``stats`` where it carries them: a float32 Gram from ``gram`` stores G
-    less a term t_i + t_j, which J removes, and its stats are G's.
-
-    With ``overwrite=True`` the centering runs in ``gm``'s buffer, which the
-    result takes over (``gm`` then holds centered entries), as scipy's
-    ``overwrite_a``; a buffer that cannot be made writable is a KpcaError.
-    By default the entries are copied and ``gm`` is left unchanged. Both give
-    the same entries bit for bit. A non-finite column mean (a kernel that
-    overflowed on huge samples) is a DataError."""
-    G = gm.entries
-    mu = G.mean(axis=0, dtype=np.float64)
+    A float32 Gram from ``gram`` gives mu = stats.col_means + m + mean(m) - g
+    in O(n) once its diagonal bounds every |E_ij| below E's range (a PSD
+    kernel matrix A has |A_ij| <= max A_kk); any other Gram takes one
+    read-only pass. A non-finite mu (a kernel that overflowed on huge
+    samples) is a DataError. The recorded stats are the uncentered Gram's
+    own, or mu and grand."""
+    if gm.centered:
+        return gm
+    E, m, g = gm.entries, gm.m, gm.g
+    if m is not None and np.max(np.diagonal(E) - 2 * m) + 2 * np.max(np.abs(m)) \
+            + g + abs(g) < 0.5 * np.finfo(E.dtype).max:
+        mu = gm.stats.col_means + m + m.mean() - g
+    else:
+        mu = E.mean(axis=0, dtype=np.float64)
     if not np.isfinite(mu).all():
         raise DataError("the Gram matrix holds a non-finite entry: the kernel "
                         "overflowed on the samples' magnitudes")
-    if overwrite:
-        try:
-            G.setflags(write=True)
-        except ValueError as exc:
-            raise KpcaError(f"cannot center the Gram in place: its buffer "
-                            f"is read-only memory ({exc})") from exc
     grand = float(mu.mean())
-    stats = gm.stats if gm.stats is not None and not gm.centered else \
-        CenteringStats(mu, grand)
-    if not overwrite:
-        G = G.copy()
-    for rows in _panels(G.shape[0]):
-        P = np.add.outer(mu[rows], mu)
-        np.subtract(G[rows], P, out=P)
-        P += grand
-        G[rows] = P
-        del P  # one panel live at a time
-    return GramMatrix(G, centered=True, stats=stats, _checked=True)
+    stats = gm.stats if gm.stats is not None else CenteringStats(mu, grand)
+    return GramMatrix(E, centered=True, stats=stats, m=mu, g=grand, _checked=True)
 
 
 def kernel_rows(spec: KernelSpec, train: Dataset, stats: CenteringStats, X) -> np.ndarray:

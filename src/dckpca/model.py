@@ -139,12 +139,11 @@ def fit(dataset: Dataset | None, kernel_spec: kernels.KernelSpec,
         if gram_matrix is not None and gram_matrix.n != dataset.n:
             raise DataError("precomputed Gram size does not match dataset")
         spec, fingerprint = kernel_spec.resolve(dataset), dataset_fingerprint(dataset)
-    if gram_matrix is not None:
-        Gc = gram_matrix if gram_matrix.centered else kernels.center_gram(gram_matrix)
-    else:
-        # centered in the buffer it was built in: one n x n buffer per fit
-        gm = kernels.gram(dataset, spec, dtype=_gram_dtype(cfg))
-        Gc = kernels.center_gram(gm, overwrite=True)
+    gm = gram_matrix if gram_matrix is not None else \
+        kernels.gram(dataset, spec, dtype=_gram_dtype(cfg))
+    # centering writes no entry: the fit holds the one n x n buffer it was
+    # given or built, and never copies it
+    Gc = kernels.center_gram(gm)
 
     kappa_max_value = presolve = None
     if not objective.resolved:

@@ -7,9 +7,10 @@ from scipy import sparse
 from dckpca import (DataError, Dataset, KernelSpec, KpcaError, center_gram,
                     gen_controlled_spectrum_gram, gen_synth_gaussian, gram,
                     load_gram_csv, sigma_rule)
+from dckpca.baselines import _dense
 from dckpca.data_io import row_sq_norms
-from dckpca.kernels import (BLOCK, GramMatrix, kernel_cross, kernel_rows,
-                            kernel_rows_with_self)
+from dckpca.kernels import (BLOCK, GramMatrix, gram_product, kernel_cross, kernel_rows,
+                            kernel_rows_with_self, product_rounding)
 
 import oracles
 from oracles import kernel_row
@@ -115,14 +116,15 @@ def test_center_gram_identity_toy():
     # the off-diagonal is exp(-huge) = 0, so the raw Gram is I2
     assert np.allclose(gm_raw.entries, np.eye(2))
     gm = center_gram(gm_raw)
-    assert np.allclose(gm.entries, [[0.5, -0.5], [-0.5, 0.5]], atol=1e-15)
+    assert np.allclose(_dense(gm), [[0.5, -0.5], [-0.5, 0.5]], atol=1e-15)
 
 
 def test_center_gram_row_sums_vanish():
     ds = gen_synth_gaussian(40, 3, 2)
     gm = center_gram(gram(ds, KernelSpec("laplace", 0.8)))
-    scale = 1e-10 * gm.n * np.max(np.abs(gm.entries))
-    assert np.max(np.abs(gm.entries.sum(axis=1))) <= scale
+    Gc = _dense(gm)
+    scale = 1e-10 * gm.n * np.max(np.abs(Gc))
+    assert np.max(np.abs(Gc.sum(axis=1))) <= scale
     assert gm.centered and gm.stats is not None
 
 
@@ -135,7 +137,7 @@ def test_center_gram_matches_feature_space_centering():
                   [0.5, 0.5, -2.0]])
     gm = center_gram(gram(Dataset(X), KernelSpec("linear")))
     Xc = X - X.mean(axis=0)
-    assert np.allclose(gm.entries, Xc @ Xc.T, atol=1e-12)
+    assert np.allclose(_dense(gm), Xc @ Xc.T, atol=1e-12)
 
 
 def test_center_gram_default_leaves_its_input_unchanged():
@@ -144,30 +146,35 @@ def test_center_gram_default_leaves_its_input_unchanged():
     gc = center_gram(gm)
     assert np.array_equal(gm.entries, before)
     assert not gm.entries.flags.writeable
-    assert not np.shares_memory(gc.entries, gm.entries)
-
-
-def test_center_gram_in_place_rejects_read_only_memory():
-    G = np.array([[2.0, 1.0], [1.0, 2.0]])
-    gm = GramMatrix(np.frombuffer(G.tobytes()).reshape(2, 2))
-    with pytest.raises(KpcaError, match="read-only memory"):
-        center_gram(gm, overwrite=True)
-    assert np.array_equal(gm.entries, G)
+    # no copy: the centering is the result's rank-2 term, not its entries
+    assert gc.entries is gm.entries
 
 
 def test_center_gram_idempotent():
     ds = gen_synth_gaussian(35, 4, 5)
     g1 = center_gram(gram(ds, KernelSpec("gaussian", 1.5)))
     g2 = center_gram(g1)
-    assert np.max(np.abs(g2.entries - g1.entries)) < 1e-12 * np.max(np.abs(g1.entries))
+    assert np.max(np.abs(_dense(g2) - _dense(g1))) < 1e-12 * np.max(np.abs(_dense(g1)))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_center_gram_of_a_centered_gram_returns_it(dtype):
+    # J is idempotent; the stats stay the training column means a model
+    # centers its queries with, not the centered matrix's own (all ~0)
+    ds, spec = gen_synth_gaussian(50, 3, 0), KernelSpec("gaussian", 1.0)
+    once = center_gram(gram(ds, spec, dtype=dtype))
+    assert center_gram(once) is once
+    assert np.allclose(once.stats.col_means, gram(ds, spec).entries.mean(axis=0),
+                       rtol=1e-12, atol=0)
 
 
 def test_centered_gram_rank_deficiency():
     ds = gen_synth_gaussian(50, 4, 6)
     gm = center_gram(gram(ds, KernelSpec("gaussian", 1.0)))
-    w = np.linalg.eigvalsh(gm.entries)
-    assert w.min() >= -1e-8 * np.trace(gm.entries)
-    assert w.min() <= 1e-8 * np.trace(gm.entries)  # centering kills one direction
+    Gc = _dense(gm)
+    w = np.linalg.eigvalsh(Gc)
+    assert w.min() >= -1e-8 * np.trace(Gc)
+    assert w.min() <= 1e-8 * np.trace(Gc)  # centering kills one direction
 
 
 def test_kernel_row_reproduces_centered_columns():
@@ -176,7 +183,7 @@ def test_kernel_row_reproduces_centered_columns():
     gm = center_gram(gram(ds, spec))
     for i in (0, 7, 24):
         row = kernel_rows(spec, ds, gm.stats, ds.values[i])[0]
-        assert np.max(np.abs(row - gm.entries[:, i])) < 1e-12
+        assert np.max(np.abs(row - _dense(gm)[:, i])) < 1e-12
 
 
 def test_kernel_row_all_equal_training_data():
@@ -306,8 +313,8 @@ def test_gram_exactly_symmetric_for_every_input_layout():
     for values in inputs:
         for spec in (KernelSpec("gaussian", 1.3), KernelSpec("laplace", 0.9),
                      KernelSpec("linear")):
-            gm = center_gram(gram(Dataset(values), spec))
-            assert np.array_equal(gm.entries, gm.entries.T)
+            Gc = _dense(center_gram(gram(Dataset(values), spec)))
+            assert np.array_equal(Gc, Gc.T)
 
 
 @pytest.mark.parametrize("n", [5, BLOCK + 44])
@@ -386,28 +393,23 @@ def test_kernels_across_panel_boundaries(n, m, family, layout, seed):
                                             abs=1e-12)
     gc = center_gram(gm)
     mu, stats = gm.entries.mean(axis=0), gc.stats
-    assert np.array_equal(gc.entries, gm.entries - np.add.outer(mu, mu) + stats.grand_mean)
-    # in place: the same entries and stats, in the buffer the Gram was built in
-    built = gram(ds, spec)
-    inplace = center_gram(built, overwrite=True)
-    assert np.array_equal(inplace.entries, gc.entries)
-    assert np.array_equal(inplace.stats.col_means, stats.col_means)
-    assert inplace.stats.grand_mean == stats.grand_mean
-    assert np.shares_memory(inplace.entries, built.entries)
-    assert not inplace.entries.flags.writeable
+    Gc = _dense(gc)
+    assert np.array_equal(Gc, gm.entries - np.add.outer(mu, mu) + stats.grand_mean)
+    # no copy: the centered Gram reads the buffer the Gram was built in
+    assert gc.entries is gm.entries and not gc.entries.flags.writeable
     # float32 storage: exactly symmetric, the float64 Gram's column means,
-    # and, centered in place, within a few float32 roundings of the centered
-    # entries' scale
+    # and, centered, within a few float32 roundings of the centered entries'
+    # scale
     g32 = gram(ds, spec, dtype=np.float32)
     assert g32.entries.dtype == np.float32
     assert np.array_equal(g32.entries, g32.entries.T)
     scale = np.max(np.abs(gm.entries))
     assert np.allclose(g32.stats.col_means, mu, rtol=1e-12, atol=1e-14 * scale)
-    c32 = center_gram(g32, overwrite=True)
-    assert c32.stats is g32.stats and np.shares_memory(c32.entries, g32.entries)
-    assert np.array_equal(c32.entries, c32.entries.T)
-    assert np.max(np.abs(c32.entries - gc.entries)) <= \
-        2.0 ** -21 * np.max(np.abs(gc.entries)) + 1e-14 * scale
+    c32 = center_gram(g32)
+    assert c32.stats is g32.stats and c32.entries is g32.entries
+    C32 = _dense(c32)
+    assert np.array_equal(C32, C32.T)
+    assert np.max(np.abs(C32 - Gc)) <= 2.0 ** -21 * np.max(np.abs(Gc)) + 1e-14 * scale
     rows = kernel_rows(spec, ds, stats, query)
     assert np.array_equal(rows, K - K.mean(axis=1)[:, None] - stats.col_means[None, :]
                           + stats.grand_mean)
@@ -424,6 +426,42 @@ def test_kernels_across_panel_boundaries(n, m, family, layout, seed):
             entries[i, j] = np.nextafter(entries[i, j], np.inf)
             with pytest.raises(KpcaError, match="not exactly symmetric"):
                 GramMatrix(entries)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 600), source=st.sampled_from(["float64", "float32", "array", "csv"]),
+       layout=st.sampled_from(["dense", "csr"]),
+       family=st.sampled_from(["linear", "gaussian", "laplace"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_centered_products_match_the_materialized_matrix(tmp_path_factory, n, source,
+                                                         layout, family, seed):
+    # the rank-2 term every product applies is the one _dense materializes,
+    # for a Gram built in either precision, a caller's array and a loaded CSV,
+    # with n crossing BLOCK; a float64 Gram materializes to the explicit
+    # centering (E_ij - (mu_i + mu_j)) + grand bit for bit
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, int(rng.integers(1, 6))))
+    X[rng.random(X.shape) < 0.3] = 0.0
+    spec = KernelSpec(family, None if family == "linear" else float(rng.uniform(0.5, 3.0)))
+    ds = Dataset(sparse.csr_matrix(X) if layout == "csr" else X)
+    gm = gram(ds, spec, dtype=np.float32 if source == "float32" else np.float64)
+    if source == "array":
+        gm = GramMatrix(gm.entries.copy())
+    elif source == "csv":
+        path = tmp_path_factory.mktemp("gram") / "g.csv"
+        np.savetxt(path, gm.entries, delimiter=",", fmt="%.17g")
+        gm = load_gram_csv(path)
+    gc = center_gram(gm)
+    D = _dense(gc)
+    Q = rng.standard_normal((n, int(rng.integers(1, 7))))
+    scale = np.linalg.norm(gm.entries) * np.linalg.norm(Q)
+    assert np.linalg.norm(gram_product(gc, Q) - D @ Q) <= product_rounding(gc) * scale
+    assert np.linalg.norm(gram_product(gc, Q, exact=True) - D @ Q) <= \
+        product_rounding(D) * scale
+    E = gm.entries
+    if E.dtype == np.float64:
+        mu = E.mean(axis=0, dtype=np.float64)
+        assert np.array_equal(D, E - np.add.outer(mu, mu) + float(mu.mean()))
 
 
 def test_builders_compare_no_tiles(tmp_path, monkeypatch):
@@ -457,7 +495,7 @@ def test_center_gram_refuses_a_kernel_that_overflowed(spec, scale):
     with np.errstate(over="ignore", invalid="ignore"):
         gm = gram(Dataset(X), spec, dtype=np.float32)
         with pytest.raises(DataError, match="non-finite entry"):
-            center_gram(gm, overwrite=True)
+            center_gram(gm)
 
 
 def _draw_csr(kind, n, rng):

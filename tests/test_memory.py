@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from dckpca import (CenteringStats, Dataset, KernelSpec, ObjectiveSpec,
+from dckpca import (CenteringStats, Dataset, KernelSpec, ObjectiveSpec, center_gram,
                     gen_synth_gaussian, gram, kernel_rows)
 from dckpca import model
 from dckpca.objectives import parse_objective
@@ -57,8 +57,8 @@ def test_dense_square_fit_enters_the_solver_with_one_gram(traced, monkeypatch):
 
 
 def test_dense_square_fit_peak_is_one_gram(traced):
-    # one float32 Gram (half a float64 buffer), built and centered in place,
-    # plus panels of BLOCK rows: 0.67 of a float64 buffer measured
+    # one float32 Gram (half a float64 buffer), centered without a pass over
+    # its entries, plus one strip of BLOCK columns while it is built
     n = 2000
     ds = gen_synth_gaussian(n, 5, 1)
     tracemalloc.reset_peak()
@@ -73,6 +73,28 @@ def _traced_peak(fn):
     before = tracemalloc.get_traced_memory()[0]
     result = fn()
     return result, tracemalloc.get_traced_memory()[1] - before
+
+
+def test_centering_a_float32_gram_reads_its_stats_only(traced):
+    # the Gram from gram carries its column means and shift: centering it
+    # shares its buffer, writes none of its bytes and allocates O(n)
+    n = 1000
+    gm = gram(gen_synth_gaussian(n, 5, 2), KernelSpec("gaussian", 2.0), dtype=np.float32)
+    before = gm.entries.tobytes()
+    gc, peak = _traced_peak(lambda: center_gram(gm))
+    assert np.shares_memory(gc.entries, gm.entries)
+    assert gm.entries.tobytes() == before
+    assert peak < 64 * 1024
+
+
+def test_fit_of_a_precomputed_gram_never_copies_it(traced):
+    n = 1000
+    gm = gram(gen_synth_gaussian(n, 5, 3), KernelSpec("gaussian", 2.0))
+    _, peak = _traced_peak(lambda: model.fit(
+        None, KernelSpec("precomputed"), ObjectiveSpec("square"), 3,
+        SolveConfig(seed=0), gram_matrix=gm))
+    assert gm.entries.dtype == np.float64
+    assert peak < 0.5 * 8 * n * n
 
 
 def test_csr_fit_with_d_above_n_never_holds_the_sparse_product(traced):

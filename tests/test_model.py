@@ -9,6 +9,7 @@ from dckpca import (CenteringStats, DataError, Dataset, KernelSpec, ObjectiveSpe
                     dca_solve, fit, gen_synth_gaussian, gram, kpca_dense_eig,
                     load_model, project, reconstruction_error,
                     recover_primal_coefficients, save_model, sparsity_metrics)
+from dckpca.baselines import _dense
 from dckpca.dual_core import SpectralDecomp
 from dckpca.model import KpcaModel, _gram_dtype, assemble_model
 from dckpca.solvers import SolveConfig
@@ -27,7 +28,7 @@ def small_fit():
 def test_fit_square_matches_dense_eig_cost(small_fit):
     ds, spec, m = small_fit
     Gc = center_gram(gram(ds, spec))
-    top = dense_top_eigs(Gc.entries, 3)
+    top = dense_top_eigs(_dense(Gc), 3)
     assert m.report.cost_trace[-1] == pytest.approx(-0.5 * top.sum(), rel=1e-6)
 
 
@@ -56,21 +57,21 @@ def test_primal_coefficients_feasibility(small_fit):
     ds, spec, m = small_fit
     Gc = center_gram(gram(ds, spec))
     A = recover_primal_coefficients(m)
-    assert np.linalg.norm(A.T @ Gc.entries @ A - np.eye(3)) <= 1e-8
+    assert np.linalg.norm(A.T @ _dense(Gc) @ A - np.eye(3)) <= 1e-8
 
 
 def test_training_projections_equal_gram_times_coefficients(small_fit):
     ds, spec, m = small_fit
     Gc = center_gram(gram(ds, spec))
     P = project(m, ds.values)
-    GA = Gc.entries @ recover_primal_coefficients(m)
+    GA = _dense(Gc) @ recover_primal_coefficients(m)
     assert np.max(np.abs(P - GA)) <= 1e-10
 
 
 def test_captured_variance_identity(small_fit):
     ds, spec, m = small_fit
     Gc = center_gram(gram(ds, spec))
-    top = dense_top_eigs(Gc.entries, 3)
+    top = dense_top_eigs(_dense(Gc), 3)
     P = project(m, ds.values)
     assert np.sum(P * P) == pytest.approx(top.sum(), rel=1e-6)
 
@@ -78,7 +79,7 @@ def test_captured_variance_identity(small_fit):
 def test_projection_gram_matches_dense_eig(small_fit):
     ds, spec, m = small_fit
     Gc = center_gram(gram(ds, spec))
-    _, h_svd = kpca_dense_eig(Gc.entries, 3)
+    _, h_svd = kpca_dense_eig(_dense(Gc), 3)
     m2 = assemble_model(Gc, spec, ObjectiveSpec("square"), 3, h_svd, ds)
     P1, P2 = project(m, ds.values), project(m2, ds.values)
     g1, g2 = P1 @ P1.T, P2 @ P2.T
@@ -225,7 +226,7 @@ def test_eps_zero_fit_is_dca_on_the_square_loss(small_fit, kind):
     ds, spec, _ = small_fit
     cfg = SolveConfig(seed=2)
     m = fit(ds, spec, ObjectiveSpec(kind, eps=0.0), 3, cfg)
-    Gc = center_gram(gram(ds, spec, dtype=_gram_dtype(cfg)), overwrite=True)
+    Gc = center_gram(gram(ds, spec, dtype=_gram_dtype(cfg)))
     H, _ = dca_solve(Gc, 3, ObjectiveSpec("square"), cfg)
     assert m.H.tobytes() == H.tobytes()
 

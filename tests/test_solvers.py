@@ -7,6 +7,7 @@ from dckpca import (GramMatrix, KernelSpec, ObjectiveSpec, SingularMatrixError,
                     center_gram, check_critical_point, dca_solve, fit,
                     gen_synth_gaussian, gram, kappa_max, lbfgs_solve,
                     parse_objective, solvers)
+from dckpca.baselines import _dense
 from dckpca.kernels import gram_product
 from dckpca.solvers import SolveConfig
 
@@ -37,7 +38,7 @@ def test_lbfgs_rank_one_toy():
 def test_lbfgs_matches_dense_eig_cost():
     Gc = centered_gram(n=300, d=8, seed=42, sigma=2.5)
     s = 5
-    top = dense_top_eigs(Gc.entries, s)
+    top = dense_top_eigs(_dense(Gc), s)
     cfg = SolveConfig(tol=1e-9, seed=7, benchmark_eigs=top)
     H, rep = lbfgs_solve(Gc, s, cfg)
     d_opt = -0.5 * top.sum()
@@ -48,9 +49,9 @@ def test_lbfgs_matches_dense_eig_cost():
 def test_lbfgs_converged_solution_is_critical():
     Gc = centered_gram(n=150, d=6, seed=5)
     s = 4
-    top = dense_top_eigs(Gc.entries, s)
+    top = dense_top_eigs(_dense(Gc), s)
     H, _ = lbfgs_solve(Gc, s, SolveConfig(tol=1e-9, seed=1, benchmark_eigs=top))
-    assert check_critical_point(Gc.entries, H) <= 1e-4
+    assert check_critical_point(_dense(Gc), H) <= 1e-4
 
 
 def test_lbfgs_deterministic_bitwise():
@@ -71,7 +72,7 @@ def test_lbfgs_production_stopping_and_report_shape():
     assert rep.wall_seconds > 0
     diffs = np.diff(rep.cost_trace)
     assert np.all(diffs <= 1e-10)  # each step's basis contains the last X
-    assert check_critical_point(Gc.entries, H) <= 1e-4
+    assert check_critical_point(_dense(Gc), H) <= 1e-4
 
 
 def test_lbfgs_max_iters_termination():
@@ -94,7 +95,7 @@ def test_lbfgs_iterations_on_a_slow_spectrum():
 
 def test_lbfgs_ritz_form_at_every_exit():
     Gc = centered_gram(n=150, d=5, seed=17)
-    G = Gc.entries
+    G = _dense(Gc)
     H, rep = lbfgs_solve(Gc, 4, SolveConfig(tol=1e-16, max_iters=3, seed=3))
     assert rep.termination == "max_iters"
     assert_ritz_form(G, H)
@@ -209,7 +210,7 @@ def test_s_above_the_numerical_rank_of_a_gaussian_gram_is_named(tol):
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 def test_every_product_applies_g_to_at_most_s_columns(monkeypatch, dtype):
     Gc = center_gram(gram(gen_synth_gaussian(300, 6, 8), KernelSpec("gaussian", 2.0),
-                          dtype=dtype), overwrite=True)
+                          dtype=dtype))
     columns = []
 
     def counted(G, Q, exact=False):
@@ -244,7 +245,7 @@ def test_lbfgs_init_is_evaluated_without_a_gradient(monkeypatch):
         H0 = np.random.default_rng(seed).standard_normal((60, 2)) if h0 is None else h0
         assert rep.termination == "tolerance" and rep.iterations >= 1
         assert rep.cost_trace[0] == pytest.approx(
-            dual_cost(Gc.entries, H0, ObjectiveSpec("square")), rel=1e-12)
+            dual_cost(_dense(Gc), H0, ObjectiveSpec("square")), rel=1e-12)
 
 
 def test_lbfgs_returns_ritz_form():
@@ -252,7 +253,7 @@ def test_lbfgs_returns_ritz_form():
     # theta decreasing
     Gc = centered_gram(n=150, d=5, seed=17)
     H, _ = lbfgs_solve(Gc, 4, SolveConfig(seed=3))
-    assert_ritz_form(Gc.entries, H)
+    assert_ritz_form(_dense(Gc), H)
 
 
 def test_kappa_max_huber_l1_independent_of_init():
@@ -276,7 +277,7 @@ def _fixed_point_residual(G, H, kind=None, kappa=None):
 
 def test_every_solver_honours_the_same_tol():
     Gc = center_gram(gram(gen_synth_gaussian(200, 5, 3), KernelSpec("gaussian", 1.5)))
-    G = Gc.entries
+    G = _dense(Gc)
     kappa = 0.8 * kappa_max("huber_row2", lbfgs_solve(Gc, 3, SolveConfig(seed=0))[0])
     for tol in (1e-6, 1e-8):
         cfg = SolveConfig(tol=tol, seed=0)
@@ -451,7 +452,7 @@ def test_dca_anderson_against_plain_dca():
     products = plain_products = 0
     for seed in range(3):
         Gc = centered_gram(n=300, d=6, seed=seed, sigma=2.0)
-        G = Gc.entries
+        G = _dense(Gc)
         kappa = 0.8 * kappa_max("huber_row2", lbfgs_solve(Gc, 4, SolveConfig(seed=seed))[0])
         spec = ObjectiveSpec("huber_row2", kappa=kappa)
         cfg = SolveConfig(seed=seed)
@@ -478,7 +479,7 @@ def test_dca_stops_at_1000_iterations_by_default():
 
 def test_dca_benchmark_mode_eta_stop():
     Gc = centered_gram(n=90, d=4, seed=13)
-    top = dense_top_eigs(Gc.entries, 3)
+    top = dense_top_eigs(_dense(Gc), 3)
     cfg = SolveConfig(tol=1e-6, seed=6, benchmark_eigs=top)
     _, rep = dca_solve(Gc, 3, ObjectiveSpec("square"), cfg)
     assert rep.termination == "tolerance"
@@ -516,7 +517,7 @@ def test_dca_tiny_sup_norm_kappa_solves():
     H, rep = dca_solve(Gc, 2, ObjectiveSpec("huber_l1", kappa=1e-14), SolveConfig(seed=0))
     assert rep.termination == "tolerance"
     assert np.all(np.isfinite(H)) and np.max(np.abs(H)) <= 1e-14 * (1 + 1e-12)
-    lam = np.linalg.eigvalsh(H.T @ Gc.entries @ H)
+    lam = np.linalg.eigvalsh(H.T @ _dense(Gc) @ H)
     assert lam[0] > 0.1 * lam[-1]
 
 
