@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dual_core import dual_residual
+from .dual_core import check_components, dual_residual
 from .errors import ToleranceUnreachableError
 from .kernels import GramMatrix, _panels, gram_product
 
@@ -25,11 +25,10 @@ def h_from_pairs(pairs: EigPairs) -> np.ndarray:
 
 
 def _dense(G) -> np.ndarray:
-    """The matrix a full eigendecomposition runs on, in float64, and the one
-    place a Gram's rank-2 term is materialized: entry (i, j) is
+    """The matrix the dense eigendecomposition runs on, in float64, and the
+    one place a Gram's rank-2 term is materialized: entry (i, j) is
     (E_ij - (m_i + m_j)) + g, one BLOCK-row panel at a time. A Gram with no
-    term gives its entries, a float32 one upcast; either way the matrix is
-    beside the copy LAPACK makes."""
+    term gives its entries, a float32 one upcast into a new matrix."""
     if not isinstance(G, GramMatrix):
         return np.asarray(G, dtype=float)
     if G.m is None:
@@ -44,19 +43,19 @@ def _dense(G) -> np.ndarray:
 
 
 def kpca_dense_eig(G, s: int):
-    """Full symmetric eigendecomposition; returns the top-s pairs and the
-    closed-form dual solution H_svd built from them."""
-    w, V = np.linalg.eigh(_dense(G))
-    order = np.argsort(-w, kind="stable")[:s]
+    """Top-s eigenpairs of symmetric G (values decreasing, ties in index
+    order) by one LAPACK subset call on the F-ordered view of ``_dense(G)``,
+    and the dual solution H_svd from them. LAPACK overwrites that matrix only
+    if ``_dense`` built it: never a caller's array or a Gram's entries."""
+    from scipy import linalg  # here: loading it adds ~8 MB of RSS to every fit
+    n = G.shape[0]
+    check_components(s, n)
+    A = _dense(G)
+    owned = not np.may_share_memory(A, G.entries if isinstance(G, GramMatrix) else G)
+    w, V = linalg.eigh(A.T, subset_by_index=[n - s, n - 1], overwrite_a=owned)
+    order = np.argsort(-w, kind="stable")
     pairs = EigPairs(w[order], V[:, order])
     return pairs, h_from_pairs(pairs)
-
-
-def top_eigenvalues(G, s: int) -> np.ndarray:
-    """The s largest eigenvalues of symmetric G, decreasing, from a dense
-    ``eigvalsh`` (ties keep index order): the exact eta oracle."""
-    w = np.linalg.eigvalsh(_dense(G))
-    return w[np.argsort(-w, kind="stable")[:s]]
 
 
 def rsvd(G, s: int, p: int = 10, q: int = 2, seed=0) -> EigPairs:
@@ -70,6 +69,7 @@ def rsvd(G, s: int, p: int = 10, q: int = 2, seed=0) -> EigPairs:
     if p < 0 or q < 0:
         raise ValueError("oversamples and power iterations must be >= 0")
     n = G.shape[0]
+    check_components(s, n)
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     k = min(s + p, n)
     Omega = rng.standard_normal((n, k))
@@ -96,11 +96,11 @@ def rsvd_adaptive(G, s: int, delta: float, seed=0, top_eigs=None, q: int = 2,
     round-off and only a ``delta`` at or below it (e.g. 0) is unreachable.
 
     ``top_eigs`` are the exact top-s eigenvalues of G (the eta oracle),
-    computed once by ``top_eigenvalues`` when not given.
+    computed once by ``kpca_dense_eig`` when not given.
     """
     n = G.shape[0]
     if top_eigs is None:
-        top_eigs = top_eigenvalues(G, s)
+        top_eigs = kpca_dense_eig(G, s)[0].values
     rng = np.random.default_rng(seed)
     cap = max(n - s, 0)
     p = min(p_start, cap)

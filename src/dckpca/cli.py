@@ -201,7 +201,7 @@ def _cmd_solve(args):
 
 def _cmd_bench(args):
     s = args.components
-    top = None  # the eta oracle: the eig row's eigenvalues, else top_eigenvalues
+    top = None  # the eta oracle: the eig row's eigenvalues, else kpca_dense_eig's
 
     # each row returns (H or None, iterations or oversamples, eta)
     def eig():
@@ -245,7 +245,7 @@ def _cmd_bench(args):
         gm = kernels.gram(dataset, spec.resolve(dataset))
     G = kernels.center_gram(gm)
     if "eig" not in solvers:
-        top = baselines.top_eigenvalues(G, s)
+        top = baselines.kpca_dense_eig(G, s)[0].values
 
     rows = {}
     for name in [name for name in table if name in solvers]:
@@ -283,7 +283,7 @@ def _cmd_spectrum(args):
     rows = []
     for c in args.c_grid:
         G = data_io.gen_controlled_spectrum_gram(args.n, c, args.seed)
-        top = baselines.top_eigenvalues(G, args.components)
+        top = baselines.kpca_dense_eig(G, args.components)[0].values
         lbfgs_iters, lbfgs_status = None, "ok"
         try:
             cfg = SolveConfig(tol=args.delta, seed=args.seed, benchmark_eigs=top)

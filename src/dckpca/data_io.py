@@ -137,12 +137,6 @@ class Dataset:
     def is_sparse(self) -> bool:
         return sparse.issparse(self.values)
 
-    def dense(self) -> np.ndarray:
-        """Row-major float64 copy of the sample matrix."""
-        if self.is_sparse:
-            return np.asarray(self.values.todense(), dtype=float)
-        return np.array(self.values, dtype=float)
-
     def take_rows(self, idx) -> "Dataset":
         idx = np.asarray(idx)
         labels = None if self.labels is None else self.labels[idx]
@@ -205,26 +199,6 @@ def parse_libsvm(source, d: int | None = None) -> Dataset:
         (np.asarray(data, dtype=float), indices, indptr), shape=(len(labels), d)
     )
     return Dataset(values, np.asarray(labels, dtype=float))
-
-
-def serialize_libsvm(dataset: Dataset) -> str:
-    """Inverse of :func:`parse_libsvm`; zero entries are dropped by the format."""
-    labels = dataset.labels
-    if labels is None:
-        labels = np.zeros(dataset.n)
-    rows = dataset.values.tocsr() if dataset.is_sparse else None
-    out = []
-    for i in range(dataset.n):
-        if rows is not None:
-            cols = rows.indices[rows.indptr[i]:rows.indptr[i + 1]]
-            vals = rows.data[rows.indptr[i]:rows.indptr[i + 1]]
-        else:
-            row = dataset.values[i]
-            cols = np.nonzero(row)[0]
-            vals = row[cols]
-        pairs = " ".join(f"{c + 1}:{float(v)!r}" for c, v in zip(cols, vals))
-        out.append(f"{float(labels[i])!r} {pairs}".rstrip())
-    return "\n".join(out) + "\n"
 
 
 def load_csv(path, label_col: int | None = None) -> Dataset:

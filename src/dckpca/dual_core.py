@@ -140,15 +140,7 @@ def dual_residual(G, H, top_eigs) -> float:
     return abs(d - d_opt) / abs(d_opt)
 
 
-def check_critical_point(G, H) -> float:
-    """Normal-equation residual ||H H'H - GH||_F / ||GH||_F.
-
-    Vanishes at critical points of the dual problem, which are also critical
-    points of the Gram reconstruction cost 0.25 ||G - HH'||_F^2. GH is the
-    exact product (``gram_product(G, H, exact=True)``).
-    """
-    GH = gram_product(G, H, exact=True)
-    denom = float(np.linalg.norm(GH))
-    if denom == 0.0:
-        raise KpcaError("GH = 0: criticality residual undefined")
-    return float(np.linalg.norm(H @ (H.T @ H) - GH)) / denom
+def check_components(s: int, n: int) -> None:
+    """Refuse a component count s outside 1..n: the dual's H is n x s."""
+    if not 1 <= s <= n:
+        raise KpcaError(f"s must satisfy 1 <= s <= n, got s={s} for n={n}")

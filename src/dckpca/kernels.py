@@ -146,9 +146,9 @@ def gram_product(G, Q, exact: bool = False) -> np.ndarray:
     A float32 Gram multiplies Q cast once to float32, in single precision.
     With ``exact`` it accumulates in float64 instead, over upcast BLOCK-row
     panels of the stored entries: the product a model's spectrum and the
-    checks (``pi``, ``dual_residual``, ``check_critical_point``) read. A
-    float64 Gram gives ``E @ Q`` either way. The rank-2 term is then applied
-    in float64: G Q = E Q - m (1'Q) - 1 (m'Q - g 1'Q)."""
+    checks (``pi``, ``dual_residual``) read. A float64 Gram gives ``E @ Q``
+    either way. The rank-2 term is then applied in float64:
+    G Q = E Q - m (1'Q) - 1 (m'Q - g 1'Q)."""
     E = G.entries if isinstance(G, GramMatrix) else np.asarray(G, dtype=float)
     if E.dtype == np.float64:
         out = E @ Q

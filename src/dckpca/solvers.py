@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 # grad_pi is not called here; perfbench's tracer wraps it under this module
-from .dual_core import check_floor, grad_pi, optimal_dual_cost, sym_eig_small
+from .dual_core import (check_components, check_floor, grad_pi, optimal_dual_cost,
+                        sym_eig_small)
 from .errors import KpcaError, SingularMatrixError
 from .kernels import GramMatrix, gram_product, product_rounding
 from .objectives import HUBER_KINDS, ObjectiveSpec, prox_psi_star, psi_star_value
@@ -162,8 +163,7 @@ def _solve(G, s, cfg, h0, default_max_iters, loop):
     if not isinstance(G, GramMatrix):
         G = np.asarray(G, dtype=float)
     n = G.shape[0]
-    if not 1 <= s <= n:
-        raise KpcaError(f"s must satisfy 1 <= s <= n, got s={s} for n={n}")
+    check_components(s, n)
     if h0 is not None:
         h0 = np.array(h0, dtype=float)
         if h0.shape != (n, s):

@@ -4,6 +4,8 @@ never share code with the implementation paths they check."""
 import numpy as np
 from scipy.spatial.distance import cdist
 
+from dckpca.errors import KpcaError
+
 
 def kernel_eval(spec, x, y):
     """Single kernel evaluation k(x, y) by the closed forms, pointwise."""
@@ -78,6 +80,45 @@ def dual_cost(G, H, objective):
         gauge = float(np.max(np.abs(H))) if kind == "huber_l1" else float(rows.sum())
         return value if gauge <= objective.kappa * (1.0 + 1e-9) else np.inf
     return value
+
+
+def dense(dataset):
+    """Row-major float64 copy of a Dataset's sample matrix."""
+    if dataset.is_sparse:
+        return np.asarray(dataset.values.todense(), dtype=float)
+    return np.array(dataset.values, dtype=float)
+
+
+def serialize_libsvm(dataset):
+    """LIBSVM text of a Dataset, the inverse of ``parse_libsvm``; zero
+    entries are dropped by the format."""
+    labels = dataset.labels
+    if labels is None:
+        labels = np.zeros(dataset.n)
+    rows = dataset.values.tocsr() if dataset.is_sparse else None
+    out = []
+    for i in range(dataset.n):
+        if rows is not None:
+            cols = rows.indices[rows.indptr[i]:rows.indptr[i + 1]]
+            vals = rows.data[rows.indptr[i]:rows.indptr[i + 1]]
+        else:
+            row = dataset.values[i]
+            cols = np.nonzero(row)[0]
+            vals = row[cols]
+        pairs = " ".join(f"{c + 1}:{float(v)!r}" for c, v in zip(cols, vals))
+        out.append(f"{float(labels[i])!r} {pairs}".rstrip())
+    return "\n".join(out) + "\n"
+
+
+def check_critical_point(G, H):
+    """Normal-equation residual ||H H'H - GH||_F / ||GH||_F of a dense G, GH
+    in float64. It vanishes at critical points of the dual problem, which are
+    also critical points of the Gram reconstruction cost 0.25 ||G - HH'||_F^2."""
+    GH = np.asarray(G, dtype=float) @ H
+    denom = float(np.linalg.norm(GH))
+    if denom == 0.0:
+        raise KpcaError("GH = 0: criticality residual undefined")
+    return float(np.linalg.norm(H @ (H.T @ H) - GH)) / denom
 
 
 def dense_top_eigs(G, s):

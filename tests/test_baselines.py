@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from dckpca import (ObjectiveSpec, ToleranceUnreachableError,
-                    dual_residual, check_critical_point,
-                    gen_controlled_spectrum_gram, kpca_dense_eig, rsvd,
-                    rsvd_adaptive)
-from dckpca.baselines import h_from_pairs
+from dckpca import (GramMatrix, KernelSpec, KpcaError, ObjectiveSpec,
+                    ToleranceUnreachableError, center_gram, dual_residual,
+                    gen_controlled_spectrum_gram, gen_synth_gaussian, gram,
+                    kpca_dense_eig, rsvd, rsvd_adaptive)
+from dckpca.baselines import _dense, h_from_pairs
+from dckpca.kernels import BLOCK
 
-from oracles import dense_top_eigs, dual_cost
+from oracles import check_critical_point, dense_top_eigs, dual_cost
 
 
 def random_psd(n, seed, rank=None):
@@ -44,6 +45,53 @@ def test_dense_eig_orthonormal_vectors():
     G = random_psd(30, 2)
     pairs, _ = kpca_dense_eig(G, 6)
     assert np.linalg.norm(pairs.vectors.T @ pairs.vectors - np.eye(6)) <= 1e-8
+
+
+def _gram_inputs(n):
+    """The four forms a baseline takes: centered float32 and float64 Grams
+    from ``gram``, a Gram of a caller's array and the plain array."""
+    spec = KernelSpec("gaussian", 2.0)
+    ds = gen_synth_gaussian(n, 5, 11)
+    caller = _dense(center_gram(gram(ds, spec)))
+    return {"float32": center_gram(gram(ds, spec, dtype=np.float32)),
+            "float64": center_gram(gram(ds, spec)),
+            "caller-gram": GramMatrix(caller.copy()),
+            "array": caller}
+
+
+@pytest.mark.parametrize("form", ["float32", "float64", "caller-gram", "array"])
+def test_dense_eig_subset_matches_the_full_spectrum_and_writes_no_input(form):
+    n, s = 300, 20
+    assert n > BLOCK
+    G = _gram_inputs(n)[form]
+    buffers = [G.entries, G.m] if isinstance(G, GramMatrix) else [G]
+    buffers = [b for b in buffers if b is not None]
+    before = [b.tobytes() for b in buffers]
+    pairs, h_svd = kpca_dense_eig(G, s)
+    assert [b.tobytes() for b in buffers] == before
+    A = _dense(G)
+    w, V = np.linalg.eigh(A)
+    w, V = w[::-1], V[:, ::-1]
+    np.testing.assert_allclose(pairs.values, w[:s], rtol=1e-12)
+    # the gap after the s-th value is clear, so the subspaces agree
+    assert w[s - 1] - w[s] > 1e-3 * w[0]
+    cosines = np.linalg.svd(V[:, :s].T @ pairs.vectors, compute_uv=False)
+    assert cosines.min() >= 1.0 - 1e-10
+    assert dual_cost(A, h_svd, ObjectiveSpec("square")) == pytest.approx(
+        -0.5 * pairs.values.sum(), rel=1e-10)
+
+
+@pytest.mark.parametrize("s", [0, -1, 5])
+@pytest.mark.parametrize("baseline", [
+    lambda G, s: kpca_dense_eig(G, s),
+    lambda G, s: rsvd(G, s),
+    lambda G, s: rsvd_adaptive(G, s, 1e-6),
+    lambda G, s: rsvd_adaptive(G, s, 1e-6, top_eigs=np.ones(max(s, 0))),
+], ids=["kpca_dense_eig", "rsvd", "rsvd_adaptive", "rsvd_adaptive-oracle-given"])
+def test_baselines_refuse_s_outside_one_to_n(baseline, s):
+    # n = 3: s = 5 is n + 2
+    with pytest.raises(KpcaError, match=f"1 <= s <= n, got s={s} for n=3"):
+        baseline(np.diag([3.0, 2.0, 1.0]), s)
 
 
 def test_rsvd_exact_rank_recovery():

@@ -473,7 +473,8 @@ def test_every_command_is_deterministic(tmp_path):
     # each command twice with the same seed: the same bytes, wall-clock
     # fields aside; solve and robust fit float32 Grams, the rest float64 ones
     from scipy import sparse
-    from dckpca import Dataset, serialize_libsvm
+    from dckpca import Dataset
+    from oracles import serialize_libsvm
     data = tmp_path / "train.csv"
     write_csv_dataset(data, n=150, d=4, seed=3)
     libsvm = tmp_path / "train.libsvm"
@@ -732,7 +733,8 @@ def test_input_flag_the_input_does_not_read_is_usage_error(tmp_path, capsys, com
     # a given flag counts even when its value is falsy (--synth-n 0,
     # --label-col 0); the refusal comes before any output is written
     from scipy import sparse
-    from dckpca import Dataset, serialize_libsvm
+    from dckpca import Dataset
+    from oracles import serialize_libsvm
     ds = write_csv_dataset(tmp_path / "t.csv", d=3)
     X = sparse.random(40, 6, density=0.5, format="csr",
                       random_state=np.random.default_rng(2))

@@ -4,12 +4,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dckpca import (KpcaError, ObjectiveSpec, SingularMatrixError,
-                    check_critical_point, dual_residual, grad_pi,
+                    dual_residual, grad_pi,
                     optimal_dual_cost, pi, psi_star_value, sym_eig_small)
 from dckpca.baselines import kpca_dense_eig
 from dckpca.dual_core import check_floor
 
-from oracles import dense_top_eigs, fd_grad, nuclear_norm, psd_sqrt
+from oracles import check_critical_point, dense_top_eigs, fd_grad, nuclear_norm, psd_sqrt
 
 
 def dual_cost(G, H, objective):

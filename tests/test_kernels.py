@@ -85,9 +85,9 @@ def test_sigma_rule_scaling():
 
 
 def test_sigma_rule_sparse_matches_dense():
-    from dckpca import parse_libsvm, serialize_libsvm
+    from dckpca import parse_libsvm
     ds = gen_synth_gaussian(25, 5, 8)
-    sparse_ds = parse_libsvm(serialize_libsvm(Dataset(ds.values, np.zeros(25))))
+    sparse_ds = parse_libsvm(oracles.serialize_libsvm(Dataset(ds.values, np.zeros(25))))
     assert sigma_rule(sparse_ds) == pytest.approx(sigma_rule(ds), rel=1e-12)
 
 

@@ -12,6 +12,7 @@ from scipy import sparse
 from dckpca import (CenteringStats, Dataset, KernelSpec, ObjectiveSpec, center_gram,
                     gen_synth_gaussian, gram, kernel_rows)
 from dckpca import model
+from dckpca.baselines import kpca_dense_eig
 from dckpca.objectives import parse_objective
 from dckpca.solvers import SolveConfig
 
@@ -85,6 +86,19 @@ def test_centering_a_float32_gram_reads_its_stats_only(traced):
     assert np.shares_memory(gc.entries, gm.entries)
     assert gm.entries.tobytes() == before
     assert peak < 64 * 1024
+
+
+def test_dense_eig_of_a_centered_float32_gram_holds_one_float64_buffer(traced):
+    # _dense's float64 matrix is all the n^2 memory: LAPACK decomposes it in
+    # place, beside an n^2 bool finiteness mask and the n x s vectors. A first
+    # call loads scipy.linalg, so that its ~2 MB of module objects go uncounted.
+    n = 1000
+    gc = center_gram(gram(gen_synth_gaussian(n, 5, 2), KernelSpec("gaussian", 2.0),
+                          dtype=np.float32))
+    kpca_dense_eig(np.eye(2), 1)
+    (pairs, _), peak = _traced_peak(lambda: kpca_dense_eig(gc, 10))
+    assert pairs.values.shape == (10,)
+    assert peak <= 1.25 * 8 * n * n
 
 
 def test_fit_of_a_precomputed_gram_never_copies_it(traced):

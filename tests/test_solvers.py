@@ -4,14 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dckpca import (GramMatrix, KernelSpec, ObjectiveSpec, SingularMatrixError,
-                    center_gram, check_critical_point, dca_solve, fit,
+                    center_gram, dca_solve, fit,
                     gen_synth_gaussian, gram, kappa_max, lbfgs_solve,
                     parse_objective, solvers)
 from dckpca.baselines import _dense
 from dckpca.kernels import gram_product
 from dckpca.solvers import SolveConfig
 
-from oracles import dense_top_eigs, dual_cost, plain_dca, prox_psi_independent
+from oracles import (check_critical_point, dense_top_eigs, dual_cost, plain_dca,
+                     prox_psi_independent)
 
 
 def centered_gram(n=120, d=5, seed=0, sigma=1.5):
