@@ -9,6 +9,8 @@ from .dual_core import check_components, dual_residual
 from .errors import ToleranceUnreachableError
 from .kernels import GramMatrix, _panels, gram_product
 
+OVERSAMPLES = 10  # rsvd's default p, and the first p of rsvd_adaptive
+
 
 @dataclass(frozen=True)
 class EigPairs:
@@ -58,7 +60,7 @@ def kpca_dense_eig(G, s: int):
     return pairs, h_from_pairs(pairs)
 
 
-def rsvd(G, s: int, p: int = 10, q: int = 2, seed=0) -> EigPairs:
+def rsvd(G, s: int, p: int = OVERSAMPLES, q: int = 2, seed=0) -> EigPairs:
     """Randomized range finder for the top-s eigenpairs of symmetric G.
 
     Sketches with an n x (s+p) seeded Gaussian test matrix, runs q symmetric
@@ -70,9 +72,8 @@ def rsvd(G, s: int, p: int = 10, q: int = 2, seed=0) -> EigPairs:
         raise ValueError("oversamples and power iterations must be >= 0")
     n = G.shape[0]
     check_components(s, n)
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     k = min(s + p, n)
-    Omega = rng.standard_normal((n, k))
+    Omega = np.random.default_rng(seed).standard_normal((n, k))
     Q, _ = np.linalg.qr(gram_product(G, Omega))
     for _ in range(q):
         Q, _ = np.linalg.qr(gram_product(G, Q))
@@ -82,28 +83,25 @@ def rsvd(G, s: int, p: int = 10, q: int = 2, seed=0) -> EigPairs:
     return EigPairs(w[order], Q @ W[:, order])
 
 
-def rsvd_adaptive(G, s: int, delta: float, seed=0, top_eigs=None, q: int = 2,
-                  p_start: int = 10, collect=None):
+def rsvd_adaptive(G, s: int, delta: float, seed=0, *, top_eigs, q: int = 2,
+                  collect=None):
     """Grow the oversampling p until the dual residual of the sketched
     solution drops below ``delta``; returns (pairs, p_used).
 
     The sketch width s + p cannot exceed n, so p is capped at
-    ``cap = max(n - s, 0)``. The schedule is ``min(p_start, cap)``, then
-    ``p = min(2p, cap)`` (from 1 when p is 0): p_start * 2^k until the next
-    doubling would pass the cap, then the cap itself.
+    ``cap = max(n - s, 0)``. The schedule is ``min(OVERSAMPLES, cap)``, then
+    ``p = min(2p, cap)``: 10 * 2^k until the next doubling would pass the
+    cap, then the cap itself.
     ``ToleranceUnreachableError`` is raised only after the attempt at p = cap
     has missed ``delta``. At the cap the sketch spans R^n, so the residual is
     round-off and only a ``delta`` at or below it (e.g. 0) is unreachable.
 
-    ``top_eigs`` are the exact top-s eigenvalues of G (the eta oracle),
-    computed once by ``kpca_dense_eig`` when not given.
+    ``top_eigs`` are the exact top-s eigenvalues of G (the eta oracle).
     """
     n = G.shape[0]
-    if top_eigs is None:
-        top_eigs = kpca_dense_eig(G, s)[0].values
     rng = np.random.default_rng(seed)
     cap = max(n - s, 0)
-    p = min(p_start, cap)
+    p = min(OVERSAMPLES, cap)
     while True:
         pairs = rsvd(G, s, p=p, q=q, seed=rng)
         eta = dual_residual(G, h_from_pairs(pairs), top_eigs)
@@ -115,4 +113,4 @@ def rsvd_adaptive(G, s: int, delta: float, seed=0, top_eigs=None, q: int = 2,
             raise ToleranceUnreachableError(
                 f"rsvd_adaptive: eta {eta:.3e} >= delta {delta:.3e} at oversampling cap p={p}"
             )
-        p = min(max(2 * p, 1), cap)
+        p = min(2 * p, cap)

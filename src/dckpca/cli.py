@@ -154,6 +154,8 @@ def _read_input(args):
         n, d = args.default_synth
         n = n if args.synth_n is None else args.synth_n
         d = d if args.synth_d is None else args.synth_d
+        _check_count("--synth-n", n)
+        _check_count("--synth-d", d)
         return data_io.gen_synth_gaussian(n, d, args.seed), spec, None
     if args.task == "libsvm":
         with open(args.data) as fh:
@@ -320,11 +322,8 @@ def _cmd_spectrum(args):
 # ---------------------------------------------------------------- robust
 
 def _split_indices(n, test_frac, labels, rng):
-    """Seeded train/test split, stratified when labels exist."""
-    if labels is None:
-        perm = rng.permutation(n)
-        k = int(np.floor(test_frac * n))
-        return np.sort(perm[k:]), np.sort(perm[:k])
+    """Seeded train/test split, stratified by label; unlabelled rows are one class."""
+    labels = np.zeros(n) if labels is None else labels
     test = []
     for value in np.unique(labels):
         members = np.flatnonzero(labels == value)
@@ -516,11 +515,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_count("--seed", args.seed, low=0)  # every command takes one
         return args.func(args)
     except _Usage as exc:
         print(f"dckpca: error: {exc}", file=sys.stderr)
         return USAGE_EXIT
-    except (DataError, FileNotFoundError) as exc:  # DataError before KpcaError
+    except (DataError, OSError) as exc:  # DataError before KpcaError
         print(f"dckpca: data error: {exc}", file=sys.stderr)
         return DATA_EXIT
     except (KpcaError, np.linalg.LinAlgError) as exc:

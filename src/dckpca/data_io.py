@@ -140,9 +140,7 @@ class Dataset:
     def take_rows(self, idx) -> "Dataset":
         idx = np.asarray(idx)
         labels = None if self.labels is None else self.labels[idx]
-        if self.is_sparse:
-            return Dataset(self.values[idx], labels)
-        return Dataset(self.values[idx].copy(), labels)
+        return Dataset(self.values[idx], labels)  # indexing copies either format
 
 
 def parse_libsvm(source, d: int | None = None) -> Dataset:
@@ -180,6 +178,8 @@ def parse_libsvm(source, d: int | None = None) -> Dataset:
                 raise DataError(f"line {lineno}: malformed token {tok!r}") from None
             if not math.isfinite(val):
                 raise DataError(f"line {lineno}: non-finite value {tok!r}")
+            if idx < 1:
+                raise DataError(f"line {lineno}: index below 1 at {tok!r}")
             if idx <= prev:
                 raise DataError(f"line {lineno}: non-ascending index at {tok!r}")
             prev = idx

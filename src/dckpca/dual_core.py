@@ -26,9 +26,10 @@ class SpectralDecomp:
     U: np.ndarray
     lam: np.ndarray
 
-    def apply(self, fn) -> np.ndarray:
-        """The spectral function U' diag(fn(lam)) U."""
-        return self.U.T @ (fn(self.lam)[:, None] * self.U)
+    def inv_sqrt(self) -> np.ndarray:
+        """M^(-1/2) = U' diag(lam^(-1/2)) U: the one map of grad_pi, DCA's step
+        and a model's coefficients."""
+        return self.U.T @ ((1.0 / np.sqrt(self.lam))[:, None] * self.U)
 
     def trace_sqrt(self) -> float:
         """Tr sqrt(M), negative round-off eigenvalues clamped to zero."""
@@ -108,7 +109,7 @@ def check_floor(lam, singular_hint: str | None = None, rounding: float = 0.0) ->
 def grad_pi(G, H):
     """Gradient of pi at H together with the decomposition of H'GH.
 
-    grad = GH U' diag(1/sqrt(lam)) U (GH by ``gram_product``: in single
+    grad = GH (H'GH)^(-1/2) (GH by ``gram_product``: in single
     precision on a float32 Gram), which requires every eigenvalue of H'GH
     to sit above the floor (``check_floor`` at the rounding of that
     product). Below the floor the call fails loudly: the gradient is not
@@ -116,8 +117,7 @@ def grad_pi(G, H):
     """
     GH, dec = _small_eig(G, H)
     check_floor(dec.lam, rounding=product_rounding(G))
-    grad = GH @ dec.apply(lambda lam: 1.0 / np.sqrt(lam))
-    return grad, dec
+    return GH @ dec.inv_sqrt(), dec
 
 
 def optimal_dual_cost(top_eigs: np.ndarray) -> float:

@@ -170,9 +170,8 @@ def product_rounding(G) -> float:
     epsilon of the precision it runs in times sqrt(n), the typical growth of
     rounding over a length-n sum. An s x s matrix H'GH formed from it is
     known only to within about this fraction of its largest eigenvalue."""
-    E = G.entries if isinstance(G, GramMatrix) else np.asarray(G)
-    dtype = np.float32 if E.dtype == np.float32 else np.float64
-    return float(np.finfo(dtype).eps) * float(np.sqrt(E.shape[0]))
+    dtype = G.entries.dtype if isinstance(G, GramMatrix) else np.float64  # arrays: as read
+    return float(np.finfo(dtype).eps) * float(np.sqrt(np.shape(G)[0]))
 
 
 def _tiles(n):

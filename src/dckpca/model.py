@@ -60,7 +60,7 @@ class KpcaModel:
         except SingularMatrixError as exc:
             raise UnprojectableModelError(
                 f"{exc}: the fitted model cannot project") from exc
-        A = self.H @ self.decomp.apply(lambda lam: 1.0 / np.sqrt(lam))
+        A = self.H @ self.decomp.inv_sqrt()
         A.setflags(write=False)
         object.__setattr__(self, "coefficients", A)
 
@@ -193,8 +193,6 @@ def recover_primal_coefficients(model: KpcaModel) -> np.ndarray:
 def _check_query(model: KpcaModel, X) -> None:
     if model.train_data is None:
         raise KpcaError("model has no training data attached; call attach_training_data")
-    if model.kernel_spec.family == "precomputed":
-        raise KpcaError("precomputed-kernel models cannot project new points")
     values = X.data if sparse.issparse(X) else np.asarray(X, dtype=float)
     if not np.isfinite(values).all():
         raise DataError("query rows contain a non-finite value")

@@ -171,6 +171,13 @@ def prox_psi_star(spec: ObjectiveSpec, Y: np.ndarray) -> np.ndarray:
     return Y * scale[:, None]
 
 
+def _huber_gauge(kind: str, H: np.ndarray) -> float:
+    """Dual-ball gauge: max |h_ij| (huber_l1) or sum_i ||h_i|| (huber_row2)."""
+    if kind == "huber_l1":
+        return float(np.max(np.abs(H))) if H.size else 0.0
+    return float(row_norms(H).sum())
+
+
 def psi_star_value(spec: ObjectiveSpec, H: np.ndarray) -> float:
     """Psi*(H): 0 for square; ball indicator for Huber kinds (with relative
     feasibility slack); eps times the dual norm for eps kinds."""
@@ -179,12 +186,9 @@ def psi_star_value(spec: ObjectiveSpec, H: np.ndarray) -> float:
     if spec.kind == "square":
         return 0.0
     H = np.asarray(H, dtype=float)
-    if spec.kind == "huber_l1":
-        gauge = float(np.max(np.abs(H))) if H.size else 0.0
-        return 0.0 if gauge <= spec.kappa * (1.0 + BALL_FEASIBILITY_RTOL) else np.inf
-    if spec.kind == "huber_row2":
-        gauge = float(row_norms(H).sum())
-        return 0.0 if gauge <= spec.kappa * (1.0 + BALL_FEASIBILITY_RTOL) else np.inf
+    if spec.kind in HUBER_KINDS:
+        inside = _huber_gauge(spec.kind, H) <= spec.kappa * (1.0 + BALL_FEASIBILITY_RTOL)
+        return 0.0 if inside else np.inf
     if spec.kind == "eps_linf":
         return spec.eps * float(np.sum(np.abs(H)))
     return spec.eps * float(row_norms(H).sum())
@@ -196,8 +200,7 @@ def kappa_max(kind: str, H_sq: np.ndarray) -> float:
     the Huber problem collapse onto the square one)."""
     if kind not in HUBER_KINDS:
         raise KpcaError(f"kappa_max is defined for Huber kinds, not {kind!r}")
-    H_sq = np.asarray(H_sq, dtype=float)
-    gauge = float(np.max(np.abs(H_sq))) if kind == "huber_l1" else float(row_norms(H_sq).sum())
+    gauge = _huber_gauge(kind, np.asarray(H_sq, dtype=float))
     if gauge == 0.0:
         raise KpcaError("kappa_max undefined for a zero square-loss solution")
     return gauge

@@ -51,6 +51,8 @@ class SolveConfig:
             raise KpcaError("tol must be positive")
         if self.max_iters is not None and self.max_iters < 1:
             raise KpcaError(f"max_iters must be >= 1, got {self.max_iters}")
+        if self.seed < 0:
+            raise KpcaError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -357,7 +359,7 @@ def dca_solve(G, s: int, objective: ObjectiveSpec, config: SolveConfig | None = 
         last = None
         while True:
             trace.record(cost, square_cost)
-            T = prox_psi_star(objective, GH @ dec.apply(lambda lam: 1.0 / np.sqrt(lam)))
+            T = prox_psi_star(objective, GH @ dec.inv_sqrt())
             g = T - H
             g_sq = float(np.vdot(g, g))
             termination = _stop(trace, math.sqrt(g_sq) / float(np.linalg.norm(H)))

@@ -85,9 +85,8 @@ def test_dense_eig_subset_matches_the_full_spectrum_and_writes_no_input(form):
 @pytest.mark.parametrize("baseline", [
     lambda G, s: kpca_dense_eig(G, s),
     lambda G, s: rsvd(G, s),
-    lambda G, s: rsvd_adaptive(G, s, 1e-6),
     lambda G, s: rsvd_adaptive(G, s, 1e-6, top_eigs=np.ones(max(s, 0))),
-], ids=["kpca_dense_eig", "rsvd", "rsvd_adaptive", "rsvd_adaptive-oracle-given"])
+], ids=["kpca_dense_eig", "rsvd", "rsvd_adaptive-oracle-given"])
 def test_baselines_refuse_s_outside_one_to_n(baseline, s):
     # n = 3: s = 5 is n + 2
     with pytest.raises(KpcaError, match=f"1 <= s <= n, got s={s} for n=3"):
@@ -172,18 +171,18 @@ def test_rsvd_adaptive_tolerance_unreachable():
         rsvd_adaptive(G, 4, 0.0, seed=3, top_eigs=dense_top_eigs(G, 4))
 
 
-@pytest.mark.parametrize("p_start, schedule", [(10, [7]), (0, [0, 1, 2, 4, 7])])
-def test_rsvd_adaptive_schedule_ends_at_small_cap(p_start, schedule):
-    # n - s = 7: p never passes the cap, and a zero start still grows
+def test_rsvd_adaptive_schedule_ends_at_small_cap():
+    # n - s = 7: p starts at the cap, below the fixed start of 10
     G = random_psd(12, 10)
     trace = []
     with pytest.raises(ToleranceUnreachableError, match="p=7"):
-        rsvd_adaptive(G, 5, 0.0, seed=5, p_start=p_start, collect=trace)
-    assert [p for p, _ in trace] == schedule
+        rsvd_adaptive(G, 5, 0.0, seed=5, top_eigs=dense_top_eigs(G, 5), collect=trace)
+    assert [p for p, _ in trace] == [7]
 
 
-def test_rsvd_adaptive_computes_oracle_when_missing():
-    G = random_psd(60, 9, rank=5)
-    pairs, p_used = rsvd_adaptive(G, 5, 1e-6, seed=4)
-    assert p_used >= 10
-    assert dual_residual(G, h_from_pairs(pairs), dense_top_eigs(G, 5)) < 1e-6
+def test_rsvd_adaptive_takes_its_oracle_by_keyword_only():
+    G = random_psd(12, 10)
+    with pytest.raises(TypeError):
+        rsvd_adaptive(G, 5, 1e-6)
+    with pytest.raises(TypeError):
+        rsvd_adaptive(G, 5, 1e-6, 0, dense_top_eigs(G, 5))

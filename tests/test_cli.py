@@ -749,3 +749,114 @@ def test_input_flag_the_input_does_not_read_is_usage_error(tmp_path, capsys, com
     assert rc == 1
     assert f"dckpca: error: {flag} " in capsys.readouterr().err
     assert not out.exists()
+
+
+SEED_COMMANDS = {**KERNEL_COMMANDS,
+                 "spectrum": ["spectrum", "--n", "30", "--components", "2"]}
+
+
+@pytest.mark.parametrize("command", SEED_COMMANDS)
+def test_negative_seed_is_usage_error_in_every_command(tmp_path, capsys, command):
+    # numpy's generators take no negative seed: it is refused before any work
+    data = tmp_path / "t.csv"
+    write_csv_dataset(data, d=3)
+    assert main([a.format(csv=data) for a in SEED_COMMANDS[command]] +
+                ["--seed", "-1", "--out", str(tmp_path / "out")]) == 1
+    assert "dckpca: error: --seed must be >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flag", ["--synth-n", "--synth-d"])
+@pytest.mark.parametrize("command", ["bench", "robust", "sparse"])
+def test_empty_synthetic_dataset_is_usage_error_naming_its_flag(tmp_path, capsys,
+                                                                command, flag):
+    argv = list(KERNEL_COMMANDS[command])
+    argv[argv.index(flag) + 1] = "0"
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+    assert f"dckpca: error: {flag} must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--data", "{csv}", "--components", "2", "--out", "{dir}"],
+    ["solve", "--data", "{csv}", "--components", "2", "--out", "{dir}/m",
+     "--report", "{dir}"],
+    ["bench", "--synth-n", "40", "--components", "2", "--solvers", "eig", "--out", "{dir}"],
+    ["solve", "--data", "{dir}", "--components", "2", "--out", "{dir}/m"],
+    ["robust", "--data", "{dir}", "--format", "libsvm", "--out", "{dir}/r"],
+    ["bench", "--data", "{dir}", "--format", "gram", "--out", "{dir}/b"],
+], ids=["solve-out", "solve-report", "bench-out", "csv-data", "libsvm-data",
+        "gram-data"])
+def test_a_directory_as_a_file_is_data_error_naming_it(tmp_path, capsys, argv):
+    target = tmp_path / "adir"
+    target.mkdir()
+    write_csv_dataset(tmp_path / "t.csv", d=3)
+    assert main([a.format(csv=tmp_path / "t.csv", dir=target) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("dckpca: data error: ") and str(target) in err
+
+
+def test_unlabelled_split_is_one_permutation():
+    # the split of unlabelled rows is the stratified split of one class:
+    # the same indices, from the same draw, as the permutation it replaces
+    from dckpca.cli import _split_indices
+    for n in (1, 2, 7, 40, 150, 1001):
+        for frac in (0.2, 0.5, 0.01):
+            ref, rng = np.random.default_rng(n), np.random.default_rng(n)
+            perm, k = ref.permutation(n), int(np.floor(frac * n))
+            train, test = _split_indices(n, frac, None, rng)
+            assert np.array_equal(train, np.sort(perm[k:]))
+            assert np.array_equal(test, np.sort(perm[:k])) and test.dtype == perm.dtype
+            assert rng.bit_generator.state == ref.bit_generator.state  # same draws
+
+
+@pytest.mark.parametrize("source", ["synth", "csv-labels", "libsvm"])
+def test_robust_equals_a_cell_by_cell_reference(tmp_path, capsys, source):
+    # each cell is take_rows, contaminate, fit and reconstruction_error on
+    # the split the command draws, written with repr precision
+    import io
+    from scipy import sparse
+    from dckpca import (Dataset, KernelSpec, contaminate, fit, format_objective,
+                        parse_libsvm, parse_objective, reconstruction_error)
+    from dckpca.cli import _split_indices
+    from dckpca.data_io import load_csv
+    from dckpca.solvers import SolveConfig
+    from oracles import serialize_libsvm
+    if source == "synth":
+        argv, base = ["--synth-n", "60", "--synth-d", "3"], gen_synth_gaussian(60, 3, 4)
+    elif source == "csv-labels":
+        write_csv_dataset(tmp_path / "t.csv", n=60, d=3, seed=9, labels=True)
+        argv = ["--data", str(tmp_path / "t.csv"), "--label-col", "3"]
+        base = load_csv(tmp_path / "t.csv", label_col=3)
+    else:
+        X = sparse.random(60, 12, density=0.3, format="csr",
+                          random_state=np.random.default_rng(5))
+        labels = np.arange(60) % 2
+        (tmp_path / "t.libsvm").write_text(serialize_libsvm(Dataset(X, labels)))
+        argv = ["--data", str(tmp_path / "t.libsvm"), "--format", "libsvm"]
+        with open(tmp_path / "t.libsvm") as fh:
+            base = parse_libsvm(fh)
+        assert base.is_sparse
+    objectives = ["square", "huber1:xmax:0.6", "huber2:xmax:0.8"]
+    out = tmp_path / "robust.csv"
+    assert main(["robust", *argv, "--sigma", "2.0", "--components", "2",
+                 "--objectives", ",".join(objectives), "--omega", "0.1",
+                 "--tau-grid", "10,50", "--seed", "4", "--out", str(out)]) == 0
+    capsys.readouterr()
+
+    train_idx, test_idx = _split_indices(base.n, 0.2, base.labels,
+                                         np.random.default_rng(4))
+    train, test = base.take_rows(train_idx), base.take_rows(test_idx)
+    expected = io.StringIO()
+    w = csv.writer(expected)
+    w.writerow(["tau", "objective", "reconstruction_error", "kappa", "iterations",
+                "termination"])
+    for tau in (10.0, 50.0):
+        noisy = contaminate(train, 0.1, tau, 4)
+        for text in objectives:
+            m = fit(noisy, KernelSpec("gaussian", 2.0), parse_objective(text), 2,
+                    SolveConfig(seed=4))
+            kappa = "" if text == "square" else repr(m.objective.kappa)
+            w.writerow([repr(tau), format_objective(parse_objective(text)),
+                        repr(reconstruction_error(m, test)), kappa,
+                        str(m.report.iterations), m.report.termination])
+    assert out.read_bytes().decode() == expected.getvalue()

@@ -28,6 +28,26 @@ def test_parse_libsvm_non_ascending():
         parse_libsvm("1 3:1 2:1")
 
 
+@pytest.mark.parametrize("token", ["0:1.5", "-2:1.0"])
+def test_parse_libsvm_index_below_one(token):
+    # indices are 1-based: 0 or a negative index is not a misordered one
+    with pytest.raises(DataError, match=f"line 2: index below 1 at '{token}'"):
+        parse_libsvm(f"1 1:1\n1 {token} 3:2")
+
+
+def test_take_rows_copies_dense_and_csr_rows_with_their_labels():
+    from scipy import sparse
+    X = np.arange(12.0).reshape(4, 3)
+    for values in (X, sparse.csr_matrix(X)):
+        ds = Dataset(values, np.array([0.0, 1.0, 2.0, 3.0]))
+        part = ds.take_rows(np.array([3, 1]))
+        assert part.is_sparse == ds.is_sparse
+        assert np.array_equal(dense(part), X[[3, 1]])
+        assert np.array_equal(part.labels, [3.0, 1.0])
+        buf = lambda d: d.values.data if d.is_sparse else d.values
+        assert not np.shares_memory(buf(part), buf(ds))
+
+
 def test_parse_libsvm_malformed_and_line_numbers():
     with pytest.raises(DataError, match="line 2"):
         parse_libsvm("1 1:1\n1 2:abc")

@@ -92,6 +92,17 @@ def test_grad_pi_toy_and_fixed_point():
     assert np.allclose(g2, [[2.0], [0.0]], atol=1e-12)
 
 
+def test_grad_pi_reads_a_float32_array_as_float64():
+    # the product takes any array as float64, so the floor check's rounding
+    # is float64's: -1e-9 of lam_max is beyond it, and H'GH is indefinite
+    from dckpca.kernels import product_rounding
+    G = np.diag([1.0, -1e-9])
+    assert product_rounding(G.astype(np.float32)) == product_rounding(G)
+    for A in (G, G.astype(np.float32)):
+        with pytest.raises(SingularMatrixError, match="indefinite"):
+            grad_pi(A, np.eye(2))
+
+
 def test_grad_pi_matches_finite_differences():
     for seed in range(6):
         rng = np.random.default_rng(seed)

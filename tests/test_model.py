@@ -53,6 +53,17 @@ def test_primal_coefficients_toy():
     assert (np.array([4.0, 0.0]) @ A).item() == pytest.approx(2.0)
 
 
+def test_a_precomputed_model_refuses_new_points_in_the_kernel(small_fit):
+    # training data attached, so the refusal is the kernel evaluation's own
+    from dckpca import KpcaError
+    ds, spec, _ = small_fit
+    m = fit(ds, KernelSpec("precomputed"), ObjectiveSpec("square"), 2,
+            gram_matrix=gram(ds, spec))
+    for call in (project, reconstruction_error):
+        with pytest.raises(KpcaError, match="precomputed kernels cannot evaluate"):
+            call(m, ds.values if call is project else ds)
+
+
 def test_primal_coefficients_feasibility(small_fit):
     ds, spec, m = small_fit
     Gc = center_gram(gram(ds, spec))
@@ -404,7 +415,7 @@ def _reference_projection(m, Q):
         arg = d2 if spec.family == "gaussian" else np.sqrt(d2)
         K = np.exp(-arg / (2.0 * spec.sigma ** 2))
     Kc = K - K.mean(axis=1)[:, None] - m.stats.col_means + m.stats.grand_mean
-    return Kc @ (m.H @ m.decomp.apply(lambda lam: 1.0 / np.sqrt(lam)))
+    return Kc @ (m.H @ m.decomp.inv_sqrt())
 
 
 @pytest.mark.parametrize("layout", ["dense", "csr"])

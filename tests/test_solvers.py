@@ -299,6 +299,31 @@ def test_solve_config_validation():
         SolveConfig(tol=0.0)
 
 
+def test_solve_config_rejects_a_negative_seed():
+    # numpy's generators take no negative seed
+    from dckpca import KpcaError
+    with pytest.raises(KpcaError, match="seed must be >= 0, got -1"):
+        SolveConfig(seed=-1)
+
+
+@pytest.mark.parametrize("solve", [lbfgs_solve,
+                                   lambda G, s, cfg, h0: dca_solve(
+                                       G, s, ObjectiveSpec("square"), cfg, h0)],
+                         ids=["subspace", "dca"])
+def test_a_stationary_point_below_the_optimum_stops_as_gradient(solve):
+    # h0 = e2 is an eigenvector of G but not the top one: the residual is 0
+    # and eta = |-0.5 - (-2)| / 2 = 0.75 stays above tol, so benchmark mode
+    # stops at once. DCA's map fixes e2 at the init; the subspace solver
+    # takes its one Ritz step on span[e2, G e2] = span[e2] first
+    G = np.diag([4.0, 1.0, 0.5])
+    h0 = np.array([[0.0], [1.0], [0.0]])
+    H, rep = solve(G, 1, SolveConfig(benchmark_eigs=[4.0]), h0)
+    assert rep.termination == "gradient"
+    assert rep.iterations == (1 if solve is lbfgs_solve else 0)
+    assert rep.eta_trace[-1] == 0.75
+    assert np.array_equal(np.abs(H), h0)
+
+
 @pytest.mark.parametrize("max_iters", [0, -3])
 def test_solve_config_rejects_max_iters_below_one(max_iters):
     # it would return the seeded init unchanged, terminated at "max_iters"
