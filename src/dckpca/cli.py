@@ -490,7 +490,8 @@ def build_parser() -> _Parser:
     pr.add_argument("--objectives",
                     default="square,huber1:xmax:0.6,huber2:xmax:0.8")
     pr.add_argument("--omega", type=float, default=0.08)
-    pr.add_argument("--tau-grid", type=_list_of(float), default=[10, 25, 50, 75, 100])
+    pr.add_argument("--tau-grid", type=_list_of(float),
+                    default=[10.0, 25.0, 50.0, 75.0, 100.0])
     pr.add_argument("--test-split", type=float, default=0.2)
     pr.add_argument("--tol", type=float, default=1e-6,
                     help="solver tolerance, as for solve")

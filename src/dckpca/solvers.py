@@ -31,7 +31,7 @@ DCA_DEFAULT_MAX_ITERS = 1000
 # Differences of the DCA map kept for its Anderson step. Depth 5 took no fewer
 # products with G on twelve robust-libsvm inputs (501 against 495).
 ANDERSON_DEPTH = 3
-REPORT_VERSION = "dckpca/2"
+REPORT_VERSION = "dckpca/3"
 
 
 @dataclass
@@ -58,8 +58,8 @@ class SolveConfig:
 @dataclass
 class SolveReport:
     """What a solve did: ``iterations`` after the init (``cost_trace[0]``),
-    ``products`` with G, and Anderson candidates DCA ``rejected`` (0 for the
-    subspace solver)."""
+    ``products`` with G, Anderson candidates DCA ``rejected`` (0 for the
+    subspace solver), and the ``tol`` that ``_stop`` compared against."""
 
     iterations: int
     cost_trace: list
@@ -68,6 +68,7 @@ class SolveReport:
     termination: str
     products: int
     rejected: int
+    tol: float
     presolve: "SolveReport | None" = None
 
     def to_dict(self) -> dict:
@@ -82,6 +83,7 @@ class SolveReport:
             "termination": self.termination,
             "products": self.products,
             "rejected": self.rejected,
+            "tol": self.tol,
         }
         if self.presolve is not None:
             out["presolve"] = self.presolve.to_dict()
@@ -189,7 +191,7 @@ def _solve(G, s, cfg, h0, default_max_iters, loop):
             raise SingularMatrixError(f"{label}, iteration {len(trace.costs)}: {exc}") from exc
         return H, SolveReport(len(trace.costs) - 1, trace.costs, trace.etas,
                               time.perf_counter() - t0, termination,
-                              trace.products, trace.rejected)
+                              trace.products, trace.rejected, trace.tol)
 
     if h0 is not None:
         return attempt(h0, "h0")

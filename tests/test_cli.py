@@ -204,6 +204,37 @@ def test_solve_at_its_iteration_cap_warns_and_still_writes_the_model(tmp_path, c
     assert captured.err == ""
 
 
+def test_max_iters_caps_the_presolve_at_its_derived_tol(tmp_path, capsys):
+    # CSR samples as in the robust-libsvm benchmark (n=300): the pre-solve
+    # needs 6 steps to its tol 0.1 sqrt(1e-6) = 1e-4, so a cap of 4 stops it
+    # and names it on stderr; uncapped it stops there, short of the 10 steps
+    # a square-loss solve takes to the fit's own tol
+    from dckpca import Dataset
+    from oracles import serialize_libsvm
+    from scipy import sparse
+    rng = np.random.default_rng(0)
+    X = np.where(rng.random((300, 100)) < 0.1, rng.random((300, 100)), 0.0)
+    data = tmp_path / "t.libsvm"
+    data.write_text(serialize_libsvm(Dataset(sparse.csr_matrix(X))))
+    base = ["solve", "--data", str(data), "--format", "libsvm", "--kernel",
+            "gaussian", "--sigma", "4", "--components", "20", "--tol", "1e-6",
+            "--out", str(tmp_path / "m.dk")]
+    assert main(base + ["--objective", "huber2:xmax:0.8", "--max-iters", "4"]) == 0
+    captured = capsys.readouterr()
+    presolve = json.loads(captured.out)["presolve"]
+    assert (presolve["termination"], presolve["iterations"]) == ("max_iters", 4)
+    assert presolve["tol"] == 0.1 * 1e-6 ** 0.5
+    assert captured.err.splitlines()[0] == (
+        "dckpca: warning: the xmax pre-solve stopped at its iteration cap (4) "
+        "before reaching --tol")
+    assert main(base + ["--objective", "huber2:xmax:0.8"]) == 0
+    presolve = json.loads(capsys.readouterr().out)["presolve"]
+    assert main(base + ["--objective", "square"]) == 0
+    square = json.loads(capsys.readouterr().out)
+    assert presolve["termination"] == square["termination"] == "tolerance"
+    assert 4 < presolve["iterations"] < square["iterations"]
+
+
 def test_solve_precomputed_gram(tmp_path, capsys):
     rng = np.random.default_rng(0)
     B = rng.standard_normal((25, 25))
@@ -317,6 +348,16 @@ def test_robust_omega_zero_objectives_agree(tmp_path, capsys):
     assert len(errs) == 3
     spread = (max(errs) - min(errs)) / min(errs)
     assert spread <= 0.01  # no outliers: near-identical errors
+
+
+def test_robust_default_tau_grid_writes_what_the_spelled_out_grid_writes(tmp_path):
+    base = ["robust", "--synth-n", "80", "--seed", "2"]
+    default, spelled = tmp_path / "default.csv", tmp_path / "spelled.csv"
+    assert main(base + ["--out", str(default)]) == 0
+    assert main(base + ["--tau-grid", "10,25,50,75,100", "--out", str(spelled)]) == 0
+    assert default.read_bytes() == spelled.read_bytes()
+    assert [row["tau"] for row in read_rows(default)][::3] == [
+        "10.0", "25.0", "50.0", "75.0", "100.0"]
 
 
 def test_robust_stratified_split_runs_with_labels(tmp_path, capsys):

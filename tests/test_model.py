@@ -7,11 +7,12 @@ from hypothesis.extra import numpy as hnp
 from dckpca import (CenteringStats, DataError, Dataset, KernelSpec, ObjectiveSpec,
                     UnprojectableModelError, attach_training_data, center_gram,
                     dca_solve, fit, gen_synth_gaussian, gram, kpca_dense_eig,
-                    load_model, project, reconstruction_error,
+                    lbfgs_solve, load_model, project, reconstruction_error,
                     recover_primal_coefficients, save_model, sparsity_metrics)
 from dckpca.baselines import _dense
 from dckpca.dual_core import SpectralDecomp
 from dckpca.model import KpcaModel, _gram_dtype, assemble_model
+from dckpca.objectives import kappa_max
 from dckpca.solvers import SolveConfig
 
 from oracles import dense_top_eigs
@@ -380,13 +381,47 @@ def test_project_non_finite_query_is_data_error(small_fit, bad):
 
 
 def test_fit_keeps_the_presolve_report():
+    # each report names the tol it stopped against: the fit's own, and
+    # 0.1 sqrt(tol) for the xmax pre-solve
     ds = gen_synth_gaussian(60, 4, 5)
     spec = KernelSpec("gaussian", 1.2)
-    m = fit(ds, spec, ObjectiveSpec("huber_row2", kappa_frac=0.8), 2, SolveConfig(seed=1))
-    assert m.report.presolve is not None
-    assert m.report.to_dict()["presolve"]["termination"] == "tolerance"
-    sq = fit(ds, spec, ObjectiveSpec("square"), 2, SolveConfig(seed=1))
-    assert sq.report.presolve is None and "presolve" not in sq.report.to_dict()
+    for tol in (1e-6, 1e-8):
+        m = fit(ds, spec, ObjectiveSpec("huber_row2", kappa_frac=0.8), 2,
+                SolveConfig(tol=tol, seed=1))
+        out = m.report.to_dict()
+        assert out["spec_version"] == out["presolve"]["spec_version"] == "dckpca/3"
+        assert out["presolve"]["termination"] == "tolerance"
+        assert out["tol"] == tol and out["presolve"]["tol"] == 0.1 * tol ** 0.5
+        sq = fit(ds, spec, ObjectiveSpec("square"), 2, SolveConfig(tol=tol, seed=1))
+        assert sq.report.tol == tol
+        assert sq.report.presolve is None and "presolve" not in sq.report.to_dict()
+
+
+def _robust_libsvm_like(n, seed):
+    """CSR samples as in the robust-libsvm benchmark: d=100, 10% density,
+    uniform values."""
+    from scipy import sparse
+    rng = np.random.default_rng(seed)
+    mask = rng.random((n, 100)) < 0.1
+    return Dataset(sparse.csr_matrix(np.where(mask, rng.random((n, 100)), 0.0)), None)
+
+
+@pytest.mark.parametrize("kind", ["huber_row2", "huber_l1"])
+@pytest.mark.parametrize("seed", range(4))
+def test_xmax_kappa_is_within_sqrt_tol_of_the_exact_gauge(kind, seed):
+    # the pre-solve stops at 0.1 sqrt(tol), not at tol: kappa_max then moves
+    # by at most 3.3e-4 relative on these inputs (1e-4 pre-solve tol), well
+    # inside sqrt(tol), the accuracy of the DCA solve it feeds; a pre-solve
+    # at 1e-2 moved it by 3.6e-3 to 3.7e-2
+    ds, spec = _robust_libsvm_like(600, seed), KernelSpec("gaussian", 4.0)
+    cfg = SolveConfig(seed=0)
+    m = fit(ds, spec, ObjectiveSpec(kind, kappa_frac=0.8), 20, cfg)
+    Gc = center_gram(gram(ds, spec, dtype=_gram_dtype(cfg)))
+    H_exact, _ = lbfgs_solve(Gc, 20, SolveConfig(tol=1e-12, seed=0))
+    assert m.kappa_max_value == pytest.approx(kappa_max(kind, H_exact),
+                                              rel=cfg.tol ** 0.5)
+    assert m.report.presolve.tol == 0.1 * cfg.tol ** 0.5
+    assert m.objective.kappa == 0.8 * m.kappa_max_value
 
 
 def _reference_projection(m, Q):
