@@ -26,11 +26,13 @@ from .solvers import SolveConfig, dca_solve, lbfgs_solve
 USAGE_EXIT, DATA_EXIT, NUMERIC_EXIT = 1, 2, 3
 
 
+class _Usage(Exception):
+    pass
+
+
 class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        sys.exit(USAGE_EXIT)
+    def error(self, message):  # main reports it, as every usage error
+        raise _Usage(message)
 
 
 def _fmt(x) -> str:
@@ -55,30 +57,44 @@ def _write_csv(path, header, rows):
             out.close()
 
 
-def _list_of(cast):
-    """An argparse type: a comma-separated list naming at least one ``cast``
-    value, each finite."""
+def _value(cast, ok, domain):
+    """An argparse type: one ``cast`` value for which ``ok`` holds; any other
+    text is refused as not ``domain``."""
     def parse(text):
-        try:
-            values = [cast(t) for t in text.split(",") if t.strip() != ""]
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"bad {cast.__name__} list {text!r}") from None
+        with contextlib.suppress(ValueError):
+            if ok(value := cast(text)):
+                return value
+        raise argparse.ArgumentTypeError(f"{text!r} is not {domain}")
+    return parse
+
+
+def _list_of(item):
+    """An argparse type: a comma-separated list naming at least one value,
+    each read by the type ``item``."""
+    def parse(text):
+        values = [item(t) for t in text.split(",") if t.strip()]
         if not values:
             raise argparse.ArgumentTypeError(f"{text!r} names no value")
-        if cast is float and not np.isfinite(values).all():
-            raise argparse.ArgumentTypeError(f"{text!r} holds a non-finite value")
         return values
     return parse
 
 
-def _sigma(text):
-    """The one reader of --sigma: 'auto' or a positive finite float."""
-    if text == "auto":
-        return text
-    with contextlib.suppress(ValueError):
-        if 0 < float(text) < np.inf:
-            return float(text)
-    raise argparse.ArgumentTypeError(f"{text!r} is not 'auto' or a positive finite bandwidth")
+def _objective(text):
+    try:
+        return parse_objective(text)
+    except KpcaError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+# each flag's domain, where it does not depend on the input
+_POSITIVE_INT = _value(int, lambda v: v >= 1, "an integer >= 1")
+_NONNEGATIVE_INT = _value(int, lambda v: v >= 0, "an integer >= 0")
+_POSITIVE = _value(float, lambda v: 0 < v < np.inf, "a positive finite number")
+_NONNEGATIVE = _value(float, lambda v: 0 <= v < np.inf, "a finite number >= 0")
+_SIGMA = _value(lambda t: t if t == "auto" else float(t),
+                lambda v: v == "auto" or 0 < v < np.inf,
+                "'auto' or a positive finite bandwidth")
+_BENCH_ROWS = ("eig", "rsvd", "lbfgs", "dca")
 
 
 def _add_input_flags(p, formats=("libsvm", "csv"), synth=None, kernel="gaussian",
@@ -99,27 +115,17 @@ def _add_input_flags(p, formats=("libsvm", "csv"), synth=None, kernel="gaussian"
                        help=f"columns of the synthetic dataset (default {synth[1]})")
     p.add_argument("--kernel", choices=("linear", "gaussian", "laplace"),
                    help=f"kernel family (default {kernel})")
-    p.add_argument("--sigma", type=_sigma,
+    p.add_argument("--sigma", type=_SIGMA,
                    help=f"gaussian/laplace bandwidth: a positive value or "
                         f"'auto' (default {sigma})")
     p.set_defaults(default_synth=synth, default_kernel=kernel, default_sigma=sigma)
 
 
-def _check_count(flag, value, low=1, high=None):
-    if value < low:
-        raise _Usage(f"{flag} must be >= {low}")
+def _check_count(flag, value, high=None):
+    if value < 1:
+        raise _Usage(f"{flag} must be >= 1")
     if high is not None and value > high:
         raise _Usage(f"{flag} must be <= {high}")
-
-
-def _check_positive(flag, value):
-    if not value > 0:  # NaN fails too
-        raise _Usage(f"{flag} must be positive")
-
-
-def _check_grid(flag, values, positive=False):
-    if not all(v > 0 if positive else v >= 0 for v in values):
-        raise _Usage(f"{flag} values must be {'positive' if positive else '>= 0'}")
 
 
 def _read_input(args):
@@ -171,16 +177,11 @@ def _read_input(args):
 # ---------------------------------------------------------------- solve
 
 def _cmd_solve(args):
-    with _usage_phase():
-        objective = parse_objective(args.objective)
-    _check_positive("--tol", args.tol)
-    if args.max_iters is not None:
-        _check_count("--max-iters", args.max_iters)
     cfg = SolveConfig(tol=args.tol, seed=args.seed, max_iters=args.max_iters)
     dataset, spec, gm = _read_input(args)
     _check_count("--components", args.components,
                  high=dataset.n if gm is None else gm.n)
-    fitted = model_mod.fit(dataset, spec, objective, args.components, cfg,
+    fitted = model_mod.fit(dataset, spec, args.objective, args.components, cfg,
                            gram_matrix=gm)
     model_mod.save_model(fitted, args.out)
     # a capped model still projects, so it is written and the exit code
@@ -231,16 +232,12 @@ def _cmd_bench(args):
     # the rows after them
     table = {"eig": eig, "rsvd": rsvd, "lbfgs": lambda: square(lbfgs_solve),
              "dca": lambda: square(dca_solve, ObjectiveSpec("square"))}
-    solvers = [name.strip() for name in args.solvers.split(",") if name.strip()]
-    bad = set(solvers) - set(table)
-    if bad:
-        raise _Usage(f"--solvers names unknown solvers {sorted(bad)}")
-    if not solvers or len(set(solvers)) < len(solvers):
-        raise _Usage(f"--solvers must name each solver once, got {args.solvers!r}")
-    if {"lbfgs", "dca"} & set(solvers):
+    solvers = args.solvers
+    if len(set(solvers)) < len(solvers):
+        raise _Usage(f"--solvers must name each solver once, got {','.join(solvers)!r}")
+    if {"lbfgs", "dca"} & set(solvers) and not args.delta > 0:
         # an rsvd row alone takes any delta: at 0 it is marked unconverged
-        _check_positive("--delta", args.delta)
-    _check_count("--repeats", args.repeats)
+        raise _Usage("--delta must be positive for the lbfgs and dca rows")
     dataset, spec, gm = _read_input(args)
     _check_count("--components", s, high=dataset.n if gm is None else gm.n)
     if gm is None:
@@ -277,11 +274,7 @@ def _cmd_bench(args):
 # ---------------------------------------------------------------- spectrum
 
 def _cmd_spectrum(args):
-    _check_count("--n", args.n)
     _check_count("--components", args.components, high=args.n)
-    _check_count("--q", args.q, low=0)
-    _check_positive("--delta", args.delta)
-    _check_grid("--c-grid", args.c_grid)
     rows = []
     for c in args.c_grid:
         G = data_io.gen_controlled_spectrum_gram(args.n, c, args.seed)
@@ -337,15 +330,6 @@ def _split_indices(n, test_frac, labels, rng):
 
 
 def _cmd_robust(args):
-    if not 0 < args.test_split < 1:
-        raise _Usage("--test-split must be in (0, 1)")
-    if not 0 <= args.omega <= 1:
-        raise _Usage("--omega must be in [0, 1]")
-    _check_positive("--tol", args.tol)
-    _check_grid("--tau-grid", args.tau_grid, positive=True)
-    _check_count("--jobs", args.jobs)
-    with _usage_phase():
-        objectives = [parse_objective(t) for t in args.objectives.split(",")]
     base, spec, _ = _read_input(args)
     rng = np.random.default_rng(args.seed)
     train_idx, test_idx = _split_indices(base.n, args.test_split, base.labels, rng)
@@ -365,7 +349,7 @@ def _cmd_robust(args):
         kappa = fitted.objective.kappa if fitted.objective.kind != "square" else None
         return err, kappa, fitted.report.iterations, fitted.report.termination
 
-    cells = [(tau, obj) for tau in args.tau_grid for obj in objectives]
+    cells = [(tau, obj) for tau in args.tau_grid for obj in args.objectives]
     with ThreadPoolExecutor(max_workers=args.jobs) as pool:
         outcomes = list(pool.map(lambda c: cell(*c), cells))
     rows = [[tau, format_objective(obj), *outcome]
@@ -378,14 +362,9 @@ def _cmd_robust(args):
 # ---------------------------------------------------------------- sparse
 
 def _cmd_sparse(args):
-    if args.objective not in ("eps2", "epsinf"):
-        raise _Usage("--objective must be eps2 or epsinf")
     kind = KIND_OF[args.objective]
-    _check_grid("--eps-grid", args.eps_grid)
-    _check_count("--jobs", args.jobs)
     dataset, spec, _ = _read_input(args)
-    for s in args.components_grid:
-        _check_count("--components-grid", s, high=dataset.n)
+    _check_count("--components-grid", max(args.components_grid), high=dataset.n)
     spec = spec.resolve(dataset)
     Gc = kernels.center_gram(kernels.gram(dataset, spec))
 
@@ -430,19 +409,6 @@ def _cmd_sparse(args):
 
 # ---------------------------------------------------------------- wiring
 
-class _Usage(Exception):
-    pass
-
-
-@contextlib.contextmanager
-def _usage_phase():
-    """Convert validation-time KpcaErrors into usage errors (exit 1)."""
-    try:
-        yield
-    except KpcaError as exc:
-        raise _Usage(str(exc)) from exc
-
-
 def build_parser() -> _Parser:
     p = _Parser(prog="dckpca", description=__doc__,
                 formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -450,13 +416,14 @@ def build_parser() -> _Parser:
 
     ps = sub.add_parser("solve", help="fit a model and write it to disk")
     _add_input_flags(ps, formats=("libsvm", "csv", "gram"))
-    ps.add_argument("--components", type=int, required=True)
-    ps.add_argument("--objective", default="square")
-    ps.add_argument("--tol", type=float, default=1e-6,
+    ps.add_argument("--components", type=_POSITIVE_INT, required=True)
+    ps.add_argument("--objective", type=_objective, default="square")
+    ps.add_argument("--tol", type=_POSITIVE, default=1e-6,
                     help="stop once the relative fixed-point residual r = "
                          "||H - prox(grad pi(H))|| / ||H|| has r^2 <= TOL")
-    ps.add_argument("--max-iters", type=int, default=None)
-    ps.add_argument("--seed", type=int, default=0)
+    ps.add_argument("--max-iters", type=_POSITIVE_INT, default=1000,
+                    help="iteration cap of each solve (default %(default)s)")
+    ps.add_argument("--seed", type=_NONNEGATIVE_INT, default=0)
     ps.add_argument("--out", required=True, help="model file path")
     ps.add_argument("--report", help="write the solve report JSON here "
                                      "instead of stdout")
@@ -465,58 +432,61 @@ def build_parser() -> _Parser:
     pb = sub.add_parser("bench", help="timed solver comparison on one task")
     _add_input_flags(pb, formats=("libsvm", "csv", "gram"), synth=(2000, 20),
                      kernel="laplace")
-    pb.add_argument("--components", type=int, default=20)
-    pb.add_argument("--solvers", default="eig,rsvd,lbfgs")
-    pb.add_argument("--delta", type=float, default=1e-2)
-    pb.add_argument("--repeats", type=int, default=1)
-    pb.add_argument("--seed", type=int, default=0)
+    pb.add_argument("--components", type=_POSITIVE_INT, default=20)
+    pb.add_argument("--solvers", default="eig,rsvd,lbfgs",
+                    type=_list_of(_value(str.strip, lambda v: v in _BENCH_ROWS,
+                                         f"one of {', '.join(_BENCH_ROWS)}")))
+    pb.add_argument("--delta", type=_value(float, np.isfinite, "a finite number"),
+                    default=1e-2)
+    pb.add_argument("--repeats", type=_POSITIVE_INT, default=1)
+    pb.add_argument("--seed", type=_NONNEGATIVE_INT, default=0)
     pb.add_argument("--dump-dir", help="directory for per-solver H dumps")
     pb.add_argument("--out", help="CSV path (default stdout)")
     pb.set_defaults(func=_cmd_bench)
 
     pc = sub.add_parser("spectrum", help="controlled-spectrum study")
-    pc.add_argument("--c-grid", type=_list_of(float), default=[0.01, 0.1, 0.5])
-    pc.add_argument("--n", type=int, default=500)
-    pc.add_argument("--delta", type=float, default=1e-4)
-    pc.add_argument("--components", type=int, default=20)
-    pc.add_argument("--q", type=int, default=2, help="rsvd power iterations")
-    pc.add_argument("--seed", type=int, default=0)
+    pc.add_argument("--c-grid", type=_list_of(_NONNEGATIVE), default=[0.01, 0.1, 0.5])
+    pc.add_argument("--n", type=_POSITIVE_INT, default=500)
+    pc.add_argument("--delta", type=_POSITIVE, default=1e-4)
+    pc.add_argument("--components", type=_POSITIVE_INT, default=20)
+    pc.add_argument("--q", type=_NONNEGATIVE_INT, default=2, help="rsvd power iterations")
+    pc.add_argument("--seed", type=_NONNEGATIVE_INT, default=0)
     pc.add_argument("--out", help="CSV path (default stdout)")
     pc.set_defaults(func=_cmd_spectrum)
 
     pr = sub.add_parser("robust", help="outlier-contamination study")
     _add_input_flags(pr, synth=(150, 4), sigma=1.0)
-    pr.add_argument("--components", type=int, default=2)
-    pr.add_argument("--objectives",
+    pr.add_argument("--components", type=_POSITIVE_INT, default=2)
+    pr.add_argument("--objectives", type=_list_of(_objective),
                     default="square,huber1:xmax:0.6,huber2:xmax:0.8")
-    pr.add_argument("--omega", type=float, default=0.08)
-    pr.add_argument("--tau-grid", type=_list_of(float),
+    pr.add_argument("--omega", type=_value(float, lambda v: 0 <= v <= 1, "in [0, 1]"),
+                    default=0.08)
+    pr.add_argument("--tau-grid", type=_list_of(_POSITIVE),
                     default=[10.0, 25.0, 50.0, 75.0, 100.0])
-    pr.add_argument("--test-split", type=float, default=0.2)
-    pr.add_argument("--tol", type=float, default=1e-6,
+    pr.add_argument("--test-split", type=_value(float, lambda v: 0 < v < 1, "in (0, 1)"),
+                    default=0.2)
+    pr.add_argument("--tol", type=_POSITIVE, default=1e-6,
                     help="solver tolerance, as for solve")
-    pr.add_argument("--seed", type=int, default=0)
-    pr.add_argument("--jobs", type=int, default=1)
+    pr.add_argument("--seed", type=_NONNEGATIVE_INT, default=0)
+    pr.add_argument("--jobs", type=_POSITIVE_INT, default=1)
     pr.add_argument("--out", help="CSV path (default stdout)")
     pr.set_defaults(func=_cmd_robust)
 
     pp = sub.add_parser("sparse", help="sparsity-accuracy tradeoff study")
     _add_input_flags(pp, synth=(1000, 20))
-    pp.add_argument("--objective", default="eps2", help="eps2 or epsinf")
-    pp.add_argument("--eps-grid", type=_list_of(float), required=True)
-    pp.add_argument("--components-grid", type=_list_of(int), required=True)
-    pp.add_argument("--seed", type=int, default=0)
-    pp.add_argument("--jobs", type=int, default=1)
+    pp.add_argument("--objective", choices=("eps2", "epsinf"), default="eps2")
+    pp.add_argument("--eps-grid", type=_list_of(_NONNEGATIVE), required=True)
+    pp.add_argument("--components-grid", type=_list_of(_POSITIVE_INT), required=True)
+    pp.add_argument("--seed", type=_NONNEGATIVE_INT, default=0)
+    pp.add_argument("--jobs", type=_POSITIVE_INT, default=1)
     pp.add_argument("--out", help="CSV path (default stdout)")
     pp.set_defaults(func=_cmd_sparse)
     return p
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        _check_count("--seed", args.seed, low=0)  # every command takes one
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except _Usage as exc:
         print(f"dckpca: error: {exc}", file=sys.stderr)

@@ -26,8 +26,6 @@ from .errors import KpcaError, SingularMatrixError
 from .kernels import GramMatrix, gram_product, product_rounding
 from .objectives import HUBER_KINDS, ObjectiveSpec, prox_psi_star, psi_star_value
 
-SUBSPACE_DEFAULT_MAX_ITERS = 500
-DCA_DEFAULT_MAX_ITERS = 1000
 # Differences of the DCA map kept for its Anderson step. Depth 5 took no fewer
 # products with G on twelve robust-libsvm inputs (501 against 495).
 ANDERSON_DEPTH = 3
@@ -37,19 +35,18 @@ REPORT_VERSION = "dckpca/3"
 @dataclass
 class SolveConfig:
     """Shared solver knobs. A solve stops at fixed-point residual r**2 <= tol,
-    or at eta < tol given ``benchmark_eigs`` (exact top-s eigenvalues of G);
-    see ``_stop``. ``max_iters`` of None picks the solver default (500 for
-    the square-loss subspace solver, 1000 for DCA); a given one is >= 1."""
+    or at eta < tol given ``benchmark_eigs`` (exact top-s eigenvalues of G),
+    see ``_stop``; at the latest after ``max_iters`` (>= 1) iterations."""
 
     tol: float = 1e-6
-    max_iters: int | None = None
+    max_iters: int = 1000
     seed: int = 0
     benchmark_eigs: object = None
 
     def __post_init__(self):
         if not self.tol > 0:
             raise KpcaError("tol must be positive")
-        if self.max_iters is not None and self.max_iters < 1:
+        if self.max_iters < 1:
             raise KpcaError(f"max_iters must be >= 1, got {self.max_iters}")
         if self.seed < 0:
             raise KpcaError(f"seed must be >= 0, got {self.seed}")
@@ -150,7 +147,7 @@ def _stop(trace, residual):
     return None
 
 
-def _solve(G, s, cfg, h0, default_max_iters, loop):
+def _solve(G, s, cfg, h0, loop):
     """Shared entry of both solvers: checks s, h0 and ``benchmark_eigs``,
     runs ``loop(G, H0, trace) -> (H, termination)`` and returns (H, report).
 
@@ -180,11 +177,10 @@ def _solve(G, s, cfg, h0, default_max_iters, loop):
         if eigs.shape != (s,):
             raise KpcaError(f"benchmark_eigs must hold exactly s={s} values")
         d_opt = optimal_dual_cost(eigs)
-    max_iters = cfg.max_iters if cfg.max_iters is not None else default_max_iters
 
     def attempt(H, label):
         t0 = time.perf_counter()
-        trace = _Trace(cfg.tol, max_iters, d_opt)
+        trace = _Trace(cfg.tol, cfg.max_iters, d_opt)
         try:
             H, termination = loop(G, H, trace)
         except SingularMatrixError as exc:
@@ -226,8 +222,7 @@ def lbfgs_solve(G, s: int, config: SolveConfig | None = None, h0=None):
     H0 has i.i.d. standard normal entries drawn from the config seed (``h0``
     overrides, e.g. for warm starts). Returns (H, report).
     """
-    return _solve(G, s, config or SolveConfig(), h0, SUBSPACE_DEFAULT_MAX_ITERS,
-                  _subspace_loop)
+    return _solve(G, s, config or SolveConfig(), h0, _subspace_loop)
 
 
 def _subspace_loop(G, H, trace):
@@ -390,7 +385,7 @@ def dca_solve(G, s: int, objective: ObjectiveSpec, config: SolveConfig | None = 
             H = T
             GH, dec, square_cost, cost = at(H, hint)
 
-    return _solve(G, s, config or SolveConfig(), h0, DCA_DEFAULT_MAX_ITERS, loop)
+    return _solve(G, s, config or SolveConfig(), h0, loop)
 
 
 def _anderson_candidate(dR, dT, g, T):

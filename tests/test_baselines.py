@@ -93,6 +93,12 @@ def test_baselines_refuse_s_outside_one_to_n(baseline, s):
         baseline(np.diag([3.0, 2.0, 1.0]), s)
 
 
+@pytest.mark.parametrize("p, q", [(-1, 2), (5, -1)])
+def test_rsvd_refuses_negative_oversamples_or_power_iterations(p, q):
+    with pytest.raises(ValueError, match="must be >= 0"):
+        rsvd(random_psd(12, 3), 2, p=p, q=q)
+
+
 def test_rsvd_exact_rank_recovery():
     # G is a sum of s outer products: the sketch captures it exactly
     n, s = 60, 4

@@ -27,6 +27,16 @@ def read_rows(path):
         return list(csv.DictReader(fh))
 
 
+def assert_usage_error(rc, capsys, named, out):
+    """Exit code 1, one stderr line that starts "dckpca: error: " + ``named``,
+    and nothing written to ``out``."""
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"dckpca: error: {named}") and err.count("\n") == 1, err
+    assert not out.exists()
+    return err
+
+
 def test_solve_square_writes_model_and_report(tmp_path, capsys):
     data = tmp_path / "train.csv"
     write_csv_dataset(data, n=150, d=4, seed=3)
@@ -44,12 +54,12 @@ def test_solve_square_writes_model_and_report(tmp_path, capsys):
     assert model.s == 2 and model.n == 150
 
 
-def test_solve_zero_components_is_usage_error(tmp_path):
+def test_solve_zero_components_is_usage_error(tmp_path, capsys):
     data = tmp_path / "t.csv"
     write_csv_dataset(data)
     rc = main(["solve", "--data", str(data), "--components", "0",
                "--sigma", "1.0", "--out", str(tmp_path / "m.dk")])
-    assert rc == 1
+    assert_usage_error(rc, capsys, "argument --components: ", tmp_path / "m.dk")
 
 
 @pytest.mark.parametrize("argv, flag", [
@@ -62,9 +72,10 @@ def test_solve_zero_components_is_usage_error(tmp_path):
     (["spectrum", "--n", "0"], "--n"),
 ])
 def test_count_flag_below_its_floor_is_usage_error(tmp_path, capsys, argv, flag):
-    rc = main(argv + ["--out", str(tmp_path / "out.csv")])
-    assert rc == 1
-    assert f"dckpca: error: {flag} must be >= " in capsys.readouterr().err
+    out = tmp_path / "out.csv"
+    rc = main(argv + ["--out", str(out)])
+    err = assert_usage_error(rc, capsys, f"argument {flag}: ", out)
+    assert "is not an integer >= " in err
 
 
 @pytest.mark.parametrize("argv, flag, n", [
@@ -83,54 +94,61 @@ def test_count_flag_above_the_sample_count_is_usage_error(tmp_path, capsys, argv
     data = tmp_path / "t.csv"
     write_csv_dataset(data, n=4)
     rc = main([a.format(csv=data) for a in argv] + ["--out", str(tmp_path / "out")])
-    assert rc == 1
-    assert f"dckpca: error: {flag} must be <= {n}" in capsys.readouterr().err
+    assert_usage_error(rc, capsys, f"{flag} must be <= {n}", tmp_path / "out")
 
 
-@pytest.mark.parametrize("split", ["1.5", "1", "0", "-0.5", "0.01"])
-def test_robust_test_split_outside_its_range_is_usage_error(tmp_path, capsys, split):
-    # 0.01 of 40 rows floors to an empty test side
+@pytest.mark.parametrize("split, named", [
+    ("1.5", "argument --test-split: "), ("1", "argument --test-split: "),
+    ("0", "argument --test-split: "), ("-0.5", "argument --test-split: "),
+    ("0.01", "--test-split leaves "),
+], ids=["1.5", "1", "0", "-0.5", "0.01"])
+def test_robust_test_split_outside_its_range_is_usage_error(tmp_path, capsys, split,
+                                                            named):
+    # 0.01 of 40 rows floors to an empty test side, which needs the input
     rc = main(["robust", "--synth-n", "40", f"--test-split={split}",
                "--out", str(tmp_path / "r.csv")])
-    assert rc == 1
-    assert "dckpca: error: --test-split " in capsys.readouterr().err
+    assert_usage_error(rc, capsys, named, tmp_path / "r.csv")
 
 
 SOLVE = ["solve", "--data", "{csv}", "--sigma", "1.0", "--components", "2"]
 
 
-@pytest.mark.parametrize("argv, flag", [
-    (SOLVE + ["--tol", "0"], "--tol"),
-    (SOLVE + ["--tol", "nan"], "--tol"),
-    (["robust", "--synth-n", "40", "--tol", "0"], "--tol"),
-    (["spectrum", "--n", "30", "--components", "2", "--delta", "0"], "--delta"),
+# a domain that needs no input is the flag's argparse type, so its refusal
+# names "argument FLAG: "; bench's --delta and repeated --solvers depend on
+# another flag and are refused after parsing, as "FLAG ..."
+@pytest.mark.parametrize("argv, named", [
+    (SOLVE + ["--tol", "0"], "argument --tol: "),
+    (SOLVE + ["--tol", "nan"], "argument --tol: "),
+    (["robust", "--synth-n", "40", "--tol", "0"], "argument --tol: "),
+    (["spectrum", "--n", "30", "--components", "2", "--delta", "0"], "argument --delta: "),
     (["sparse", "--synth-n", "40", "--eps-grid", "0,-1", "--components-grid", "2"],
-     "--eps-grid"),
-    (["robust", "--synth-n", "40", "--tau-grid", "10,-5"], "--tau-grid"),
-    (["robust", "--synth-n", "40", "--tau-grid", "0"], "--tau-grid"),
-    (["spectrum", "--n", "40", "--components", "2", "--c-grid", "0.1,-1"], "--c-grid"),
-    (["robust", "--synth-n", "40", "--omega", "2"], "--omega"),
-    (["robust", "--synth-n", "40", "--jobs", "0"], "--jobs"),
+     "argument --eps-grid: "),
+    (["robust", "--synth-n", "40", "--tau-grid", "10,-5"], "argument --tau-grid: "),
+    (["robust", "--synth-n", "40", "--tau-grid", "0"], "argument --tau-grid: "),
+    (["spectrum", "--n", "40", "--components", "2", "--c-grid", "0.1,-1"],
+     "argument --c-grid: "),
+    (["robust", "--synth-n", "40", "--omega", "2"], "argument --omega: "),
+    (["robust", "--synth-n", "40", "--jobs", "0"], "argument --jobs: "),
     (["sparse", "--synth-n", "40", "--eps-grid", "0", "--components-grid", "2",
-      "--jobs", "0"], "--jobs"),
-    (SOLVE + ["--max-iters", "0"], "--max-iters"),
+      "--jobs", "0"], "argument --jobs: "),
+    (SOLVE + ["--max-iters", "0"], "argument --max-iters: "),
     (["bench", "--synth-n", "40", "--components", "2", "--solvers", "rsvd,dca",
-      "--delta", "0"], "--delta"),
-    (["bench", "--synth-n", "40", "--components", "2", "--solvers", ","], "--solvers"),
+      "--delta", "0"], "--delta "),
+    (["bench", "--synth-n", "40", "--components", "2", "--solvers", ","],
+     "argument --solvers: "),
     (["bench", "--synth-n", "40", "--components", "2", "--solvers", "eig,eig"],
-     "--solvers"),
+     "--solvers "),
     (["bench", "--synth-n", "40", "--components", "2", "--solvers", "eig,miracle"],
-     "--solvers"),
+     "argument --solvers: "),
 ], ids=["solve-tol", "solve-tol-nan", "robust-tol", "spectrum-delta", "sparse-eps-grid",
         "robust-tau-grid", "robust-tau-grid-zero", "spectrum-c-grid", "robust-omega",
         "robust-jobs", "sparse-jobs", "solve-max-iters", "bench-delta", "bench-solvers-empty",
         "bench-solvers-repeated", "bench-solvers-unknown"])
-def test_flag_value_out_of_its_range_is_usage_error(tmp_path, capsys, argv, flag):
+def test_flag_value_out_of_its_range_is_usage_error(tmp_path, capsys, argv, named):
     data = tmp_path / "t.csv"
     write_csv_dataset(data)
     rc = main([a.format(csv=data) for a in argv] + ["--out", str(tmp_path / "out")])
-    assert rc == 1
-    assert f"dckpca: error: {flag} " in capsys.readouterr().err
+    assert_usage_error(rc, capsys, named, tmp_path / "out")
 
 
 @pytest.mark.parametrize("col", ["3", "-4"])
@@ -139,9 +157,8 @@ def test_label_col_naming_no_column_is_usage_error(tmp_path, capsys, col):
     write_csv_dataset(data, d=3)
     rc = main(["solve", "--data", str(data), f"--label-col={col}", "--sigma", "1.0",
                "--components", "1", "--out", str(tmp_path / "m.dk")])
-    assert rc == 1
-    err = capsys.readouterr().err
-    assert "dckpca: error: --label-col" in err and "the 3 columns" in err
+    assert "the 3 columns" in assert_usage_error(rc, capsys, "--label-col",
+                                                 tmp_path / "m.dk")
 
 
 def test_solve_missing_file_is_data_error(tmp_path):
@@ -151,13 +168,25 @@ def test_solve_missing_file_is_data_error(tmp_path):
     assert rc == 2
 
 
-def test_solve_bad_objective_is_usage_error(tmp_path):
+def test_solve_bad_objective_is_usage_error(tmp_path, capsys):
     data = tmp_path / "t.csv"
     write_csv_dataset(data)
     rc = main(["solve", "--data", str(data), "--components", "2",
                "--sigma", "1.0", "--objective", "banana:3",
                "--out", str(tmp_path / "m.dk")])
-    assert rc == 1
+    err = assert_usage_error(rc, capsys, "argument --objective: ", tmp_path / "m.dk")
+    assert "unknown objective 'banana:3'" in err
+
+
+@pytest.mark.parametrize("command, argv, flag", [
+    ("solve", ["--objective", "huber1"], "--objective"),
+    ("robust", ["--objectives", "square,huber2:xmax:-1"], "--objectives"),
+    ("sparse", ["--objective", "huber1:1"], "--objective"),
+])
+def test_objective_outside_the_commands_catalog_is_usage_error(tmp_path, capsys, command,
+                                                              argv, flag):
+    assert_usage_error(_kernel_command(tmp_path, command, *argv), capsys,
+                       f"argument {flag}: ", tmp_path / "out")
 
 
 def test_solve_huber_xmax_records_resolved_kappa(tmp_path, capsys):
@@ -262,15 +291,14 @@ def test_solve_report_to_file(tmp_path, capsys):
     assert json.loads(rep.read_text())["iterations"] >= 0
 
 
-def test_solve_jitter_is_usage_error(tmp_path):
+def test_solve_jitter_is_usage_error(tmp_path, capsys):
     # the jitter knob is gone: it could not lift the s-th eigenvalue of H'GH
     # above the singularity floor
     data = tmp_path / "t.csv"
     write_csv_dataset(data)
-    with pytest.raises(SystemExit) as info:
-        main(["solve", "--data", str(data), "--components", "2", "--sigma", "1.0",
-              "--jitter", "--out", str(tmp_path / "m.dk")])
-    assert info.value.code == 1
+    rc = main(["solve", "--data", str(data), "--components", "2", "--sigma", "1.0",
+               "--jitter", "--out", str(tmp_path / "m.dk")])
+    assert_usage_error(rc, capsys, "unrecognized arguments: --jitter", tmp_path / "m.dk")
 
 
 def test_solve_s_above_rank_names_rank(tmp_path, capsys):
@@ -312,9 +340,10 @@ def test_bench_rows_converged_and_eta_recompute(tmp_path, capsys):
         assert abs(dual_residual(_dense(Gc), H, w) - float(r["eta"])) <= 1e-12
 
 
-def test_bench_unknown_solver_usage_error(tmp_path):
+def test_bench_unknown_solver_usage_error(tmp_path, capsys):
     rc = main(["bench", "--solvers", "eig,miracle", "--out", str(tmp_path / "b.csv")])
-    assert rc == 1
+    err = assert_usage_error(rc, capsys, "argument --solvers: ", tmp_path / "b.csv")
+    assert "'miracle' is not one of eig, rsvd, lbfgs, dca" in err
 
 
 def test_spectrum_schema_and_statuses(tmp_path, capsys):
@@ -328,11 +357,46 @@ def test_spectrum_schema_and_statuses(tmp_path, capsys):
     assert [float(r["c"]) for r in rows] == [0.05, 0.3]
     for r in rows:
         assert r["rsvd_status"] in ("ok", "unreachable")
-        assert r["lbfgs_status"] in ("ok", "singular", "max_iters", "stalled")
+        assert r["lbfgs_status"] in ("ok", "gradient", "max_iters", "singular")
         if r["rsvd_status"] == "ok":
             assert int(r["rsvd_oversamples"]) >= 10
     ok_extra = [int(r["rsvd_extra_oversamples"]) for r in rows if r["rsvd_status"] == "ok"]
     assert not ok_extra or min(ok_extra) == 0
+
+
+def test_spectrum_rsvd_missing_delta_at_its_cap_is_unreachable(tmp_path):
+    # at the cap p = n - s the residual is round-off, above a delta of 1e-300
+    out = tmp_path / "spec.csv"
+    assert main(["spectrum", "--n", "40", "--components", "2", "--delta", "1e-300",
+                 "--c-grid", "0.5", "--out", str(out)]) == 0
+    [row] = read_rows(out)
+    assert row["rsvd_status"] == "unreachable"
+    assert row["rsvd_oversamples"] == row["rsvd_extra_oversamples"] == ""
+
+
+def test_spectrum_lbfgs_stopping_short_of_tolerance_writes_its_termination(
+        tmp_path, monkeypatch):
+    # a square-loss solve capped at one step ends by "max_iters": the row
+    # names it in place of an iteration count
+    import dataclasses
+    import dckpca.cli as cli
+    solve = cli.lbfgs_solve
+    monkeypatch.setattr(cli, "lbfgs_solve", lambda G, s, cfg: solve(
+        G, s, dataclasses.replace(cfg, max_iters=1)))
+    out = tmp_path / "spec.csv"
+    assert main(["spectrum", "--n", "40", "--components", "2", "--delta", "1e-12",
+                 "--c-grid", "0.5", "--out", str(out)]) == 0
+    [row] = read_rows(out)
+    assert row["lbfgs_status"] == "max_iters"
+    assert row["lbfgs_iters"] == row["lbfgs_extra_iters"] == ""
+    assert row["rsvd_status"] == "ok"
+
+
+def test_help_exits_zero_and_shows_the_iteration_cap(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["solve", "--help"])
+    assert info.value.code == 0
+    assert "(default 1000)" in " ".join(capsys.readouterr().out.split())
 
 
 def test_robust_omega_zero_objectives_agree(tmp_path, capsys):
@@ -414,6 +478,34 @@ def test_sparse_failing_baseline_solve_is_numeric_failure(tmp_path, capsys):
                    "--out", str(tmp_path / "s.csv")])
         assert rc == 3
         assert "H'GH is near-singular" in capsys.readouterr().err
+
+
+def test_sparse_unprojectable_model_has_no_error_unless_it_is_the_baseline(
+        tmp_path, capsys, monkeypatch):
+    # a solve whose model cannot project keeps its row, with no error or
+    # ratio; at eps = 0 it is the baseline of its s and ends the command
+    import dckpca.cli as cli
+    from dckpca import UnprojectableModelError
+    assemble = cli.model_mod.assemble_model
+
+    def refuse_from(eps_min):
+        def assemble_model(Gc, spec, objective, s, H, dataset):
+            if objective.eps >= eps_min:
+                raise UnprojectableModelError("H'GH is near-singular")
+            return assemble(Gc, spec, objective, s, H, dataset)
+        return assemble_model
+
+    argv = ["sparse", "--synth-n", "60", "--synth-d", "4", "--sigma", "2.0",
+            "--eps-grid", "0,0.1", "--components-grid", "2", "--out", str(tmp_path / "s.csv")]
+    monkeypatch.setattr(cli.model_mod, "assemble_model", refuse_from(0.1))
+    assert main(argv) == 0
+    base, refused = read_rows(tmp_path / "s.csv")
+    assert base["error_ratio"] == "1.0"
+    assert refused["reconstruction_error"] == refused["error_ratio"] == ""
+    assert refused["termination"] == "tolerance" and refused["zero_rows_pct"] != ""
+    monkeypatch.setattr(cli.model_mod, "assemble_model", refuse_from(0.0))
+    assert main(argv) == 3
+    assert capsys.readouterr().err == "dckpca: numeric failure: H'GH is near-singular\n"
 
 
 def test_sparse_failure_cancels_the_solves_not_started(tmp_path, capsys, monkeypatch):
@@ -591,13 +683,13 @@ def test_solve_report_nests_the_presolve(tmp_path, capsys):
     assert "presolve" not in json.loads(capsys.readouterr().out)
 
 
-def test_solve_solver_lbfgs_is_usage_error(tmp_path):
+def test_solve_solver_lbfgs_is_usage_error(tmp_path, capsys):
     data = tmp_path / "t.csv"
     write_csv_dataset(data)
-    with pytest.raises(SystemExit) as info:
-        main(["solve", "--data", str(data), "--components", "2", "--sigma", "1.0",
-              "--solver", "lbfgs", "--out", str(tmp_path / "m.dk")])
-    assert info.value.code == 1
+    rc = main(["solve", "--data", str(data), "--components", "2", "--sigma", "1.0",
+               "--solver", "lbfgs", "--out", str(tmp_path / "m.dk")])
+    assert_usage_error(rc, capsys, "unrecognized arguments: --solver lbfgs",
+                       tmp_path / "m.dk")
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf"])
@@ -645,11 +737,9 @@ def test_malformed_gram_is_data_error_naming_the_line(tmp_path, capsys, command,
         "spectrum-c-grid"])
 def test_grid_list_naming_no_value_is_usage_error(tmp_path, capsys, argv, flag):
     out = tmp_path / "out.csv"
-    with pytest.raises(SystemExit) as info:
-        main(argv + ["--out", str(out)])
-    assert info.value.code == 1
-    assert f"dckpca {argv[0]}: error: argument {flag}: " in capsys.readouterr().err
-    assert not out.exists()
+    err = assert_usage_error(main(argv + ["--out", str(out)]), capsys,
+                             f"argument {flag}: ", out)
+    assert "names no value" in err
 
 
 @pytest.mark.parametrize("argv, flag", [
@@ -661,12 +751,9 @@ def test_grid_list_naming_no_value_is_usage_error(tmp_path, capsys, argv, flag):
 ], ids=["robust-tau-inf", "robust-tau-nan", "sparse-eps-inf", "spectrum-c-inf"])
 def test_grid_list_non_finite_value_is_usage_error(tmp_path, capsys, argv, flag):
     out = tmp_path / "out.csv"
-    with pytest.raises(SystemExit) as info:
-        main(argv + ["--out", str(out)])
-    assert info.value.code == 1
-    err = capsys.readouterr().err
-    assert f"dckpca {argv[0]}: error: argument {flag}: " in err and "non-finite" in err
-    assert not out.exists()
+    err = assert_usage_error(main(argv + ["--out", str(out)]), capsys,
+                             f"argument {flag}: ", out)
+    assert "finite number" in err
 
 
 # each command that takes a kernel, on small inputs
@@ -692,25 +779,23 @@ def test_linear_kernel_runs_without_sigma_in_every_command(tmp_path, capsys, com
     # applies to those alone, and a --sigma with the linear kernel is refused
     assert _kernel_command(tmp_path, command, "--kernel", "linear") == 0
     capsys.readouterr()
-    assert _kernel_command(tmp_path, command, "--kernel", "linear", "--sigma", "1") == 1
-    assert "--sigma does not apply to the linear kernel" in capsys.readouterr().err
+    (tmp_path / "out").unlink()
+    rc = _kernel_command(tmp_path, command, "--kernel", "linear", "--sigma", "1")
+    assert_usage_error(rc, capsys, "--sigma does not apply to the linear kernel",
+                       tmp_path / "out")
 
 
 @pytest.mark.parametrize("sigma", ["abc", "inf", "0", "nan"])
 @pytest.mark.parametrize("command", KERNEL_COMMANDS)
 def test_bad_sigma_is_usage_error_naming_it(tmp_path, capsys, command, sigma):
-    with pytest.raises(SystemExit) as info:
-        _kernel_command(tmp_path, command, "--sigma", sigma)
-    assert info.value.code == 1
-    assert "argument --sigma: " in capsys.readouterr().err
+    assert_usage_error(_kernel_command(tmp_path, command, "--sigma", sigma), capsys,
+                       "argument --sigma: ", tmp_path / "out")
 
 
 @pytest.mark.parametrize("command", ["robust", "sparse"])
 def test_gram_format_is_usage_error_where_no_gram_is_read(tmp_path, capsys, command):
-    with pytest.raises(SystemExit) as info:
-        _kernel_command(tmp_path, command, "--format", "gram")
-    assert info.value.code == 1
-    assert "argument --format: " in capsys.readouterr().err
+    assert_usage_error(_kernel_command(tmp_path, command, "--format", "gram"), capsys,
+                       "argument --format: ", tmp_path / "out")
 
 
 def test_bench_task_cell_names_the_input(tmp_path, capsys):
@@ -787,9 +872,7 @@ def test_input_flag_the_input_does_not_read_is_usage_error(tmp_path, capsys, com
              "gram": tmp_path / "g.csv"}
     rc = main([command] + [a.format(**paths) for a in argv] + COMMAND_FLAGS[command] +
               ["--out", str(out)])
-    assert rc == 1
-    assert f"dckpca: error: {flag} " in capsys.readouterr().err
-    assert not out.exists()
+    assert_usage_error(rc, capsys, f"{flag} ", out)
 
 
 SEED_COMMANDS = {**KERNEL_COMMANDS,
@@ -801,10 +884,10 @@ def test_negative_seed_is_usage_error_in_every_command(tmp_path, capsys, command
     # numpy's generators take no negative seed: it is refused before any work
     data = tmp_path / "t.csv"
     write_csv_dataset(data, d=3)
-    assert main([a.format(csv=data) for a in SEED_COMMANDS[command]] +
-                ["--seed", "-1", "--out", str(tmp_path / "out")]) == 1
-    assert "dckpca: error: --seed must be >= 0" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
+    rc = main([a.format(csv=data) for a in SEED_COMMANDS[command]] +
+              ["--seed", "-1", "--out", str(tmp_path / "out")])
+    err = assert_usage_error(rc, capsys, "argument --seed: ", tmp_path / "out")
+    assert "'-1' is not an integer >= 0" in err
 
 
 @pytest.mark.parametrize("flag", ["--synth-n", "--synth-d"])
@@ -813,8 +896,8 @@ def test_empty_synthetic_dataset_is_usage_error_naming_its_flag(tmp_path, capsys
                                                                 command, flag):
     argv = list(KERNEL_COMMANDS[command])
     argv[argv.index(flag) + 1] = "0"
-    assert main(argv + ["--out", str(tmp_path / "out")]) == 1
-    assert f"dckpca: error: {flag} must be >= 1" in capsys.readouterr().err
+    assert_usage_error(main(argv + ["--out", str(tmp_path / "out")]), capsys,
+                       f"{flag} must be >= 1", tmp_path / "out")
 
 
 @pytest.mark.parametrize("argv", [

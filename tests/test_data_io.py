@@ -21,6 +21,19 @@ def test_parse_libsvm_basic():
 def test_parse_libsvm_empty_stream():
     with pytest.raises(DataError, match="empty"):
         parse_libsvm("")
+    with pytest.raises(DataError, match="no feature was seen and no d given"):
+        parse_libsvm("1\n0\n")
+
+
+def test_parse_libsvm_skips_blank_lines():
+    ds = parse_libsvm("1 1:0.5\n\n   \n0 2:1.5\n")
+    assert ds.n == 2 and np.array_equal(ds.labels, [1.0, 0.0])
+    assert np.array_equal(dense(ds), [[0.5, 0.0], [0.0, 1.5]])
+
+
+def test_dataset_refuses_values_that_are_not_a_matrix():
+    with pytest.raises(DataError, match="2-d matrix"):
+        Dataset(np.zeros(3))
 
 
 def test_parse_libsvm_non_ascending():
@@ -258,9 +271,12 @@ def test_load_csv_values_are_bit_identical_to_the_line_loop(tmp_path, monkeypatc
 
 
 def test_load_csv_reads_what_only_float_accepts(tmp_path):
-    # quoted cells and digit separators go to the line loop
+    # quoted cells and digit separators go to the line loop, which skips
+    # blank lines as the C parser does
     p = tmp_path / "t.csv"
     p.write_text('"1.5",1_0\n2,3\n')
+    assert np.array_equal(load_csv(p).values, [[1.5, 10.0], [2.0, 3.0]])
+    p.write_text('"1.5",1_0\n\n  \n2,3\n')
     assert np.array_equal(load_csv(p).values, [[1.5, 10.0], [2.0, 3.0]])
 
 

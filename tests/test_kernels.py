@@ -65,6 +65,26 @@ def test_kernel_spec_validation():
         KernelSpec("unknown_family")
 
 
+@pytest.mark.parametrize("call, error, match", [
+    (lambda p: GramMatrix(np.zeros((2, 3))), KpcaError, "must be square"),
+    (lambda p: GramMatrix(np.eye(2, dtype=int)), KpcaError, "float32 or float64, got int"),
+    (lambda p: GramMatrix(np.eye(2), m=np.zeros(2)), KpcaError, "needs its stats"),
+    (lambda p: gram(gen_synth_gaussian(4, 2, 0), KernelSpec("precomputed")), KpcaError,
+     "use load_gram_csv"),
+    (lambda p: gram(gen_synth_gaussian(4, 2, 0), KernelSpec("linear"), dtype=np.float16),
+     KpcaError, "float64 or float32, not float16"),
+    (lambda p: KernelSpec("gaussian", "auto").sigma, KpcaError, "resolve against data"),
+    (lambda p: sigma_rule(Dataset(np.ones((1, 3)))), DataError, "n >= 2"),
+    (lambda p: p.write_text("1,2,3\n2,1,3\n") and load_gram_csv(p), DataError,
+     r"must be square, got \(2, 3\)"),
+], ids=["gram-matrix-not-square", "gram-matrix-int", "rank-2-term-without-stats",
+        "gram-of-precomputed", "gram-float16", "auto-sigma", "sigma-rule-one-row",
+        "gram-csv-not-square"])
+def test_kernel_refusal_names_its_cause(tmp_path, call, error, match):
+    with pytest.raises(error, match=match):
+        call(tmp_path / "g.csv")
+
+
 def test_sigma_rule_unit_variance():
     # two points per coordinate with sample variance exactly 1
     a = np.sqrt(2.0)

@@ -33,6 +33,19 @@ def test_fit_square_matches_dense_eig_cost(small_fit):
     assert m.report.cost_trace[-1] == pytest.approx(-0.5 * top.sum(), rel=1e-6)
 
 
+def test_fit_and_project_refuse_what_they_cannot_use(tmp_path, small_fit):
+    from dckpca import GramMatrix, KpcaError
+    ds, spec, m = small_fit
+    square = ObjectiveSpec("square")
+    with pytest.raises(DataError, match="needs a dataset or a precomputed Gram"):
+        fit(None, KernelSpec("precomputed"), square, 2)
+    with pytest.raises(DataError, match="Gram size does not match dataset"):
+        fit(ds, spec, square, 2, gram_matrix=GramMatrix(np.eye(ds.n - 1)))
+    save_model(m, tmp_path / "m.dk")
+    with pytest.raises(KpcaError, match="no training data attached"):
+        project(load_model(tmp_path / "m.dk"), ds.values[:2])
+
+
 def test_fit_deterministic(small_fit):
     ds, spec, m = small_fit
     again = fit(ds, spec, ObjectiveSpec("square"), 3, SolveConfig(tol=1e-10, seed=2))
@@ -288,8 +301,9 @@ def _rewrite_model(src, dst, header_edit=None, payload_edit=None):
     ("[1, 2]", None, "line 1"),
     (None, lambda rows: rows[:2] + ["x" + rows[2]] + rows[3:], "line 4: non-numeric"),
     (None, lambda rows: rows[:3] + [rows[3] + ",0.5"] + rows[4:], "line 5: ragged"),
+    (None, lambda rows: rows[:-1], "payload shape does not match header"),
 ], ids=["header-not-json", "header-not-object", "payload-non-numeric",
-        "payload-ragged"])
+        "payload-ragged", "payload-row-missing"])
 def test_load_model_malformed_is_data_error(tmp_path, small_fit, header, payload,
                                             match):
     _, _, m = small_fit

@@ -54,6 +54,10 @@ def test_spec_validation():
         ObjectiveSpec("eps_linf", kappa=1.0)
     with pytest.raises(KpcaError):
         ObjectiveSpec("square", eps=0.5)
+    with pytest.raises(KpcaError, match="unknown objective kind 'nope'"):
+        ObjectiveSpec("nope")
+    with pytest.raises(KpcaError, match="huber_l1 takes kappa, not eps"):
+        ObjectiveSpec("huber_l1", kappa=1.0, eps=0.1)
     # non-finite parameters, and the CLI strings that carry them
     for bad in (np.inf, np.nan):
         for kwargs in ({"kappa": bad}, {"kappa_frac": bad}):
@@ -111,6 +115,8 @@ def test_eps_zero_reduces_to_identity():
 
 def test_project_l1_ball_examples():
     assert np.allclose(project_l1_ball(np.array([3.0, 1.0]), 2.0), [2.0, 0.0])
+    with pytest.raises(KpcaError, match="radius must be positive, got 0"):
+        project_l1_ball(np.array([3.0, 1.0]), 0)
     v = np.array([0.5, 0.5])
     assert np.array_equal(project_l1_ball(v, 2.0), v)
     assert np.allclose(project_l1_ball(np.array([-3.0, 1.0]), 2.0), [-2.0, 0.0])
@@ -210,6 +216,17 @@ def test_psi_star_relative_feasibility_slack():
     assert psi_star_value(ObjectiveSpec("huber_l1", kappa=kappa), H) == 0.0
     H = np.array([[kappa * (1 + 1e-8)]])
     assert np.isinf(psi_star_value(ObjectiveSpec("huber_l1", kappa=kappa), H))
+
+
+def test_an_unresolved_xmax_radius_is_refused_until_resolved():
+    spec = parse_objective("huber2:xmax:0.8")
+    H = np.ones((3, 2))
+    for call in (prox_psi_star, psi_star_value):
+        with pytest.raises(KpcaError, match="unresolved kappa_max fraction"):
+            call(spec, H)
+    resolved = spec.resolve(2.0)
+    assert resolved.resolve(5.0) is resolved  # a resolved spec keeps its kappa
+    assert psi_star_value(resolved, H) == np.inf
 
 
 def test_kappa_max_gauges():

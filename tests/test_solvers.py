@@ -496,6 +496,33 @@ def test_dca_anderson_against_plain_dca():
     assert products <= 0.75 * plain_products
 
 
+def test_dca_rejects_a_singular_anderson_candidate_and_steps_plainly(monkeypatch):
+    # a zero candidate fails the floor check: it is rejected, not raised, so
+    # the solve is plain DCA, each rejection costing one more product
+    monkeypatch.setattr(solvers, "_anderson_candidate", lambda dR, dT, g, T: 0 * T)
+    Gc = centered_gram(n=100, d=4, seed=6)
+    cfg = SolveConfig(seed=2)
+    H, rep = dca_solve(Gc, 3, ObjectiveSpec("square"), cfg)
+    assert rep.termination == "tolerance" and rep.rejected >= 1
+    assert rep.products == rep.iterations + 1 + rep.rejected
+    H_plain, count = plain_dca(_dense(Gc), np.random.default_rng(2).standard_normal((100, 3)),
+                               lambda Y: Y, cfg.tol)
+    assert count == rep.iterations + 1
+    assert np.allclose(H, H_plain, rtol=0, atol=1e-9 * np.max(np.abs(H_plain)))
+
+
+def test_dca_refuses_an_unresolved_xmax_radius():
+    from dckpca import KpcaError
+    with pytest.raises(KpcaError, match="resolve the kappa_max fraction"):
+        dca_solve(centered_gram(n=30), 2, parse_objective("huber2:xmax:0.8"))
+
+
+def test_lbfgs_stops_at_1000_iterations_by_default():
+    # the one default cap of both solvers; tol 1e-300 is never met
+    _, rep = lbfgs_solve(centered_gram(n=40, d=4, seed=12), 2, SolveConfig(tol=1e-300))
+    assert (rep.termination, rep.iterations) == ("max_iters", 1000)
+
+
 def test_dca_stops_at_1000_iterations_by_default():
     Gc = centered_gram(n=40, d=3, seed=12)
     _, rep = dca_solve(Gc, 2, ObjectiveSpec("eps_linf", eps=0.01), SolveConfig(seed=5))
