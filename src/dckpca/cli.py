@@ -236,7 +236,7 @@ def _cmd_bench(args):
     if len(set(solvers)) < len(solvers):
         raise _Usage(f"--solvers must name each solver once, got {','.join(solvers)!r}")
     if {"lbfgs", "dca"} & set(solvers) and not args.delta > 0:
-        # an rsvd row alone takes any delta: at 0 it is marked unconverged
+        # an rsvd row alone takes delta 0 too: it is then marked unconverged
         raise _Usage("--delta must be positive for the lbfgs and dca rows")
     dataset, spec, gm = _read_input(args)
     _check_count("--components", s, high=dataset.n if gm is None else gm.n)
@@ -436,8 +436,7 @@ def build_parser() -> _Parser:
     pb.add_argument("--solvers", default="eig,rsvd,lbfgs",
                     type=_list_of(_value(str.strip, lambda v: v in _BENCH_ROWS,
                                          f"one of {', '.join(_BENCH_ROWS)}")))
-    pb.add_argument("--delta", type=_value(float, np.isfinite, "a finite number"),
-                    default=1e-2)
+    pb.add_argument("--delta", type=_NONNEGATIVE, default=1e-2)
     pb.add_argument("--repeats", type=_POSITIVE_INT, default=1)
     pb.add_argument("--seed", type=_NONNEGATIVE_INT, default=0)
     pb.add_argument("--dump-dir", help="directory for per-solver H dumps")

@@ -15,8 +15,8 @@ panel is the only other allocation. A query takes the layout of the
 training samples. Against a dense transpose (dense samples, and CSR samples
 with d <= n) X Y' is written straight into that buffer; against a CSR
 transpose (CSR samples with d > n) the sparse product X Y' is densified
-into it, so it is live beside it until then. Query rows are centered in
-place as well. A Gram, float64 or float32, is built a strip of BLOCK
+into it, so it is live beside it until then. ``kernel_rows`` centers rows
+in place too. A Gram, float64 or float32, is built a strip of BLOCK
 columns at a time on and below the diagonal, so no n x n product of the
 samples is formed. ``center_gram`` writes no entry: the centered Gram
 shares its parent's buffer and holds the centering as its rank-2 term, so
@@ -255,8 +255,9 @@ def _as_query_matrix(train: Dataset, X):
             return X.tocsr()
         X = X.toarray()
     X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        X = X[None, :]
+    if X.ndim not in (1, 2):
+        raise DataError(f"a query is a vector or a 2-d matrix of rows, got shape {X.shape}")
+    X = np.atleast_2d(X)
     return sparse.csr_matrix(X) if train.is_sparse else X
 
 
@@ -349,31 +350,12 @@ def center_gram(gm: GramMatrix) -> GramMatrix:
 
 
 def kernel_rows(spec: KernelSpec, train: Dataset, stats: CenteringStats, X) -> np.ndarray:
-    """Centered kernel rows for a batch of query points (m x n).
-
-    Row entries are k(x, x_i) - mean_j k(x, x_j) - colmean_i + grandmean,
-    with colmean/grandmean taken from the stored training stats.
+    """Centered kernel rows for a batch of query points (m x n): entries
+    k(x, x_i) - mean_j k(x, x_j) - colmean_i + grandmean from the stored
+    training stats, centered in place. ``model.project`` forms no such row.
     """
     K = kernel_cross(spec, train, X)
-    return _center_rows(K, K.mean(axis=1), stats)
-
-
-def kernel_rows_with_self(spec: KernelSpec, train: Dataset, stats: CenteringStats,
-                          X) -> tuple[np.ndarray, np.ndarray]:
-    """``kernel_rows`` of X together with the centered self-similarity
-    k~(x, x) = k(x, x) - 2 mean_j k(x, x_j) + grandmean of each row (the
-    squared feature-space norm of the centered feature map), from one
-    evaluation of the cross kernel."""
-    X = _as_query_matrix(train, X)
-    K = kernel_cross(spec, train, X)
-    row_means = K.mean(axis=1)
-    kxx = row_sq_norms(X) if spec.family == "linear" else np.ones(X.shape[0])
-    self_k = kxx - 2.0 * row_means + stats.grand_mean
-    return _center_rows(K, row_means, stats), self_k
-
-
-def _center_rows(K, row_means, stats):
-    K -= row_means[:, None]
+    K -= K.mean(axis=1)[:, None]
     K -= stats.col_means
     K += stats.grand_mean
     return K

@@ -4,13 +4,15 @@ recovery, feature-space reconstruction error, and sparsity metrics.
 Out-of-sample projection follows the kernel trick
     p(x) = k_row(x) @ A,   A = H @ U' diag(lam)^(-1/2) U
 with (U, lam) the eigendecomposition of H'GH, which needs every lam above the
-positivity floor. Only the centered kernel row k_row(x) depends on the query:
-a model checks its spectrum and computes A once, when it is built (a fit,
-``assemble_model``, ``load_model`` or ``attach_training_data``), and its
-training Dataset holds the training rows' norms, so projecting m rows costs
-one m x n kernel evaluation and an m x n by n x s product. Models serialize as
-a one-line JSON header followed by a CSV payload of H; the training data
-itself is replaced by a fingerprint and must be re-supplied for projection.
+positivity floor. Centering is linear in the row: for uncentered rows K with
+row means r, the projections are K A - r c' - 1 b', c = 1'A, b = A'mu - g c
+(mu, g: the training column means and grand mean), so no centered row is
+formed. A model checks its spectrum and computes A, c and b once, when it is
+built (a fit, ``assemble_model``, ``load_model`` or ``attach_training_data``),
+and its training Dataset holds the training rows' norms, so projecting m rows
+costs one m x n kernel evaluation and an m x n by n x s product. Models
+serialize as a one-line JSON header followed by a CSV payload of H; the
+training data itself is replaced by a fingerprint and must be re-supplied.
 """
 
 import contextlib
@@ -37,7 +39,8 @@ ZERO_REL_TOL = 1e-9
 class KpcaModel:
     """A fitted model. Building one checks that ``decomp.lam`` is
     non-increasing and above the singularity floor (UnprojectableModelError
-    otherwise) and computes the read-only primal coefficients A."""
+    otherwise) and computes, read-only, the primal coefficients A and the
+    centering terms c = 1'A and b = A'mu - g c (module docstring)."""
 
     kernel_spec: kernels.KernelSpec
     objective: ObjectiveSpec
@@ -50,6 +53,8 @@ class KpcaModel:
     report: SolveReport | None = None
     kappa_max_value: float | None = None
     coefficients: np.ndarray = field(init=False, repr=False, compare=False)
+    coefficient_sums: np.ndarray = field(init=False, repr=False, compare=False)
+    center_offset: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         lam = self.decomp.lam
@@ -61,8 +66,12 @@ class KpcaModel:
             raise UnprojectableModelError(
                 f"{exc}: the fitted model cannot project") from exc
         A = self.H @ self.decomp.inv_sqrt()
-        A.setflags(write=False)
-        object.__setattr__(self, "coefficients", A)
+        c = A.sum(axis=0)
+        b = A.T @ self.stats.col_means - self.stats.grand_mean * c
+        for name, value in (("coefficients", A), ("coefficient_sums", c),
+                            ("center_offset", b)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     @property
     def n(self) -> int:
@@ -203,24 +212,34 @@ def _check_query(model: KpcaModel, X) -> None:
         raise DataError("query rows contain a non-finite value")
 
 
+def _projections(model: KpcaModel, X) -> tuple[np.ndarray, np.ndarray]:
+    """Projections K A - r c' - 1 b' of query rows X (m x s) and the row
+    means r of their uncentered kernel rows K."""
+    K = kernels.kernel_cross(model.kernel_spec, model.train_data, X)
+    row_means = K.mean(axis=1)
+    P = K @ recover_primal_coefficients(model)
+    P -= np.multiply.outer(row_means, model.coefficient_sums)
+    P -= model.center_offset
+    return P, row_means
+
+
 def project(model: KpcaModel, X) -> np.ndarray:
     """Principal-component projections of query rows (m x s, or (s,) for a
     single vector x)."""
     _check_query(model, X)
-    single = not sparse.issparse(X) and np.asarray(X).ndim == 1
-    rows = kernels.kernel_rows(model.kernel_spec, model.train_data, model.stats, X)
-    P = rows @ recover_primal_coefficients(model)
-    return P[0] if single else P
+    P, _ = _projections(model, X)
+    return P[0] if not sparse.issparse(X) and np.ndim(X) == 1 else P
 
 
 def reconstruction_error(model: KpcaModel, dataset: Dataset) -> float:
     """Mean feature-space reconstruction error over the dataset:
     mean_x max(0, k~(x,x) - ||p(x)||^2), the squared distance from the centered
-    feature map to its projection onto the fitted components."""
+    feature map to its projection onto the fitted components, with
+    k~(x,x) = k(x,x) - 2 mean_j k(x,x_j) + g (k(x,x): 1, or |x|^2 if linear)."""
     _check_query(model, dataset.values)
-    rows, self_k = kernels.kernel_rows_with_self(
-        model.kernel_spec, model.train_data, model.stats, dataset.values)
-    P = rows @ recover_primal_coefficients(model)
+    P, row_means = _projections(model, dataset.values)
+    kxx = dataset.sq_norms if model.kernel_spec.family == "linear" else 1.0
+    self_k = kxx - 2.0 * row_means + model.stats.grand_mean
     residual = np.maximum(self_k - np.einsum("ij,ij->i", P, P), 0.0)
     return float(residual.mean())
 

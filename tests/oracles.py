@@ -47,6 +47,15 @@ def centered_kernels(spec, X, Q):
             Kq - Kq.mean(axis=1)[:, None] - mu[None, :] + grand)
 
 
+def centered_self_kernel(spec, X, Q):
+    """k(q, q) - 2 mean_i k(q, x_i) + mean_ij k(x_i, x_j) for each query row
+    q: its squared feature-space norm after centering, from ``kernel_matrix``."""
+    Q = np.asarray(Q, dtype=float)
+    kqq = np.array([kernel_matrix(spec, q[None], q[None])[0, 0] for q in Q])
+    return kqq - 2.0 * kernel_matrix(spec, Q, X).mean(axis=1) \
+        + kernel_matrix(spec, X, X).mean()
+
+
 def projection(Gc, Kc, H):
     """Projections Kc A of centered query rows, A = H (H'GH)^(-1/2) from a
     dense eigendecomposition of H'GH."""

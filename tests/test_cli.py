@@ -114,8 +114,9 @@ SOLVE = ["solve", "--data", "{csv}", "--sigma", "1.0", "--components", "2"]
 
 
 # a domain that needs no input is the flag's argparse type, so its refusal
-# names "argument FLAG: "; bench's --delta and repeated --solvers depend on
-# another flag and are refused after parsing, as "FLAG ..."
+# names "argument FLAG: "; bench's positive --delta (for the lbfgs and dca
+# rows) and repeated --solvers depend on another flag and are refused after
+# parsing, as "FLAG ..."
 @pytest.mark.parametrize("argv, named", [
     (SOLVE + ["--tol", "0"], "argument --tol: "),
     (SOLVE + ["--tol", "nan"], "argument --tol: "),
@@ -134,6 +135,10 @@ SOLVE = ["solve", "--data", "{csv}", "--sigma", "1.0", "--components", "2"]
     (SOLVE + ["--max-iters", "0"], "argument --max-iters: "),
     (["bench", "--synth-n", "40", "--components", "2", "--solvers", "rsvd,dca",
       "--delta", "0"], "--delta "),
+    (["bench", "--synth-n", "40", "--components", "2", "--solvers", "rsvd",
+      "--delta", "-1"], "argument --delta: "),
+    (["bench", "--synth-n", "40", "--components", "2", "--solvers", "rsvd",
+      "--delta", "inf"], "argument --delta: "),
     (["bench", "--synth-n", "40", "--components", "2", "--solvers", ","],
      "argument --solvers: "),
     (["bench", "--synth-n", "40", "--components", "2", "--solvers", "eig,eig"],
@@ -142,7 +147,8 @@ SOLVE = ["solve", "--data", "{csv}", "--sigma", "1.0", "--components", "2"]
      "argument --solvers: "),
 ], ids=["solve-tol", "solve-tol-nan", "robust-tol", "spectrum-delta", "sparse-eps-grid",
         "robust-tau-grid", "robust-tau-grid-zero", "spectrum-c-grid", "robust-omega",
-        "robust-jobs", "sparse-jobs", "solve-max-iters", "bench-delta", "bench-solvers-empty",
+        "robust-jobs", "sparse-jobs", "solve-max-iters", "bench-delta", "bench-delta-negative",
+        "bench-delta-inf", "bench-solvers-empty",
         "bench-solvers-repeated", "bench-solvers-unknown"])
 def test_flag_value_out_of_its_range_is_usage_error(tmp_path, capsys, argv, named):
     data = tmp_path / "t.csv"

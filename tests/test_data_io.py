@@ -356,7 +356,7 @@ def test_non_canonical_csr_is_canonicalized_on_a_copy():
     from scipy import sparse
     from dckpca import KernelSpec, center_gram, gram
     from dckpca.data_io import row_sq_norms
-    from dckpca.kernels import kernel_rows, kernel_rows_with_self
+    from dckpca.kernels import kernel_rows
     data = np.array([1.0, 0.5, 0.25, 2.0, 3.0, -1.0])
     indices = np.array([1, 1, 0, 2, 2, 0], dtype=np.int32)
     indptr = np.array([0, 3, 4, 6], dtype=np.int32)
@@ -377,12 +377,10 @@ def test_non_canonical_csr_is_canonicalized_on_a_copy():
             gm = gram(ds, spec)
             assert np.array_equal(gm.entries, gram(Dataset(canonical), spec).entries)
             # X as a query against the canonical Dataset: its rows' norms
-            # must come from the summed duplicates too
+            # must come from the summed duplicates too (a reconstruction
+            # error's self term reads the query Dataset's own sq_norms)
             stats = center_gram(gm).stats
-            want, want_self = kernel_rows_with_self(spec, ds, stats, canonical)
-            got, got_self = kernel_rows_with_self(spec, ds, stats, X)
-            assert np.allclose(got, want, rtol=0, atol=1e-12)
-            assert np.allclose(got_self, want_self, rtol=0, atol=1e-12)
+            want = kernel_rows(spec, ds, stats, canonical)
             assert np.allclose(kernel_rows(spec, ds, stats, X), want, rtol=0, atol=1e-12)
         assert np.array_equal(X.indices, [1, 1, 0, 2, 2, 0])
         assert np.array_equal(X.data, [1.0, 0.5, 0.25, 2.0, 3.0, -1.0])

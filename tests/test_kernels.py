@@ -10,7 +10,7 @@ from dckpca import (DataError, Dataset, KernelSpec, KpcaError, center_gram,
 from dckpca.baselines import _dense
 from dckpca.data_io import row_sq_norms
 from dckpca.kernels import (BLOCK, GramMatrix, gram_product, kernel_cross, kernel_rows,
-                            kernel_rows_with_self, product_rounding)
+                            product_rounding)
 
 import oracles
 from oracles import kernel_row
@@ -237,18 +237,6 @@ def test_kernel_row_probe_against_big_gram_arithmetic():
     expected = kx - kx.mean() - K.mean(axis=1) + K.mean()
     row = kernel_rows(spec, ds, gm.stats, x)[0]
     assert np.allclose(row, expected, atol=1e-12)
-
-
-def test_centered_self_kernel_linear_oracle():
-    ds = gen_synth_gaussian(18, 3, 11)
-    spec = KernelSpec("linear")
-    gm = center_gram(gram(ds, spec))
-    X = np.array([[0.2, 0.4, -1.0], [1.5, 0.0, 0.5]])
-    rows, vals = kernel_rows_with_self(spec, ds, gm.stats, X)
-    mu = ds.values.mean(axis=0)
-    expected = np.sum((X - mu) ** 2, axis=1)
-    assert np.allclose(vals, expected, atol=1e-12)
-    assert np.array_equal(rows, kernel_rows(spec, ds, gm.stats, X))
 
 
 def test_kernel_rows_batch_matches_single():
@@ -568,7 +556,3 @@ def test_csr_kernels_are_bit_identical_to_the_sparse_product(kind, n, family, se
     K = whole_matrix_kernel(spec, Q, X)
     rows = K - K.mean(axis=1)[:, None] - stats.col_means[None, :] + stats.grand_mean
     assert np.array_equal(kernel_rows(spec, ds, stats, Q), rows)
-    got_rows, self_k = kernel_rows_with_self(spec, ds, stats, Q)
-    kxx = norms(Q) if family == "linear" else np.ones(Q.shape[0])
-    assert np.array_equal(got_rows, rows)
-    assert np.array_equal(self_k, kxx - 2.0 * K.mean(axis=1) + stats.grand_mean)

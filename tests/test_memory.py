@@ -13,6 +13,7 @@ from dckpca import (CenteringStats, Dataset, KernelSpec, ObjectiveSpec, center_g
                     gen_synth_gaussian, gram, kernel_rows)
 from dckpca import model
 from dckpca.baselines import kpca_dense_eig
+from dckpca.kernels import BLOCK
 from dckpca.objectives import parse_objective
 from dckpca.solvers import SolveConfig
 
@@ -142,6 +143,21 @@ def test_csr_query_against_dense_samples_never_copies_them(traced):
     rows, peak = _traced_peak(lambda: kernel_rows(spec, ds, stats, sparse.csr_matrix(q)))
     assert peak <= 0.1 * 8 * n * d
     assert np.array_equal(rows, kernel_rows(spec, ds, stats, q))
+
+
+def test_projection_peak_is_its_kernel_block_and_a_panel(traced):
+    # the m x n kernel block, one BLOCK-row panel of its in-place kernel
+    # steps, and O(ms): centering after the product with A (an m x s outer
+    # product, row means) adds no m x n temporary. Measured: 138 KB above
+    # the first two at m=1000, s=3.
+    n, m, s = 2000, 1000, 3
+    fitted = model.fit(gen_synth_gaussian(n, 5, 5), KernelSpec("gaussian", 2.0),
+                       ObjectiveSpec("square"), s, SolveConfig(seed=0))
+    Q = gen_synth_gaussian(m, 5, 6).values
+    model.project(fitted, Q[:2])  # first-call allocations go uncounted
+    P, peak = _traced_peak(lambda: model.project(fitted, Q))
+    assert P.shape == (m, s)
+    assert peak <= 8 * m * n + 8 * BLOCK * n + 8 * 8 * m * s
 
 
 def test_csr_huber_fit_enters_both_solves_with_one_gram(traced, monkeypatch):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -119,6 +121,30 @@ def test_project_single_point_and_dimension_check(small_fit):
     assert np.allclose(single, batch[0])
     with pytest.raises(DataError):
         project(m, np.ones(7))
+
+
+@pytest.mark.parametrize("query, shape", [(1.0, "()"), (np.ones((2, 5, 5)), "(2, 5, 5)"),
+                                          (np.ones((2, 1, 5)), "(2, 1, 5)")])
+def test_project_refuses_a_query_that_is_not_a_vector_or_a_matrix(small_fit, query,
+                                                                  shape):
+    _, _, m = small_fit
+    with pytest.raises(DataError, match=re.escape(f"got shape {shape}")):
+        project(m, query)
+
+
+def test_reconstruction_error_against_linear_feature_space():
+    # with the linear kernel the centered feature map is explicit: x - mean,
+    # and the components are the columns of W = (X - mean)' A, orthonormal
+    # on a float64 Gram (tol below FLOAT32_MIN_TOL)
+    ds = gen_synth_gaussian(18, 3, 11)
+    m = fit(ds, KernelSpec("linear"), ObjectiveSpec("square"), 2,
+            SolveConfig(tol=1e-13, seed=0))
+    X = np.array([[0.2, 0.4, -1.0], [1.5, 0.0, 0.5]])
+    mu = ds.values.mean(axis=0)
+    W = (ds.values - mu).T @ m.coefficients
+    R = (X - mu) - (X - mu) @ W @ W.T
+    expected = float(np.mean(np.sum(R * R, axis=1)))
+    assert reconstruction_error(m, Dataset(X)) == pytest.approx(expected, rel=0, abs=1e-12)
 
 
 def test_reconstruction_error_full_rank_is_zero():
@@ -440,9 +466,10 @@ def test_xmax_kappa_is_within_sqrt_tol_of_the_exact_gauge(kind, seed):
 
 def _reference_projection(m, Q):
     """Projections recomputed from scratch on every call: the training rows'
-    norms, the transposed product and A = H U' diag(lam)^(-1/2) U, with the
-    package's floating-point operations in its order, on the query in the
-    layout of the training samples."""
+    norms, the transposed product, A = H U' diag(lam)^(-1/2) U and the
+    centering terms c = 1'A and b = A'mu - g c applied after the product,
+    with the package's floating-point operations in its order, on the query in
+    the layout of the training samples."""
     from scipy import sparse
     Y = m.train_data.values
     X = np.atleast_2d(Q) if not sparse.issparse(Q) else Q.tocsr()
@@ -463,8 +490,10 @@ def _reference_projection(m, Q):
         d2 = np.maximum(norms(X)[:, None] + norms(Y)[None, :] - 2.0 * K, 0.0)
         arg = d2 if spec.family == "gaussian" else np.sqrt(d2)
         K = np.exp(-arg / (2.0 * spec.sigma ** 2))
-    Kc = K - K.mean(axis=1)[:, None] - m.stats.col_means + m.stats.grand_mean
-    return Kc @ (m.H @ m.decomp.inv_sqrt())
+    A = m.H @ m.decomp.inv_sqrt()
+    c = A.sum(axis=0)
+    b = A.T @ m.stats.col_means - m.stats.grand_mean * c
+    return K @ A - np.multiply.outer(K.mean(axis=1), c) - b
 
 
 @pytest.mark.parametrize("layout", ["dense", "csr"])
@@ -498,7 +527,18 @@ def test_primal_coefficients_are_computed_once_and_read_only(tmp_path, small_fit
     save_model(m, path)
     attached = attach_training_data(load_model(path), ds)
     assert np.array_equal(recover_primal_coefficients(attached), A)
-    assert not recover_primal_coefficients(attached).flags.writeable
+    # the centering terms projections apply after the product with A
+    c, b = m.coefficient_sums, m.center_offset
+    assert np.array_equal(c, A.sum(axis=0))
+    assert np.array_equal(b, A.T @ m.stats.col_means - m.stats.grand_mean * c)
+    for name in ("coefficients", "coefficient_sums", "center_offset"):
+        assert not getattr(m, name).flags.writeable
+        assert not getattr(attached, name).flags.writeable
+        assert np.array_equal(getattr(attached, name), getattr(m, name))
+    with pytest.raises(ValueError):
+        c[0] = 1.0
+    with pytest.raises(ValueError):
+        b[0] = 1.0
 
 
 def test_centering_stats_are_read_only(tmp_path, small_fit):
@@ -568,3 +608,58 @@ def test_reconstruction_error_evaluates_the_cross_kernel_once(monkeypatch, small
         calls.clear()
         reconstruction_error(m, data)
         assert len(calls) == 1
+
+
+def _sparse_normal(n, d, seed):
+    from scipy import sparse
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, d))
+    X[rng.random(X.shape) < 0.4] = 0.0
+    return Dataset(sparse.csr_matrix(X))
+
+
+_ORACLE_CASES = [(family, layout) for family in ("gaussian", "laplace", "linear")
+                 for layout in ("dense", "csr")] + [("gaussian", "robust-libsvm")]
+
+
+@pytest.mark.parametrize("objective", ["square", "huber2:xmax:0.8"])
+@pytest.mark.parametrize("family, layout", _ORACLE_CASES)
+def test_projections_match_the_centered_rows_oracle(family, layout, objective):
+    # projections center after the product with A; the oracle centers the
+    # kernel rows first, entry by entry. Under huber2:xmax the columns of A
+    # do not sum to 0 (to ~0.5 on the robust-libsvm-like samples, whose
+    # uncentered kernel entries are ~50x the centered ones)
+    from dckpca.objectives import parse_objective
+    from oracles import centered_kernels, centered_self_kernel
+    if layout == "robust-libsvm":
+        ds, Q, spec = (_robust_libsvm_like(200, 0), _robust_libsvm_like(30, 1),
+                       KernelSpec("gaussian", 4.0))
+    else:
+        make = gen_synth_gaussian if layout == "dense" else _sparse_normal
+        ds, Q = make(120, 8, 3), make(30, 8, 4)
+        spec = KernelSpec(family, {"gaussian": 1.5, "laplace": 1.0}.get(family))
+    m = fit(ds, spec, parse_objective(objective), 3, SolveConfig(seed=0))
+    dense = [v.toarray() if layout != "dense" else v for v in (ds.values, Q.values)]
+    _, Kc = centered_kernels(spec, *dense)
+    P_ref = Kc @ m.coefficients
+    assert np.max(np.abs(project(m, Q.values) - P_ref)) <= 1e-12 * np.max(np.abs(P_ref))
+    self_k = centered_self_kernel(spec, *dense)
+    err_ref = float(np.mean(np.maximum(self_k - np.sum(P_ref * P_ref, axis=1), 0.0)))
+    assert abs(reconstruction_error(m, Q) - err_ref) <= 1e-12 * np.max(self_k)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_offset_linear_projections_lose_no_more_than_centered_rows(seed):
+    # samples offset by 1e6: each linear kernel value ~5e12 carries an
+    # absolute rounding of ~1e-3, which both routes inherit; centering after
+    # the product with A may not lose much more than centering the rows
+    from dckpca.kernels import kernel_rows
+    ds = Dataset(gen_synth_gaussian(200, 5, seed).values + 1e6)
+    Q = gen_synth_gaussian(40, 5, seed + 10).values + 1e6
+    spec = KernelSpec("linear")
+    m = fit(ds, spec, ObjectiveSpec("square"), 3, SolveConfig(seed=0))
+    mean = ds.values.mean(axis=0)
+    exact = (Q - mean) @ ((ds.values - mean).T @ m.coefficients)
+    folded = np.max(np.abs(project(m, Q) - exact))
+    rows = np.max(np.abs(kernel_rows(spec, ds, m.stats, Q) @ m.coefficients - exact))
+    assert folded <= 4.0 * rows
