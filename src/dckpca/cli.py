@@ -299,10 +299,8 @@ def _cmd_spectrum(args):
         rows.append([c, lbfgs_iters, lbfgs_status, oversamples, rsvd_status])
         del G  # not live while the next matrix is generated
 
-    iter_vals = [r[1] for r in rows if r[1] is not None]
-    p_vals = [r[3] for r in rows if r[3] is not None]
-    min_iters = min(iter_vals) if iter_vals else None
-    min_p = min(p_vals) if p_vals else None
+    min_iters = min((r[1] for r in rows if r[1] is not None), default=None)
+    min_p = min((r[3] for r in rows if r[3] is not None), default=None)
     out_rows = [[c, it, None if it is None else it - min_iters, st,
                  p, None if p is None else p - min_p, pst]
                 for c, it, st, p, pst in rows]
@@ -324,9 +322,7 @@ def _split_indices(n, test_frac, labels, rng):
         k = int(np.floor(test_frac * len(members)))
         test.extend(members[:k])
     test = np.sort(np.asarray(test, dtype=int))
-    mask = np.ones(n, dtype=bool)
-    mask[test] = False
-    return np.flatnonzero(mask), test
+    return np.setdiff1d(np.arange(n), test), test
 
 
 def _cmd_robust(args):

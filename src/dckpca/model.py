@@ -134,8 +134,8 @@ def fit(dataset: Dataset | None, kernel_spec: kernels.KernelSpec,
     below the accuracy of the solve it feeds (1e-4 at the default tol 1e-6;
     README gives the measured errors).
     ``gram_matrix`` short-circuits kernel assembly for precomputed Grams
-    (``dataset`` may then be None); it is solved in its own precision, and a
-    given dataset still sets the model's bandwidth and fingerprint.
+    (``dataset`` may then be None) and is solved in its own precision; a
+    given dataset sets the bandwidth, and ``assemble_model`` the fingerprint.
 
     From data the Gram is stored in float32 (4n^2 bytes), whatever the
     kernel, except in benchmark mode or at tol < FLOAT32_MIN_TOL, where it
@@ -145,14 +145,11 @@ def fit(dataset: Dataset | None, kernel_spec: kernels.KernelSpec,
     product, stay in float64.
     """
     cfg = config or SolveConfig()
-    if dataset is None:
-        if gram_matrix is None:
-            raise DataError("fit needs a dataset or a precomputed Gram")
-        spec, fingerprint = kernel_spec, gram_fingerprint(gram_matrix)
-    else:
-        if gram_matrix is not None and gram_matrix.n != dataset.n:
-            raise DataError("precomputed Gram size does not match dataset")
-        spec, fingerprint = kernel_spec.resolve(dataset), dataset_fingerprint(dataset)
+    if dataset is None and gram_matrix is None:
+        raise DataError("fit needs a dataset or a precomputed Gram")
+    if dataset is not None and gram_matrix is not None and gram_matrix.n != dataset.n:
+        raise DataError("precomputed Gram size does not match dataset")
+    spec = kernel_spec if dataset is None else kernel_spec.resolve(dataset)
     gm = gram_matrix if gram_matrix is not None else \
         kernels.gram(dataset, spec, dtype=_gram_dtype(cfg))
     # centering writes no entry: the fit holds the one n x n buffer it was
@@ -170,25 +167,23 @@ def fit(dataset: Dataset | None, kernel_spec: kernels.KernelSpec,
     else:
         H, report = dca_solve(Gc, s, objective, cfg)
     report = replace(report, presolve=presolve)
-    return assemble_model(Gc, spec, objective, s, H, dataset,
-                          fingerprint=fingerprint, report=report,
+    return assemble_model(Gc, spec, objective, s, H, dataset, report=report,
                           kappa_max_value=kappa_max_value)
 
 
 def assemble_model(Gc: kernels.GramMatrix, spec: kernels.KernelSpec,
                    objective: ObjectiveSpec, s: int, H: np.ndarray,
-                   dataset: Dataset | None, fingerprint: str | None = None,
-                   report: SolveReport | None = None,
+                   dataset: Dataset | None, report: SolveReport | None = None,
                    kappa_max_value: float | None = None) -> KpcaModel:
     """Wrap a solved dual variable into a projectable model (spectral factors
-    of H'GH, centering stats, fingerprint). Raises when H'GH is singular.
+    of H'GH, centering stats, fingerprint: the dataset's, else the Gram's,
+    which centering leaves as it was). Raises when H'GH is singular.
     H'GH comes from the exact product: with a float32 Gram, the model's
     spectrum (and so its projections) keeps float64 accuracy on the stored
     entries."""
     _, dec = _small_eig(Gc, H, exact=True)
-    if fingerprint is None:
-        fingerprint = dataset_fingerprint(dataset) if dataset is not None \
-            else gram_fingerprint(Gc)
+    fingerprint = dataset_fingerprint(dataset) if dataset is not None \
+        else gram_fingerprint(Gc)
     stats = Gc.stats if Gc.stats is not None else \
         kernels.CenteringStats(np.zeros(Gc.n), 0.0)
     return KpcaModel(kernel_spec=spec, objective=objective, s=s, H=H, decomp=dec,

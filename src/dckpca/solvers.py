@@ -23,7 +23,7 @@ import numpy as np
 from .dual_core import (check_components, check_floor, grad_pi, optimal_dual_cost,
                         sym_eig_small)
 from .errors import KpcaError, SingularMatrixError
-from .kernels import GramMatrix, gram_product, product_rounding
+from .kernels import FLOAT32_MIN_DELTA, GramMatrix, gram_product, product_rounding
 from .objectives import HUBER_KINDS, ObjectiveSpec, prox_psi_star, psi_star_value
 
 # Differences of the DCA map kept for its Anderson step. Depth 5 took no fewer
@@ -96,22 +96,19 @@ def _sym(M):
 
 class _Trace:
     """What ``_stop`` reads: the cost of every iterate (iterations =
-    len(costs) - 1), eta in benchmark mode, and the run's tol and cap; and
-    the loop's counts of G-products and rejected Anderson candidates."""
+    len(costs) - 1), the optimal cost ``d_opt`` in benchmark mode, and the
+    run's tol and cap; and the loop's counts of products and rejections."""
 
     def __init__(self, tol, max_iters, d_opt):
         self.tol = tol
         self.max_iters = max_iters
         self.d_opt = d_opt
         self.costs = []
-        self.etas = None if d_opt is None else []
         self.products = 0
         self.rejected = 0
 
-    def record(self, cost, square_cost):
-        self.costs.append(cost)
-        if self.etas is not None:
-            self.etas.append(abs(square_cost - self.d_opt) / abs(self.d_opt))
+    def eta(self, cost):
+        return abs(cost - self.d_opt) / abs(self.d_opt)
 
 
 def _evaluate(G, H, hint, trace):
@@ -132,13 +129,13 @@ def _stop(trace, residual):
     ||H|| of the current iterate H, so the H a solve returns is the one that
     met it; squared, since a DCA step from H lowers the cost by at least
     0.5 ||H - T(H)||^2, so tol stays a relative cost change. In benchmark mode
-    eta < tol instead, and a zero residual (no descent step) is "gradient".
-    "max_iters": the iteration cap.
+    eta < tol instead (the gap of the last cost), and a zero residual (no
+    descent step) is "gradient". "max_iters": the iteration cap.
     """
-    if trace.etas is None:
+    if trace.d_opt is None:
         if residual ** 2 <= trace.tol:
             return "tolerance"
-    elif trace.etas[-1] < trace.tol:
+    elif trace.eta(trace.costs[-1]) < trace.tol:
         return "tolerance"
     elif residual == 0.0:
         return "gradient"
@@ -177,6 +174,10 @@ def _solve(G, s, cfg, h0, loop):
         if eigs.shape != (s,):
             raise KpcaError(f"benchmark_eigs must hold exactly s={s} values")
         d_opt = optimal_dual_cost(eigs)
+        if isinstance(G, GramMatrix) and G.entries.dtype == np.float32 \
+                and cfg.tol < FLOAT32_MIN_DELTA:
+            raise KpcaError(f"delta={cfg.tol:g} is below {FLOAT32_MIN_DELTA:g}, the floor of "
+                            "eta on a float32 Gram: this delta needs a float64 Gram")
 
     def attempt(H, label):
         t0 = time.perf_counter()
@@ -185,7 +186,8 @@ def _solve(G, s, cfg, h0, loop):
             H, termination = loop(G, H, trace)
         except SingularMatrixError as exc:
             raise SingularMatrixError(f"{label}, iteration {len(trace.costs)}: {exc}") from exc
-        return H, SolveReport(len(trace.costs) - 1, trace.costs, trace.etas,
+        etas = None if d_opt is None else [trace.eta(c) for c in trace.costs]
+        return H, SolveReport(len(trace.costs) - 1, trace.costs, etas,
                               time.perf_counter() - t0, termination,
                               trace.products, trace.rejected, trace.tol)
 
@@ -228,7 +230,7 @@ def lbfgs_solve(G, s: int, config: SolveConfig | None = None, h0=None):
 def _subspace_loop(G, H, trace):
     s = H.shape[1]
     GH, _, cost = _evaluate(G, H, _rank_hint(s), trace)
-    trace.record(cost, cost)
+    trace.costs.append(cost)
     # span[H0, GH0] = span[X0, GX0] for H0 = X0 T, where G X0 = GH0 T^-1
     # takes no product. The first step keeps no P: the new X's part outside
     # the random X0 saved no steps when kept (247 against 243 steps over 30
@@ -237,8 +239,7 @@ def _subspace_loop(G, H, trace):
     GX = np.linalg.solve(T.T, GH.T).T
     X, GX, theta, P = _ritz_step(G, [(X, GX)], GX, s, trace, keep_p=False)
     while True:
-        cost = -0.5 * float(np.sum(theta))
-        trace.record(cost, cost)
+        trace.costs.append(-0.5 * float(np.sum(theta)))
         R = GX - X * theta
         residual = float(np.linalg.norm(R / np.sqrt(theta)) / np.sqrt(np.sum(theta)))
         termination = _stop(trace, residual)
@@ -334,10 +335,13 @@ def dca_solve(G, s: int, objective: ObjectiveSpec, config: SolveConfig | None = 
 
     A singular H'GH names the rank at the init; at a plain step kappa for
     Huber objectives, else the rank (or eps > 0). At a candidate it only
-    rejects it. Returns (H, report).
+    rejects it. Benchmark mode takes only the square objective, whose dual gap
+    eta is. Returns (H, report).
     """
     if not objective.resolved:
         raise KpcaError("resolve the kappa_max fraction before solving")
+    if config and config.benchmark_eigs is not None and objective.kind != "square":
+        raise KpcaError(f"benchmark mode runs the square objective only, got {objective.kind}")
     huber = objective.kind in HUBER_KINDS
     hint = _rank_hint(s)
     if huber:
@@ -348,14 +352,14 @@ def dca_solve(G, s: int, objective: ObjectiveSpec, config: SolveConfig | None = 
 
     def loop(G, H, trace):
         def at(H, hint):
-            GH, dec, square_cost = _evaluate(G, H, hint, trace)
-            return GH, dec, square_cost, square_cost + psi_star_value(objective, H)
+            GH, dec, cost = _evaluate(G, H, hint, trace)
+            return GH, dec, cost + psi_star_value(objective, H)
 
-        GH, dec, square_cost, cost = at(H, _rank_hint(s))
+        GH, dec, cost = at(H, _rank_hint(s))
         dR, dT = deque(maxlen=ANDERSON_DEPTH), deque(maxlen=ANDERSON_DEPTH)
         last = None
         while True:
-            trace.record(cost, square_cost)
+            trace.costs.append(cost)
             T = prox_psi_star(objective, GH @ dec.inv_sqrt())
             g = T - H
             g_sq = float(np.vdot(g, g))
@@ -371,19 +375,19 @@ def dca_solve(G, s: int, objective: ObjectiveSpec, config: SolveConfig | None = 
                 if huber:
                     H_a = prox_psi_star(objective, H_a)
                 try:
-                    GH_a, dec_a, square_a, cost_a = at(H_a, None)
+                    GH_a, dec_a, cost_a = at(H_a, None)
                     accept = cost_a <= cost - 0.5 * g_sq
                 except SingularMatrixError:
                     accept = False
                 if accept:
-                    H, GH, dec, square_cost, cost = H_a, GH_a, dec_a, square_a, cost_a
+                    H, GH, dec, cost = H_a, GH_a, dec_a, cost_a
                     continue
                 trace.rejected += 1
                 dR.clear()
                 dT.clear()
                 last = None
             H = T
-            GH, dec, square_cost, cost = at(H, hint)
+            GH, dec, cost = at(H, hint)
 
     return _solve(G, s, config or SolveConfig(), h0, loop)
 

@@ -291,13 +291,19 @@ def test_attach_training_data_fingerprint_mismatch(tmp_path, small_fit):
 
 @pytest.mark.parametrize("bandwidth", ["auto", 1.5])
 def test_fit_with_a_dataset_and_a_gram_projects_and_reattaches(tmp_path, bandwidth):
-    # the model takes the dataset's bandwidth and fingerprint, not the Gram's
+    # the model takes the dataset's bandwidth and fingerprint, not the Gram's;
+    # a Gram alone gives the Gram's, which centering leaves as it was
+    from dckpca.model import dataset_fingerprint, gram_fingerprint
     ds = gen_synth_gaussian(40, 3, 4)
     spec = KernelSpec("gaussian", bandwidth)
     resolved = spec.resolve(ds)
-    m = fit(ds, spec, ObjectiveSpec("square"), 2,
-            gram_matrix=gram(ds, resolved))
+    gm = gram(ds, resolved)
+    m = fit(ds, spec, ObjectiveSpec("square"), 2, gram_matrix=gm)
     assert m.kernel_spec == resolved
+    assert m.fingerprint == dataset_fingerprint(ds)
+    assert fit(ds, spec, ObjectiveSpec("square"), 2).fingerprint == dataset_fingerprint(ds)
+    alone = fit(None, KernelSpec("precomputed"), ObjectiveSpec("square"), 2, gram_matrix=gm)
+    assert alone.fingerprint == gram_fingerprint(gm) != m.fingerprint
     save_model(m, tmp_path / "m.dk")
     again = attach_training_data(load_model(tmp_path / "m.dk"), ds)
     assert np.array_equal(project(again, ds.values[:3]), project(m, ds.values[:3]))

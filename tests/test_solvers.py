@@ -539,6 +539,47 @@ def test_dca_benchmark_mode_eta_stop():
     assert rep.eta_trace[-1] < 1e-6
 
 
+@pytest.mark.parametrize("objective", [
+    ObjectiveSpec("huber_l1", kappa=1.0), ObjectiveSpec("huber_row2", kappa=1.0),
+    ObjectiveSpec("eps_linf", eps=0.1), ObjectiveSpec("eps_row2", eps=0.1)],
+    ids=["huber1", "huber2", "epsinf", "eps2"])
+def test_dca_refuses_benchmark_mode_off_the_square_loss(objective):
+    # eta is the square-loss dual gap: it is not the gap of these objectives
+    from dckpca import KpcaError
+    Gc = centered_gram(n=40, d=3, seed=13)
+    cfg = SolveConfig(benchmark_eigs=dense_top_eigs(_dense(Gc), 2))
+    with pytest.raises(KpcaError, match=f"square objective only, got {objective.kind}"):
+        dca_solve(Gc, 2, objective, cfg)
+
+
+@pytest.mark.parametrize("solve", [lbfgs_solve,
+                                   lambda G, s, cfg: dca_solve(
+                                       G, s, ObjectiveSpec("square"), cfg)],
+                         ids=["subspace", "dca"])
+def test_benchmark_eta_trace_is_the_gap_of_the_cost_trace(solve):
+    from dckpca.dual_core import optimal_dual_cost
+    Gc = centered_gram(n=90, d=4, seed=13)
+    top = dense_top_eigs(_dense(Gc), 3)
+    _, rep = solve(Gc, 3, SolveConfig(tol=1e-8, seed=6, benchmark_eigs=top))
+    d_opt = optimal_dual_cost(top)
+    assert rep.termination == "tolerance"
+    assert rep.eta_trace == [abs(c - d_opt) / abs(d_opt) for c in rep.cost_trace]
+
+
+def test_benchmark_mode_refuses_a_delta_below_the_float32_floor():
+    # a float32 Gram's eta levels off near 1e-9: at 1e-10 the solve would run
+    # to its cap, so it is refused up front
+    from dckpca import KpcaError
+    ds = gen_synth_gaussian(200, 5, 3)
+    spec = KernelSpec("gaussian", 2.0)
+    top = dense_top_eigs(_dense(center_gram(gram(ds, spec))), 5)
+    Gc = center_gram(gram(ds, spec, dtype=np.float32))
+    with pytest.raises(KpcaError, match="delta=1e-10 is below 1e-08.*needs a float64 Gram"):
+        lbfgs_solve(Gc, 5, SolveConfig(tol=1e-10, max_iters=50, benchmark_eigs=top))
+    _, rep = lbfgs_solve(Gc, 5, SolveConfig(tol=1e-8, max_iters=50, benchmark_eigs=top))
+    assert rep.termination == "tolerance"
+
+
 def test_dca_honours_tol():
     Gc = centered_gram(n=60, d=4, seed=16)
     _, loose = dca_solve(Gc, 2, ObjectiveSpec("square"), SolveConfig(tol=1e-4, seed=0))
